@@ -6,8 +6,8 @@ Data path (Fig. 5 of the paper):
 2. each contribution enters an SRAM intake **queue** whose size was
    pre-negotiated with the database — this size is the flow-control
    budget;
-3. a drain process moves queued chunks into the **backing memory** (SRAM
-   or DRAM, see :mod:`repro.pm.backing`), paying its port bandwidth;
+3. each queued chunk moves into the **backing memory** (SRAM or DRAM,
+   see :mod:`repro.pm.backing`), paying its port bandwidth;
 4. once a chunk reaches backing memory — never before — the **credit
    counter** advances, but only over *contiguous* stream bytes (the gap
    rule);
@@ -18,8 +18,10 @@ following semantics").  The Transport module, when active, taps the intake
 stream to mirror it to secondaries.
 """
 
+from collections import deque
+
 from repro.core.ring import RingOverflowError, SequencedRing
-from repro.sim.resources import Container, Store
+from repro.sim.resources import Container
 from repro.sim.stats import Counter
 
 
@@ -49,27 +51,26 @@ class CmbModule:
         self.bytes_shed = 0
         self.ring = SequencedRing(capacity=backing.capacity)
         self.credit = Counter(engine, name=f"{name}.credit")
-        # Intake queue: chunk FIFO plus a byte-space accountant.
-        self._intake = Store(engine)
+        # Intake queue: a byte-space accountant.  A chunk that finds space
+        # (and nobody queued ahead of it) takes it on arrival; the rest
+        # wait in the container's FIFO.
         self._queue_space = Container(engine, capacity=queue_bytes,
                                       init=queue_bytes)
+        # Chunks holding queue space that cannot move to PM yet, in
+        # arrival order: the PM ring's window is full, or the module is
+        # stopped.  ``ring_space_freed`` and ``start`` move them on.
+        self._stalled = deque()
         self._intake_taps = []
         self._credit_watchers = []
         # Tracing: open intake spans keyed by stream offset (one span
         # covers a chunk's life from PCIe arrival to persistence).
         self._trace_tokens = {}
-        # The chunk the drain is currently persisting; it still occupies
-        # SRAM until the PM write completes, so the crash path can salvage
-        # it (reserve energy finishes the move).
         # Chunks whose PM write is in flight (issued, not yet applied).
         # They still occupy SRAM queue slots until the write completes,
         # and the crash path can salvage them (reserve energy finishes
         # the moves).  Completions apply strictly in FIFO order because
         # they share one port.
         self._persisting = []
-        # Kicked by the destage module when it frees ring space; the drain
-        # waits on it instead of overflowing the PM ring.
-        self._ring_room_kick = engine.event()
         self._running = False
         self.bytes_received = 0
         self.chunks_received = 0
@@ -89,13 +90,21 @@ class CmbModule:
     # -- wiring -------------------------------------------------------------------
 
     def start(self):
-        """Launch the queue drain process."""
+        """Open the path from the intake queue to PM.
+
+        On a restart, chunks that queued while the module was stopped
+        move on now, in arrival order, as far as the PM ring has room.
+        """
         if self._running:
             raise RuntimeError("CMB module already started")
         self._running = True
-        return self.engine.process(self._drain(), name=f"{self.name}-drain")
+        self.ring_space_freed()
 
     def stop(self):
+        """Close the path to PM; arriving chunks queue until ``start``.
+
+        PM writes already issued still complete.
+        """
         self._running = False
 
     def tap_intake(self, callback):
@@ -122,8 +131,11 @@ class CmbModule:
         """Accept a write chunk arriving via PCIe; returns an enqueue event.
 
         The event fires when the chunk has entered the intake queue (space
-        permitting).  Persistence happens later, asynchronously, in the
-        drain process; the host learns about it from the credit counter.
+        permitting).  A chunk that finds space and nobody queued ahead of
+        it enters at once and its PM write is issued at the arrival
+        instant; one that must wait for space moves on when the space is
+        granted.  The host learns about persistence from the credit
+        counter.
         """
         if nbytes <= 0:
             raise ValueError("chunks must carry at least one byte")
@@ -162,10 +174,13 @@ class CmbModule:
             )
         for tap in self._intake_taps:
             tap(offset, nbytes, payload)
-        return self.engine.process(
-            self._enqueue(offset, nbytes, payload),
-            name=f"{self.name}-enqueue",
-        )
+        chunk = (offset, nbytes, payload)
+        if self._queue_space.try_get(nbytes):
+            self._enqueued(chunk)
+            return self.engine.timeout(0.0)
+        granted = self._queue_space.get(nbytes)
+        granted.then(lambda _event: self._enqueued(chunk))
+        return granted
 
     def receive_tlp(self, tlp):
         """Adapter: unpack an MMIO TLP's contributions into :meth:`receive`.
@@ -187,40 +202,39 @@ class CmbModule:
             last = self.engine.timeout(0.0)
         return last
 
-    def _enqueue(self, offset, nbytes, payload):
-        yield self._queue_space.get(nbytes)
-        yield self._intake.put((offset, nbytes, payload))
+    # -- queue -> backing memory ----------------------------------------------------
 
-    # -- drain: queue -> backing memory -----------------------------------------------
-
-    def ring_space_freed(self):
-        """Destage notification: the PM ring released some space."""
-        if not self._ring_room_kick.triggered:
-            self._ring_room_kick.succeed()
-
-    def _ring_room_wait(self):
-        if self._ring_room_kick.triggered:
-            self._ring_room_kick = self.engine.event()
-        return self._ring_room_kick
-
-    def _drain(self):
-        while self._running:
-            chunk = yield self._intake.get()
-            offset, nbytes, payload = chunk
+    def _enqueued(self, chunk):
+        """``chunk`` holds its queue space: write it to PM, or stall."""
+        ring = self.ring
+        if (self._stalled or not self._running
+                or chunk[0] + chunk[1] > ring.released + ring.capacity):
             # Stall while the PM ring's window is full: space frees as the
             # destage module moves the head to flash.  The stall holds the
             # intake queue occupied, which is exactly how back-pressure
             # propagates to the host's credit budget.
-            while (offset + nbytes
-                   > self.ring.released + self.ring.capacity):
-                if not self._running:
-                    return
-                yield self._ring_room_wait()
-            # Issue the PM write and keep draining: writes pipeline on the
-            # backing port (its bandwidth serializes them; per-access
-            # latency overlaps), completing in FIFO order.
-            self._persisting.append(chunk)
-            self.backing.write(nbytes).then(self._on_persisted)
+            self._stalled.append(chunk)
+            return
+        self._persist(chunk)
+
+    def _persist(self, chunk):
+        # Writes pipeline on the backing port (its bandwidth serializes
+        # them; per-access latency overlaps), completing in FIFO order.
+        self._persisting.append(chunk)
+        self.backing.write(chunk[1]).then(self._on_persisted)
+
+    def ring_space_freed(self):
+        """Destage notification: the PM ring released some space.
+
+        Stalled chunks move on in arrival order, as far as the window now
+        reaches.
+        """
+        stalled = self._stalled
+        ring = self.ring
+        while (stalled and self._running
+               and stalled[0][0] + stalled[0][1]
+               <= ring.released + ring.capacity):
+            self._persist(stalled.popleft())
 
     def _on_persisted(self, _event):
         if not self._persisting:
@@ -279,14 +293,14 @@ class CmbModule:
         :mod:`repro.core.crash`).  Returns the bytes made contiguous.
         """
         advanced = 0
-        salvaged = list(self._persisting) + list(self._intake.peek_all())
+        salvaged = self._persisting + list(self._stalled)
         self._persisting = []
+        self._stalled.clear()
         for offset, nbytes, payload in salvaged:
             try:
                 advanced += self.ring.write(offset, nbytes, payload)
             except RingOverflowError:
                 self.chunks_discarded += 1
-        self._intake._items.clear()
         self.intake_backlog_bytes = 0
         if advanced:
             self.credit.advance(advanced)

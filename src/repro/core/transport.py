@@ -144,6 +144,61 @@ class MirrorFlow:
                 attempt += 1
 
 
+class _Nap:
+    """A sleeping reporter's view of its update-period grid.
+
+    ``next_tick`` is the tick the periodic loop would evaluate next and
+    ``prev_tick`` the one before it; ``mark`` is the engine mark taken
+    where the reporter fell asleep (where the periodic loop would have
+    armed its next timer), valid while ``prev_tick`` is that sleep point.
+    ``seen`` is the value the periodic loop's evaluation at ``next_tick``
+    would read once a change there came after that evaluation; the
+    reporter generation at that first late change goes in
+    ``late_generation`` (None while there is none).
+    """
+
+    __slots__ = ("next_tick", "prev_tick", "mark", "seen", "late_generation",
+                 "news")
+
+    def __init__(self, engine, sleep_tick, next_tick, value):
+        self.prev_tick = sleep_tick
+        self.next_tick = next_tick
+        self.mark = engine.mark()
+        self.seen = value
+        self.late_generation = None
+        self.news = engine.event()
+
+    def walk(self, now, period):
+        """Advance ``next_tick`` to the first grid tick at or after now."""
+        pending = self.next_tick
+        if pending < now:
+            while pending < now:
+                previous = pending
+                pending = pending + period
+            self.prev_tick = previous
+            self.next_tick = pending
+            self.mark = None
+
+    def changed_before_tick(self, engine):
+        """Did the change made now, on ``next_tick``, precede its timer?
+
+        The periodic loop armed its timer for this tick at the previous
+        tick, so it fires after every same-instant timer armed before that
+        and before every one armed after it — and before anything off the
+        immediate queue.  A timer armed at the previous tick itself is
+        ordered by sequence when that tick was the sleep point (the loop
+        would have armed its timer right there); otherwise it counts as
+        armed after.
+        """
+        entry = engine.firing_timer()
+        if entry is None:
+            return False
+        armed_at = engine.now - entry[2].delay
+        if armed_at != self.prev_tick:
+            return armed_at < self.prev_tick
+        return self.mark is not None and entry[1] < self.mark
+
+
 class TransportModule:
     """Role-aware replication engine of one X-SSD device."""
 
@@ -158,6 +213,11 @@ class TransportModule:
         self._tracer = engine.tracer
         self._tracing = engine.tracer.enabled
         self.role = TransportRole.STANDALONE
+        # The naps of reporters that sleep or catch up after news (none
+        # while the reporter runs on a tick it armed itself; two only
+        # while a stopped reporter finishes beside its successor); see
+        # ``_report_loop``.
+        self._naps = []
         self.update_period_ns = update_period_ns
         self.policy = policy or EagerReplication()
         # Root of every randomized decision this transport makes (today:
@@ -175,6 +235,10 @@ class TransportModule:
         self._shadow_watchers = []
         self._tap_installed = False
         self._reporter_running = False
+        # Each reporter runs under its own generation and exits once it
+        # sees a newer one, so a stop followed by a quick restart never
+        # leaves the old loop reporting beside the new one.
+        self._reporter_generation = 0
         self.status_register = "ok"  # Section 7.1's transport status
         self.counter_updates_sent = 0
         self.counter_updates_received = 0
@@ -194,6 +258,21 @@ class TransportModule:
         # presumed broken and the status register flips to "stale".
         self.staleness_threshold_ns = 1_000_000.0  # 1 ms
         self._monitor_running = False
+        cmb.watch_credit(self._kick_reporter)
+
+    @property
+    def update_period_ns(self):
+        """How often a secondary forwards its counter (Fig. 13's x-axis)."""
+        return self._update_period_ns
+
+    @update_period_ns.setter
+    def update_period_ns(self, period_ns):
+        # A sleeping reporter's pending tick was scheduled under the old
+        # period, exactly as a periodic loop's already-armed timer would
+        # be: walk it to the first tick at or after now before switching.
+        for nap in self._naps:
+            nap.walk(self.engine.now, self._update_period_ns)
+        self._update_period_ns = period_ns
 
     # -- role management (driven by vendor admin commands) -------------------------
 
@@ -217,14 +296,14 @@ class TransportModule:
             flow.running = False
         self._flows.clear()
         self.shadow_counters.clear()
-        self._reporter_running = False
+        self._stop_reporter()
         return self.role
 
     def set_primary(self):
         if self.ntb_port is None:
             raise RuntimeError("attach an NTB port before becoming primary")
         self.role = TransportRole.PRIMARY
-        self._reporter_running = False
+        self._stop_reporter()
         return self.role
 
     def set_secondary(self, primary_name):
@@ -240,7 +319,8 @@ class TransportModule:
             self._tap_installed = True
         if not self._reporter_running:
             self._reporter_running = True
-            self.engine.process(self._report_loop(),
+            self._reporter_generation += 1
+            self.engine.process(self._report_loop(self._reporter_generation),
                                 name=f"{self.name}-reporter")
         return self.role
 
@@ -301,6 +381,7 @@ class TransportModule:
             self.engine, name=f"shadow:{peer_name}"
         )
         self.engine.process(flow.pump(), name=f"mirror->{peer_name}")
+        self._kick_reporter()  # a new successor lowers the relayed min()
         return flow
 
     def remove_peer(self, peer_name):
@@ -318,6 +399,7 @@ class TransportModule:
             flow._kick.succeed()
         self.shadow_counters.pop(peer_name, None)
         self.update_arrival_ns.pop(peer_name, None)
+        self._kick_reporter()
         return flow
 
     def resync_peer(self, peer_name, from_offset=0, skip_offsets=()):
@@ -354,7 +436,7 @@ class TransportModule:
             flow.running = False
             if not flow._kick.triggered:
                 flow._kick.succeed()
-        self._reporter_running = False
+        self._stop_reporter()
         self._monitor_running = False
         self.receiving = False
 
@@ -437,6 +519,7 @@ class TransportModule:
             shadow = self.shadow_counters.get(peer)
             if shadow is not None:
                 shadow.set_at_least(value)
+                self._kick_reporter()
                 if self._tracing:
                     self._tracer.counter(self.name, f"shadow:{peer}",
                                          shadow.value)
@@ -446,35 +529,108 @@ class TransportModule:
 
     # -- secondary reporting loop ---------------------------------------------------------
 
-    def _report_loop(self):
+    def _stop_reporter(self):
+        self._reporter_running = False
+        # Kick before the generation moves: a stop landing on a tick after
+        # the periodic loop evaluated it leaves that loop one tick more.
+        self._kick_reporter()  # a sleeping reporter wakes for its last tick
+        self._reporter_generation += 1
+
+    def _kick_reporter(self, _value=None):
+        """News: an input of ``_report_value`` just changed."""
+        naps = self._naps
+        if not naps:
+            return  # the reporter's next evaluation reads the live value
+        now = self.engine.now
+        for nap in naps:
+            nap.walk(now, self._update_period_ns)
+            if now < nap.next_tick:
+                nap.seen = self._report_value()
+            elif nap.late_generation is None:
+                # The change lands on the tick itself: the periodic loop
+                # reads it there only if its timer fired after the one
+                # making it.
+                if nap.changed_before_tick(self.engine):
+                    nap.seen = self._report_value()
+                else:
+                    nap.late_generation = self._reporter_generation
+            if not nap.news.triggered:
+                nap.news.succeed()
+
+    def _report_loop(self, generation):
+        """Forward the counter upstream on the update-period grid.
+
+        The loop evaluates on ticks ``t + period, t + 2 * period, ...``
+        counted from its start and from the end of every update it sends,
+        and sends when the value moved.  It wakes only on news: with
+        nothing new to send it sleeps on one event that every input of
+        ``_report_value`` kicks, and the kick walks the grid forward with
+        the same float recurrence to the first tick at or after now.  The
+        loop evaluates there, reading the value a loop that woke on every
+        tick would read: changes landing on the tick itself count only if
+        they came before that loop's timer (``_Nap.changed_before_tick``).
+        """
         engine = self.engine
         last_sent = self._report_value()  # nothing to say until it moves
-        while self._reporter_running:
-            # Shared-instant wakeup: secondaries configured with the same
-            # update period tick on the same instants, so a fleet of
-            # reporters shares one wheel entry per period instead of one
-            # entry each.
-            yield engine.at(engine.now + self.update_period_ns)
-            value = self._report_value()
+        tick = engine.now
+        current = self._reporter_generation == generation
+        while current:
+            # The generation the periodic loop would check after this tick;
+            # None means the live one.
+            checked_generation = None
+            if (self._report_value() == last_sent
+                    and self._reporter_generation == generation):
+                nap = _Nap(engine, tick, tick + self._update_period_ns,
+                           last_sent)
+                self._naps.append(nap)
+                yield nap.news
+                tick = nap.next_tick  # walked by the kick
+                yield engine.at(tick)
+                self._naps.remove(nap)
+                if nap.late_generation is None:
+                    value = self._report_value()
+                else:
+                    value = nap.seen
+                    checked_generation = nap.late_generation
+            else:
+                # News arrived while the loop was busy, or a stopped loop
+                # has its last tick left: arm it as the periodic loop did.
+                tick = tick + self._update_period_ns
+                # Shared-instant wakeup: secondaries configured with the
+                # same update period tick on the same instants, so a fleet
+                # of reporters shares one wheel entry per instant.
+                yield engine.at(tick)
+                value = self._report_value()
+            # A stopped reporter still evaluates the tick it had pending,
+            # so a crashed secondary reports what its salvage persisted.
             if value == last_sent:
+                if checked_generation is None:
+                    checked_generation = self._reporter_generation
+                current = checked_generation == generation
                 continue
             last_sent = value
-            self.counter_updates_sent += 1
-            if self._tracing:
-                self._tracer.instant(self.name, "counter-update-sent",
-                                     value=value)
-            yield engine.timeout(COUNTER_UPDATE_COST_NS)
-            update = Tlp(
-                TlpType.MEMORY_WRITE,
-                address=0,
-                payload=COUNTER_UPDATE_BYTES,
-                metadata={
-                    "kind": "counter-update",
-                    "peer": self.name,
-                    "value": value,
-                },
-            )
-            yield self.ntb_port.send(update)
+            yield from self._send_update(value)
+            tick = engine.now
+            current = self._reporter_generation == generation
+
+    def _send_update(self, value):
+        """Compose one counter-update TLP and post it to the primary."""
+        self.counter_updates_sent += 1
+        if self._tracing:
+            self._tracer.instant(self.name, "counter-update-sent",
+                                 value=value)
+        yield self.engine.timeout(COUNTER_UPDATE_COST_NS)
+        update = Tlp(
+            TlpType.MEMORY_WRITE,
+            address=0,
+            payload=COUNTER_UPDATE_BYTES,
+            metadata={
+                "kind": "counter-update",
+                "peer": self.name,
+                "value": value,
+            },
+        )
+        yield self.ntb_port.send(update)
 
     def _report_value(self):
         """What this secondary reports upstream.

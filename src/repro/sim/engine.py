@@ -584,6 +584,36 @@ class Engine:
         shared[when] = event
         return event
 
+    def mark(self):
+        """A sequence mark: orders after every timer scheduled so far and
+        before every timer scheduled from now on (compare it with a timer
+        entry's sequence number, see :meth:`firing_timer`).
+        """
+        return next(self._sequence)
+
+    def firing_timer(self):
+        """The ``(when, seq, event)`` entry of the timer whose callbacks
+        are running, or ``None`` when the running callback came off the
+        immediate queue (or from outside :meth:`run`).
+
+        Found by scanning the current instant's batch for its last
+        processed entry, so the run loop pays nothing for it; meant for
+        rare same-instant tie decisions, not per-event use.
+        """
+        batch = self._batch
+        now = self._now
+        firing = None
+        for index in range(self._batch_pos, len(batch)):
+            entry = batch[index]
+            if entry[0] != now:
+                break
+            event = entry[2]
+            if event._processed:
+                firing = entry
+            elif not event._cancelled:
+                break
+        return firing
+
     def process(self, generator, name=None):
         """Start ``generator`` as a process; returns its completion event."""
         return Process(self, generator, name)

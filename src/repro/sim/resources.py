@@ -139,6 +139,19 @@ class Container:
         self._settle()
         return event
 
+    def try_get(self, amount):
+        """Take ``amount`` now, without an event, if ``get`` would grant it
+        at once (enough level, nobody queued ahead); returns whether it did.
+        """
+        if amount < 0:
+            raise SimulationError("cannot get a negative amount")
+        if self._getters or self.level < amount:
+            return False
+        self.level -= amount
+        if self._putters:
+            self._settle()
+        return True
+
     def _settle(self):
         """Grant queued puts/gets in FIFO order while they fit."""
         progressed = True

@@ -147,3 +147,90 @@ def test_invalid_queue_size_rejected():
     backing = sram_backing(engine)
     with pytest.raises(ValueError):
         CmbModule(engine, backing, queue_bytes=0)
+
+
+def _fill_ring_and_stall(cmb, engine, count, nbytes=256):
+    """Offer ``count`` chunks at once; returns their offsets in order."""
+    offsets = [index * nbytes for index in range(count)]
+    for offset in offsets:
+        cmb.receive(offset, nbytes, f"c@{offset}")
+    engine.run()
+    return offsets
+
+
+def _record_ring_writes(cmb):
+    written = []
+    write = cmb.ring.write
+
+    def recording_write(offset, nbytes, payload=None):
+        written.append(offset)
+        return write(offset, nbytes, payload)
+
+    cmb.ring.write = recording_write
+    return written
+
+
+def _free_ring(cmb):
+    """What destage does: take the ready chunks, release their space."""
+    chunks = cmb.ring.consume(cmb.ring.capacity)
+    if chunks:
+        offset, nbytes, _payload = chunks[-1]
+        cmb.ring.release(offset + nbytes)
+    return chunks
+
+
+def test_restart_with_stalled_chunks_persists_each_once_in_order():
+    # A 1 KiB PM ring under a 2 KiB queue: four 256 B chunks persist, the
+    # next four hold queue space stalled on the full ring, and the rest
+    # wait for queue space.
+    engine, cmb = make_cmb(queue_bytes=2048, capacity=1024)
+    written = _record_ring_writes(cmb)
+    offsets = _fill_ring_and_stall(cmb, engine, 12)
+    assert written == offsets[:4]
+    assert cmb.credit.value == 1024
+
+    # Halt, then a destage completion frees the ring: a stopped module
+    # moves nothing, and chunks arriving meanwhile queue behind the rest.
+    cmb.stop()
+    _free_ring(cmb)
+    cmb.ring_space_freed()
+    for offset in (12 * 256, 13 * 256):
+        cmb.receive(offset, 256, f"c@{offset}")
+        offsets.append(offset)
+    engine.run()
+    assert written == offsets[:4]
+
+    # Restart and keep writing while a destager keeps freeing the ring.
+    cmb.start()
+    more = [offset * 256 for offset in range(14, 20)]
+    offsets.extend(more)
+
+    def writer():
+        for offset in more:
+            yield cmb.receive(offset, 256, f"c@{offset}")
+
+    def destager():
+        while cmb.ring.frontier < offsets[-1] + 256:
+            yield engine.timeout(1_000.0)
+            if _free_ring(cmb):
+                cmb.ring_space_freed()
+
+    engine.process(writer())
+    engine.process(destager())
+    engine.run()
+    assert written == offsets  # each chunk once, in arrival order
+    assert cmb.chunks_discarded == 0
+    assert cmb.credit.value == cmb.ring.frontier == len(offsets) * 256
+    assert cmb.queue_free_bytes == 2048
+
+
+def test_power_loss_with_stalled_chunks_salvages_only_what_fits():
+    engine, cmb = make_cmb(queue_bytes=2048, capacity=1024)
+    _fill_ring_and_stall(cmb, engine, 12)
+    cmb.stop()
+    # The ring's window is full, so none of the stalled chunks can be
+    # salvaged into it; the persisted prefix stays exactly as it was.
+    assert cmb.drain_pending_to_backing() == 0
+    assert cmb.credit.value == cmb.ring.frontier == 1024
+    assert [offset for offset, _n, _p in cmb.ring.peek_ready()] == [
+        0, 256, 512, 768]

@@ -157,3 +157,28 @@ def test_set_standalone_clears_replication_state():
     assert primary.role is TransportRole.STANDALONE
     assert not primary.shadow_counters
     assert primary.visible_counter() == primary.cmb.credit.value
+
+
+def test_quick_rejoin_leaves_one_reporter():
+    """A halt and a rejoin at one instant leave exactly one reporter.
+
+    The old reporter has a tick pending when the new one starts; it must
+    stand down instead of reporting every later change a second time.
+    """
+    engine, (primary_cmb, primary), (_scmb, secondary) = make_pair()
+    received = []
+    primary.watch_shadow(lambda _peer, value: received.append(value))
+
+    def proc():
+        yield engine.timeout(10_000.0)
+        secondary.halt()
+        secondary.restart_flows()
+        secondary.set_secondary("primary")
+        for index in range(5):
+            yield engine.timeout(20_000.0)
+            yield primary_cmb.receive(index * 64, 64, f"c{index}")
+
+    engine.process(proc())
+    engine.run(until=500_000.0)
+    assert secondary.counter_updates_sent == 5
+    assert received == [64, 128, 192, 256, 320]
