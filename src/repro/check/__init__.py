@@ -1,63 +1,52 @@
 """Crash-consistency model checking: enumerate, replay, diff, shrink.
 
 The chaos suite (``repro.faults``) samples random fault plans; this
-package *enumerates* crash schedules — one primary power loss (plus
-optional perturbations: replica crashes, partitions, torn writes,
-supercap failures) at every pipeline transition a probe run observes:
-host submit → CMB ack → destage dispatch → NAND program → destage ack →
-replica ack → WAL commit.  Each schedule's post-crash recovery is
-replayed through :mod:`repro.db.recovery` and diffed against
+package *enumerates* crash schedules — one power loss plus optional
+perturbations at every transition a fault-free probe run observes — and
+diffs each schedule's post-crash recovery against
 :class:`~repro.check.model.ReferenceModel`, a ~150-line executable spec
 of the paper's durability and prefix-replication guarantees.  Failing
 schedules are greedily shrunk to a minimal re-runnable reproducer.
 
-Entry point: ``python -m repro.check --scenario {local,chain,multiwriter}
---budget N [--exhaustive]``.  See CHECKING.md.
+Entry point: ``python -m repro.check --scenario
+{local,chain,multiwriter,fleet,dr,slo} --budget N [--exhaustive]``; one
+driver (:mod:`repro.check.runner`) serves every tier.  See CHECKING.md.
 """
 
+from repro.check.chain import CheckConfig, probe_transitions
 from repro.check.dr import (
     DR_FAMILIES,
     DrCheckConfig,
     enumerate_dr_schedules,
     probe_dr_candidates,
-    run_dr_check,
-    run_dr_schedule,
 )
 from repro.check.fleet import (
     FLEET_FAMILIES,
     FleetCheckConfig,
     enumerate_fleet_schedules,
     probe_fleet_candidates,
-    run_fleet_check,
-    run_fleet_schedule,
+)
+from repro.check.model import ReferenceModel, chain_frontier_violations
+from repro.check.points import STAGES, crash_candidates, extract_transitions
+from repro.check.runner import (
+    CheckReport,
+    Outcome,
+    config_from_dict,
+    enumerate_schedules,
+    run_check,
+    run_schedule,
+)
+from repro.check.schedules import CrashSchedule
+from repro.check.shrink import (
+    replay_reproducer,
+    shrink_schedule,
+    write_reproducer,
 )
 from repro.check.slo import (
     SLO_FAMILIES,
     SloCheckConfig,
     enumerate_slo_schedules,
     probe_slo_candidates,
-    run_slo_check,
-    run_slo_schedule,
-)
-from repro.check.model import ReferenceModel, chain_frontier_violations
-from repro.check.points import (
-    STAGES,
-    crash_candidates,
-    extract_transitions,
-)
-from repro.check.runner import (
-    CheckConfig,
-    CheckReport,
-    Outcome,
-    probe_transitions,
-    run_check,
-    run_schedule,
-)
-from repro.check.schedules import CrashSchedule, enumerate_schedules
-from repro.check.shrink import (
-    replay_reproducer,
-    shrink_schedule,
-    write_reproducer,
 )
 
 __all__ = [
@@ -69,29 +58,24 @@ __all__ = [
     "CheckConfig",
     "CheckReport",
     "Outcome",
+    "config_from_dict",
     "probe_transitions",
+    "enumerate_schedules",
     "run_check",
     "run_schedule",
     "DR_FAMILIES",
     "DrCheckConfig",
     "enumerate_dr_schedules",
     "probe_dr_candidates",
-    "run_dr_check",
-    "run_dr_schedule",
     "FLEET_FAMILIES",
     "FleetCheckConfig",
     "enumerate_fleet_schedules",
     "probe_fleet_candidates",
-    "run_fleet_check",
-    "run_fleet_schedule",
     "SLO_FAMILIES",
     "SloCheckConfig",
     "enumerate_slo_schedules",
     "probe_slo_candidates",
-    "run_slo_check",
-    "run_slo_schedule",
     "CrashSchedule",
-    "enumerate_schedules",
     "shrink_schedule",
     "write_reproducer",
     "replay_reproducer",

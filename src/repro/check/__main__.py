@@ -5,20 +5,26 @@ Examples::
     python -m repro.check --scenario chain --budget 500
     python -m repro.check --scenario multiwriter --budget 200 --seed 7
     python -m repro.check --scenario local --exhaustive
-    python -m repro.check --fleet --budget 30
-    python -m repro.check --slo --budget 20
+    python -m repro.check --scenario fleet --budget 30
+    python -m repro.check --scenario slo --seeded-bug --budget 8
     python -m repro.check --replay reproducers/chain-combo-2500000ns-seed0.json
 
 Exit status 0 when every schedule passes (or a replayed reproducer no
-longer fails), 1 on violations.
+longer fails), 1 on violations, 2 on a usage error — including a flag
+the selected scenario's config does not take.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from repro.check.runner import CheckConfig, run_check
+from repro.check.runner import TIERS, run_check
 from repro.check.shrink import replay_reproducer
+
+# Flags that set the config field of the same name.  They default to
+# None so that an unset flag leaves the tier's own default in force.
+CONFIG_FLAGS = ("seed", "secondaries", "supervised", "nodes", "transactions")
 
 
 def build_parser():
@@ -26,57 +32,29 @@ def build_parser():
         prog="python -m repro.check",
         description="Crash-consistency model checker for the X-SSD stack.",
     )
-    parser.add_argument("--scenario", choices=CheckConfig.SCENARIOS,
-                        default="chain",
-                        help="workload/topology to check (default: chain)")
+    parser.add_argument("--scenario", choices=tuple(TIERS), default="chain",
+                        help="tier to check (default: chain; the tiers "
+                             "are described in CHECKING.md)")
     parser.add_argument("--budget", type=int, default=200,
                         help="max schedules to run (default: 200)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=None,
                         help="base seed for workload and combo faults")
     parser.add_argument("--exhaustive", action="store_true",
                         help="run every enumerated schedule, ignoring "
                              "--budget (bounded-exhaustive mode)")
-    parser.add_argument("--secondaries", type=int, default=2,
-                        help="chain length behind the primary (default: 2)")
-    parser.add_argument("--supervised", action="store_true",
-                        help="attach a ChainSupervisor and disable the "
-                             "injector's auto-splice: every reconfiguration "
-                             "is the control plane's (adds the "
-                             "supervised-failover schedule family)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="check the fleet tier instead: a multi-node "
-                             "fleet with one shard migrating mid-run, under "
-                             "the fleet-cutover-crash / fleet-partition / "
-                             "fleet-failover schedule families")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="fleet size for --fleet (default: 2)")
-    parser.add_argument("--seed-cutover-bug", action="store_true",
-                        help="validate the fleet checker: seed the "
-                             "early-cutover ack-ordering bug in the "
-                             "migration protocol and expect failures")
-    parser.add_argument("--dr", action="store_true",
-                        help="check the disaster-recovery tier instead: a "
-                             "fleet with per-node WAL archivers shipping to "
-                             "a fault-modeled grid, under the dr-total-loss "
-                             "/ dr-archive-lag schedule families with a "
-                             "PITR oracle")
-    parser.add_argument("--seed-drop-segment-bug", action="store_true",
-                        help="validate the dr checker: seed the "
-                             "silently-dropped-segment archiver bug and "
-                             "expect failures")
-    parser.add_argument("--slo", action="store_true",
-                        help="check the SLO control plane instead: an "
-                             "overloaded fleet under an SloController "
-                             "walking its full actuation ladder, with "
-                             "crashes and chain faults landing at every "
-                             "controller transition (slo-overload / "
-                             "slo-adaptation schedule families)")
-    parser.add_argument("--seed-shed-acked-bug", action="store_true",
-                        help="validate the slo checker: arm the "
-                             "controller's seeded shed-acked-commits bug "
-                             "and expect acked-durability failures")
-    parser.add_argument("--transactions", type=int, default=24,
-                        help="workload transactions (default: 24)")
+    parser.add_argument("--secondaries", type=int, default=None,
+                        help="chain length behind the primary (chain)")
+    parser.add_argument("--supervised", action="store_true", default=None,
+                        help="attach chain supervisors; every "
+                             "reconfiguration is theirs (chain, fleet)")
+    parser.add_argument("--nodes", type=int, default=None,
+                        help="fleet size (fleet, dr, slo)")
+    parser.add_argument("--seeded-bug", action="store_true", default=None,
+                        help="arm the tier's seeded mutation (fleet, dr, "
+                             "slo) to prove the checker catches it")
+    parser.add_argument("--transactions", type=int, default=None,
+                        help="workload transactions (per shard on the "
+                             "fleet tiers)")
     parser.add_argument("--out-dir", default="reproducers",
                         help="directory for shrunk reproducer dumps "
                              "(default: reproducers/)")
@@ -89,8 +67,33 @@ def build_parser():
     return parser
 
 
+def build_config(parser, args):
+    """The selected tier's config from the flags the user actually set."""
+    tier = TIERS[args.scenario]
+    known = {field.name for field in fields(tier.config)}
+    values = {"scenario": args.scenario}
+    for name in CONFIG_FLAGS:
+        value = vars(args)[name]
+        if value is None:
+            continue
+        if name not in known:
+            parser.error(f"--{name} does not apply to --scenario "
+                         f"{args.scenario}")
+        values[name] = value
+    if args.seeded_bug:
+        if tier.seeded_bug is None:
+            parser.error(f"--scenario {args.scenario} has no seeded "
+                         f"mutation for --seeded-bug")
+        values[tier.seeded_bug] = True
+    try:
+        return tier.config(**values)
+    except ValueError as error:
+        parser.error(str(error))
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     emit = (lambda message: None) if args.quiet else print
 
     if args.replay is not None:
@@ -103,41 +106,9 @@ def main(argv=None):
             emit(f"  {violation}")
         return 1
 
-    if args.slo:
-        from repro.check.slo import SloCheckConfig, run_slo_check
-
-        config = SloCheckConfig(
-            seed=args.seed, nodes=args.nodes,
-            seed_shed_acked_bug=args.seed_shed_acked_bug,
-        )
-        report = run_slo_check(config, budget=args.budget,
-                               exhaustive=args.exhaustive,
-                               out_dir=args.out_dir, log=emit)
-    elif args.dr:
-        from repro.check.dr import DrCheckConfig, run_dr_check
-
-        config = DrCheckConfig(seed=args.seed, nodes=args.nodes,
-                               drop_segment=args.seed_drop_segment_bug)
-        report = run_dr_check(config, budget=args.budget,
-                              exhaustive=args.exhaustive,
-                              out_dir=args.out_dir, log=emit)
-    elif args.fleet:
-        from repro.check.fleet import FleetCheckConfig, run_fleet_check
-
-        config = FleetCheckConfig(seed=args.seed, nodes=args.nodes,
-                                  supervised=args.supervised,
-                                  early_cutover=args.seed_cutover_bug)
-        report = run_fleet_check(config, budget=args.budget,
-                                 exhaustive=args.exhaustive,
-                                 out_dir=args.out_dir, log=emit)
-    else:
-        config = CheckConfig(scenario=args.scenario, seed=args.seed,
-                             secondaries=args.secondaries,
-                             transactions=args.transactions,
-                             supervised=args.supervised)
-        report = run_check(config, budget=args.budget,
-                           exhaustive=args.exhaustive, out_dir=args.out_dir,
-                           log=emit)
+    config = build_config(parser, args)
+    report = run_check(config, budget=args.budget, exhaustive=args.exhaustive,
+                       out_dir=args.out_dir, log=emit)
 
     families = ", ".join(
         f"{family}:{count}"

@@ -37,31 +37,26 @@ node's :class:`~repro.dr.restore.Archive`:
   no fabricated rows, and nothing the archive covered may be lost.
 """
 
-import copy
+from dataclasses import asdict, dataclass
 
-from repro.check.model import ReferenceModel
-from repro.check.runner import CheckReport, Outcome
-from repro.check.schedules import CrashSchedule
-from repro.check.shrink import shrink_schedule, write_reproducer
-from repro.cluster.fleet import Fleet
-from repro.db.txn import TransactionAborted
+from repro.check.harness import (
+    FLEET_HEAVY_STRIDE,
+    crash_fleet,
+    inject_node_faults,
+    shard_stats,
+    start_fleet,
+    start_writers,
+)
+from repro.check.points import bracket_events
+from repro.check.schedules import family, interleave
 from repro.dr.grid import GridFaultDriver, RemoteGrid
 from repro.dr.restore import Archive, restore_state
-from repro.faults.injector import ChaosInjector
-from repro.faults.plan import GRID_SITED_KINDS, FaultKind, FaultPlan, \
-    FaultSpec
-from repro.faults.scenario import chaos_config_factory
-from repro.health.errors import DeviceBusy
-from repro.sim.rng import derive
+from repro.faults.plan import GRID_SITED_KINDS, FaultKind, FaultPlan
 
 DR_FAMILIES = ("dr-total-loss", "dr-archive-lag")
 
-# Archive-lag schedules run to the full horizon (partition + heal +
-# catch-up all take wall time), so they sample every HEAVY_STRIDE-th
-# candidate like the fleet tier's heavy families.
-HEAVY_STRIDE = 2
 
-
+@dataclass
 class DrCheckConfig:
     """The DR checker scenario's knobs (``scenario`` is always "dr").
 
@@ -72,368 +67,160 @@ class DrCheckConfig:
     the mutation tests can prove the family catches what it claims to.
     """
 
-    def __init__(self, seed=0, nodes=2, replicas=1, shards_per_node=1,
-                 transactions=10, key_space=4, group_commit_bytes=384,
-                 group_commit_timeout_ns=5_000.0, think_ns=12_000.0,
-                 duration_ns=2_000_000.0, poll_ns=30_000.0,
-                 segment_bytes=512, snapshot_every_ns=700_000.0,
-                 retry_ns=60_000.0, grid_latency_ns=20_000.0,
-                 grid_bandwidth=1.0, heal_delay_ns=300_000.0,
-                 grace_ns=400_000.0, drop_segment=False):
-        if nodes < 1:
+    scenario: str = "dr"
+    seed: int = 0
+    nodes: int = 2
+    replicas: int = 1
+    shards_per_node: int = 1
+    transactions: int = 10
+    key_space: int = 4
+    group_commit_bytes: int = 384
+    group_commit_timeout_ns: float = 5_000.0
+    think_ns: float = 12_000.0
+    duration_ns: float = 2_000_000.0
+    poll_ns: float = 30_000.0
+    segment_bytes: int = 512
+    snapshot_every_ns: float = 700_000.0
+    retry_ns: float = 60_000.0
+    grid_latency_ns: float = 20_000.0
+    grid_bandwidth: float = 1.0
+    heal_delay_ns: float = 300_000.0
+    grace_ns: float = 400_000.0
+    drop_segment: bool = False
+
+    as_dict = asdict
+
+    def __post_init__(self):
+        if self.scenario != "dr":
+            raise ValueError(f"not a dr config: scenario={self.scenario!r}")
+        if self.nodes < 1:
             raise ValueError("the dr scenario needs at least one node")
-        self.scenario = "dr"
-        self.seed = seed
-        self.nodes = nodes
-        self.replicas = replicas
-        self.shards_per_node = shards_per_node
-        self.transactions = transactions
-        self.key_space = key_space
-        self.group_commit_bytes = group_commit_bytes
-        self.group_commit_timeout_ns = group_commit_timeout_ns
-        self.think_ns = float(think_ns)
-        self.duration_ns = float(duration_ns)
-        self.poll_ns = float(poll_ns)
-        self.segment_bytes = int(segment_bytes)
-        self.snapshot_every_ns = float(snapshot_every_ns)
-        self.retry_ns = float(retry_ns)
-        self.grid_latency_ns = float(grid_latency_ns)
-        self.grid_bandwidth = float(grid_bandwidth)
-        self.heal_delay_ns = float(heal_delay_ns)
-        self.grace_ns = float(grace_ns)
-        self.drop_segment = drop_segment
-
-    @property
-    def shard_ids(self):
-        return [f"s{i}" for i in range(self.nodes * self.shards_per_node)]
-
-    def as_dict(self):
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "replicas": self.replicas,
-            "shards_per_node": self.shards_per_node,
-            "transactions": self.transactions,
-            "key_space": self.key_space,
-            "group_commit_bytes": self.group_commit_bytes,
-            "group_commit_timeout_ns": self.group_commit_timeout_ns,
-            "think_ns": self.think_ns,
-            "duration_ns": self.duration_ns,
-            "poll_ns": self.poll_ns,
-            "segment_bytes": self.segment_bytes,
-            "snapshot_every_ns": self.snapshot_every_ns,
-            "retry_ns": self.retry_ns,
-            "grid_latency_ns": self.grid_latency_ns,
-            "grid_bandwidth": self.grid_bandwidth,
-            "heal_delay_ns": self.heal_delay_ns,
-            "grace_ns": self.grace_ns,
-            "drop_segment": self.drop_segment,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        data = dict(data)
-        scenario = data.pop("scenario", "dr")
-        if scenario != "dr":
-            raise ValueError(f"not a dr config: scenario={scenario!r}")
-        return cls(**data)
-
-
-class _DrScenario:
-    """One built DR run: engine, fleet, grid, per-shard models."""
-
-    def __init__(self, engine, fleet, grid, models, start_ns):
-        self.engine = engine
-        self.fleet = fleet
-        self.grid = grid
-        self.models = models  # shard_id -> ReferenceModel (writer == shard)
-        self.start_ns = start_ns
+        self.segment_bytes = int(self.segment_bytes)
+        for name in ("think_ns", "duration_ns", "poll_ns",
+                     "snapshot_every_ns", "retry_ns", "grid_latency_ns",
+                     "grid_bandwidth", "heal_delay_ns", "grace_ns"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 def _build(config):
-    from repro.sim import Engine
-
-    engine = Engine()
-    fleet = Fleet(
-        engine, chaos_config_factory(config.seed),
-        replicas=config.replicas,
-        group_commit_bytes=config.group_commit_bytes,
-        group_commit_timeout_ns=config.group_commit_timeout_ns,
-        max_inflight_flushes=1,
-    )
-    fleet.add_nodes(config.nodes)
-    grid = RemoteGrid(engine, base_latency_ns=config.grid_latency_ns,
-                      bandwidth_bytes_per_ns=config.grid_bandwidth)
-    fleet.enable_dr(
-        grid,
+    run = start_fleet(config)
+    run.grid = RemoteGrid(run.engine,
+                          base_latency_ns=config.grid_latency_ns,
+                          bandwidth_bytes_per_ns=config.grid_bandwidth)
+    run.fleet.enable_dr(
+        run.grid,
         poll_ns=config.poll_ns,
         segment_bytes=config.segment_bytes,
         snapshot_every_ns=config.snapshot_every_ns,
         retry_ns=config.retry_ns,
         drop_segment_seqs=(0,) if config.drop_segment else (),
     )
-    models = {}
-    scenario = _DrScenario(engine, fleet, grid, models, engine.now)
-    for index, shard_id in enumerate(config.shard_ids):
-        fleet.create_shard(shard_id, node=f"node{index % config.nodes}")
-        models[shard_id] = ReferenceModel()
-        rng = derive(config.seed, f"dr-writer-{shard_id}")
-        engine.process(_writer(config, scenario, shard_id, rng),
-                       name=f"dr-writer-{shard_id}")
-    return scenario
-
-
-def _writer(config, scenario, shard_id, rng):
-    """One shard's tenant (the fleet checker's writer, sans migration)."""
-    engine = scenario.engine
-    shard = scenario.fleet.shards[shard_id]
-    model = scenario.models[shard_id]
-    for seq in range(config.transactions):
-        key = f"k{rng.randrange(config.key_space)}"
-        value = f"{shard_id}-v{seq}"
-
-        def body(txn, key=key, value=value):
-            txn.write("kv", key, value)
-            model.committed(shard_id, txn.txn_id, [(key, value)])
-
-        while True:
-            try:
-                yield from shard.run_body(body)
-                break
-            except DeviceBusy as busy:
-                yield engine.timeout(busy.retry_after_ns or 20_000.0)
-            except TransactionAborted:
-                model.aborted(shard_id)
-        model.acknowledged(shard_id)
-        if config.think_ns > 0:
-            yield engine.timeout(config.think_ns)
-
-
-# -- crash-candidate probing ---------------------------------------------------------
+    start_writers(config, run, think_ns=config.think_ns)
+    return run
 
 
 def probe_dr_candidates(config):
-    """Fault-free run → ``(time_ns, label)`` total-loss candidates.
+    """Fault-free run → total-loss candidates around the archiver's events.
 
-    Candidates bracket the archiver's own event stream: just after the
-    workload starts (nothing archived yet), at every segment ship and
-    snapshot (archive exactly at a frontier), between consecutive events
-    (mid-lag), and at the horizon (fully caught up, modulo the buffer).
+    ``early`` (nothing archived yet), every segment ship and snapshot
+    (archive exactly at a frontier), mid-lag points between them, and the
+    horizon (fully caught up, modulo the buffer).
     """
-    scenario = _build(config)
-    horizon = scenario.start_ns + config.duration_ns
-    scenario.engine.run(until=horizon)
-    events = []
-    for name in sorted(scenario.fleet.nodes):
-        archiver = scenario.fleet.nodes[name].archiver
-        for event in archiver.events:
-            events.append((event["time_ns"],
-                           f"{event['action']}-{name}-{event['seq']}"))
-    events.sort()
-    candidates = [
-        (scenario.start_ns + config.duration_ns * 0.05, "early"),
-    ]
-    for index, (time_ns, label) in enumerate(events):
-        candidates.append((time_ns, label))
-        next_ns = (events[index + 1][0] if index + 1 < len(events)
-                   else horizon)
-        if next_ns > time_ns:
-            candidates.append(((time_ns + next_ns) / 2, f"{label}-mid"))
-    candidates.append((horizon, "end"))
-    deduped = {}
-    for time_ns, label in candidates:
-        deduped.setdefault(round(time_ns, 3), (time_ns, label))
-    return [deduped[key] for key in sorted(deduped)]
-
-
-# -- schedule enumeration ------------------------------------------------------------
+    run = _build(config)
+    run.engine.run(until=run.horizon)
+    events = sorted(
+        (event["time_ns"], f"{event['action']}-{name}-{event['seq']}")
+        for name, node in run.fleet.nodes.items()
+        for event in node.archiver.events
+    )
+    # The last event's lag window runs all the way to the run.horizon.
+    return bracket_events(
+        (run.start_ns + config.duration_ns * 0.05, "early"),
+        events, run.horizon, tail_ns=float("inf"),
+    )
 
 
 def enumerate_dr_schedules(config, candidates):
     """Every DR schedule over the probed candidates, round-robin mixed.
 
-    Grid faults carry site ``"grid"``; the executor routes them to a
-    :class:`~repro.dr.grid.GridFaultDriver` while any node-sited spec
-    goes to that node's chain injector, fleet-style.
+    Grid faults carry site ``"grid"``: the executor hands them to a
+    :class:`~repro.dr.grid.GridFaultDriver`, not to a node's injector.
     """
-    if not candidates:
-        return []
     horizon = max(time_ns for time_ns, _label in candidates)
-    heavy = candidates[::HEAVY_STRIDE] or candidates[:1]
-
-    families = [
-        [
-            CrashSchedule("dr-total-loss", label, "fleet", time_ns)
-            for time_ns, label in candidates
-        ],
-        [
-            CrashSchedule(
-                "dr-archive-lag", label, "grid", horizon,
-                FaultPlan([
-                    FaultSpec(time_ns, "grid", FaultKind.GRID_DOWN),
-                    FaultSpec(time_ns + config.heal_delay_ns, "grid",
-                              FaultKind.GRID_UP),
-                ]),
-            )
-            for time_ns, label in heavy
-        ],
-        [
-            CrashSchedule(
-                "dr-archive-lag", f"torn-{label}", "grid", horizon,
-                FaultPlan([
-                    FaultSpec(time_ns, "grid", FaultKind.GRID_TORN_UPLOAD,
-                              {"count": 1}),
-                ]),
-            )
-            for time_ns, label in heavy
-        ],
-    ]
-    interleaved = []
-    seen = set()
-    cursor = 0
-    while any(cursor < len(family) for family in families):
-        for family in families:
-            if cursor < len(family):
-                schedule = family[cursor]
-                key = schedule.key()
-                if key not in seen:
-                    seen.add(key)
-                    interleaved.append(schedule)
-        cursor += 1
-    return interleaved
+    heavy = candidates[::FLEET_HEAVY_STRIDE] or candidates[:1]
+    return interleave([
+        family("dr-total-loss", candidates, "fleet"),
+        family("dr-archive-lag", heavy, "grid", horizon,
+               [(0, FaultKind.GRID_DOWN),
+                (config.heal_delay_ns, FaultKind.GRID_UP)]),
+        family("dr-archive-lag",
+               [(time_ns, f"torn-{label}") for time_ns, label in heavy],
+               "grid", horizon,
+               [(0, FaultKind.GRID_TORN_UPLOAD, {"count": 1})]),
+    ])
 
 
-# -- executing one schedule ----------------------------------------------------------
+def execute_dr_schedule(config, schedule, violations, stats):
+    run = _build(config)
+    grid_specs = [spec for spec in schedule.plan
+                  if spec.kind in GRID_SITED_KINDS]
+    node_specs = [spec for spec in schedule.plan
+                  if spec.kind not in GRID_SITED_KINDS]
+    if grid_specs:
+        GridFaultDriver(run.engine, run.grid, FaultPlan(grid_specs)).start()
+    inject_node_faults(run, node_specs, config.grace_ns)
+    run.engine.run(until=max(schedule.end_time_ns, run.engine.now + 1.0))
 
+    # Total loss: freeze the archivers, cut power everywhere.  From
+    # here on, the grid is the only surviving copy of anything.
+    for node in run.fleet.nodes.values():
+        node.archiver.stop()
+    crash = crash_fleet(run)
 
-def run_dr_schedule(config, schedule, with_trace=False):
-    if with_trace:
-        from repro.obs import capture
-        from repro.check.runner import TRACE_TAIL_LINES
+    archives = {}
+    for name in run.fleet.nodes:
+        archive = Archive.load_sync(run.grid, name)
+        archives[name] = archive
+        violations[f"archive-verify:{name}"] = archive.verify()
 
-        with capture() as session:
-            outcome = _execute(config, schedule)
-        outcome.trace_tail = session.tail(TRACE_TAIL_LINES)
-        return outcome
-    return _execute(config, schedule)
-
-
-def _site_node(site):
-    return site.split(".", 1)[0]
-
-
-def _local_site(site):
-    node, _dot, local = site.partition(".")
-    if local.startswith("bridge-"):
-        return local
-    return site
-
-
-def _execute(config, schedule):
-    violations = {}
-    stats = {"family": schedule.family, "end_time_ns": schedule.end_time_ns}
-    try:
-        scenario = _build(config)
-        engine = scenario.engine
-        fleet = scenario.fleet
-        if len(schedule.plan):
-            grid_specs = [spec for spec in schedule.plan
-                          if spec.kind in GRID_SITED_KINDS]
-            node_specs = [spec for spec in schedule.plan
-                          if spec.kind not in GRID_SITED_KINDS]
-            if grid_specs:
-                GridFaultDriver(engine, scenario.grid,
-                                FaultPlan(grid_specs)).start()
-            by_node = {}
-            for spec in node_specs:
-                by_node.setdefault(_site_node(spec.site), []).append(spec)
-            for node_name, specs in sorted(by_node.items()):
-                local_plan = FaultPlan([
-                    FaultSpec(spec.time_ns, _local_site(spec.site),
-                              spec.kind, spec.params)
-                    for spec in specs
-                ])
-                ChaosInjector(
-                    engine, fleet.nodes[node_name].cluster, local_plan,
-                    grace_ns=config.grace_ns,
-                ).start()
-        engine.run(until=max(schedule.end_time_ns, engine.now + 1.0))
-
-        # Total loss: freeze the archivers, cut power everywhere.  From
-        # here on, the grid is the only surviving copy of anything.
-        for node in fleet.nodes.values():
-            node.archiver.stop()
-        reports = {
-            name: node.cluster.primary.crash()
-            for name, node in fleet.nodes.items()
+    archived_prefixes = {}
+    for shard_id, model in crash.models.items():
+        archive = archives[crash.owners[shard_id]]
+        table = f"{shard_id}.kv"
+        commit_lsn_of = {
+            txn_id: lsn for lsn, txn_id in archive.commit_boundaries()
         }
-        models = {
-            shard_id: copy.deepcopy(model)
-            for shard_id, model in scenario.models.items()
-        }
-        owners = {
-            shard_id: shard.node.name
-            for shard_id, shard in fleet.shards.items()
-        }
+        ids = model.sequence_ids(shard_id)
 
-        archives = {}
-        for name in fleet.nodes:
-            archive = Archive.load_sync(scenario.grid, name)
-            archives[name] = archive
-            violations[f"archive-verify:{name}"] = archive.verify()
-
-        archived_prefixes = {}
-        for shard_id, model in models.items():
-            owner = owners[shard_id]
-            archive = archives[owner]
-            table = f"{shard_id}.kv"
-            commit_lsn_of = dict(
-                (txn_id, lsn)
-                for lsn, txn_id in archive.commit_boundaries()
-            )
-            ids = model.sequence_ids(shard_id)
-
-            violations[f"archived-prefix:{shard_id}"] = (
-                model.diff_commit_prefix(commit_lsn_of, require_acked=False)
-            )
-
-            prefix = 0
-            while prefix < len(ids) and ids[prefix] in commit_lsn_of:
-                prefix += 1
-            archived_prefixes[shard_id] = prefix
-
-            violations[f"pitr:{shard_id}"] = _pitr_violations(
-                shard_id, archive, model, ids[:prefix], commit_lsn_of, table,
-            )
-            violations[f"restore-state:{shard_id}"] = (
-                _final_restore_violations(shard_id, archive, model, prefix,
-                                          table)
-            )
-
-        stats.update({
-            "commits_submitted": sum(
-                model.total_committed() for model in models.values()
-            ),
-            "commits_acked": sum(
-                model.total_acked() for model in models.values()
-            ),
-            "owners": owners,
-            "archived_prefixes": archived_prefixes,
-            "reserve_energy_ok": all(
-                report.reserve_energy_ok for report in reports.values()
-            ),
-            "archiver": {
-                name: node.archiver.stats()
-                for name, node in sorted(fleet.nodes.items())
-            },
-            "grid": scenario.grid.stats(),
-        })
-    except Exception as error:  # noqa: BLE001 — a harness crash IS a finding
-        violations.setdefault("harness", []).append(
-            f"harness: dr schedule execution raised {error!r}"
+        violations[f"archived-prefix:{shard_id}"] = (
+            model.diff_commit_prefix(commit_lsn_of, require_acked=False)
         )
-    return Outcome(schedule, violations, stats)
+
+        prefix = 0
+        while prefix < len(ids) and ids[prefix] in commit_lsn_of:
+            prefix += 1
+        archived_prefixes[shard_id] = prefix
+
+        violations[f"pitr:{shard_id}"] = _pitr_violations(
+            shard_id, archive, model, ids[:prefix], commit_lsn_of, table,
+        )
+        violations[f"restore-state:{shard_id}"] = (
+            _final_restore_violations(shard_id, archive, model, prefix,
+                                      table)
+        )
+
+    stats.update(shard_stats(crash))
+    stats.update({
+        "archived_prefixes": archived_prefixes,
+        "reserve_energy_ok": all(
+            report.reserve_energy_ok for report in crash.reports.values()
+        ),
+        "archiver": {
+            name: node.archiver.stats()
+            for name, node in sorted(run.fleet.nodes.items())
+        },
+        "grid": run.grid.stats(),
+    })
 
 
 def _pitr_violations(shard_id, archive, model, archived_ids, commit_lsn_of,
@@ -499,52 +286,3 @@ def _final_restore_violations(shard_id, archive, model, floor, table):
         f"restore-state: {shard_id} restored state matches no commit "
         f"prefix (segment-archived prefix {floor} of {total} submitted)"
     ]
-
-
-# -- the driver ----------------------------------------------------------------------
-
-
-def run_dr_check(config, budget=60, exhaustive=False, out_dir=None,
-                 max_reproducers=3, log=None):
-    """Probe, enumerate, run, and (on failure) shrink + dump reproducers.
-
-    The DR analogue of :func:`repro.check.fleet.run_fleet_check`;
-    returns the same :class:`~repro.check.runner.CheckReport` shape.
-    """
-    emit = log or (lambda message: None)
-    candidates = probe_dr_candidates(config)
-    schedules = enumerate_dr_schedules(config, candidates)
-    selected = schedules if exhaustive else schedules[:budget]
-    emit(f"probed {len(candidates)} archive crash points; enumerated "
-         f"{len(schedules)} schedules; running {len(selected)}")
-    outcomes = []
-    failures = []
-    for index, schedule in enumerate(selected):
-        outcome = run_dr_schedule(config, schedule)
-        outcomes.append(outcome)
-        if not outcome.ok:
-            failures.append(outcome)
-        if (index + 1) % 10 == 0:
-            emit(f"  {index + 1}/{len(selected)} schedules run "
-                 f"({len(failures)} failing)")
-    reproducers = []
-    for outcome in failures[:max_reproducers]:
-        minimal, trials = shrink_schedule(
-            outcome.schedule,
-            lambda trial: not run_dr_schedule(config, trial).ok,
-        )
-        final = run_dr_schedule(config, minimal, with_trace=True)
-        entry = {
-            "family": minimal.family,
-            "fault_events": len(minimal.plan),
-            "shrink_trials": trials,
-            "violations": (final.flat_violations()
-                           or outcome.flat_violations()),
-        }
-        if out_dir is not None:
-            path = write_reproducer(out_dir, config, final)
-            entry["path"] = str(path)
-            emit(f"reproducer written: {path}")
-        reproducers.append(entry)
-    return CheckReport(config, selected, outcomes, failures, reproducers,
-                       enumerated=len(schedules))

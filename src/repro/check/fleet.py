@@ -19,582 +19,157 @@ shards per node) with one shard migrating mid-run, then cuts power to
   :class:`~repro.health.supervisor.ChainSupervisor` when ``supervised``)
   while replayed transactions keep committing.
 
-Oracles, per shard, judged against the shard's *owner at crash time*
-(the fleet directory — after cutover that is the destination chain):
-
-* **model-state** — the recovered shard slice must be a commit prefix
-  covering every acknowledged transaction
-  (:meth:`~repro.check.model.ReferenceModel.diff_recovered`);
-* **acked-durability** — every acknowledged sequence number must appear
-  as a committed, durable data record on the owner.  This is the oracle
-  that catches the seeded ``early_cutover`` bug even when later
-  overwrites happen to make the folded *state* look like a full prefix;
-* **commit-seq-order** — the shard's committed data records, in log
-  order, carry strictly increasing sequence numbers: replay must
-  preserve source commit order on the destination chain;
-* **model-commit-prefix** — for shards that never migrated (replay
-  issues fresh transaction ids, so raw id comparison is only sound on
-  unmigrated shards);
-* per node: tolerant page readback and FTL integrity.
-
-Transaction ids do not survive migration, so the acked-durability and
-seq-order oracles key on the workload's self-describing values
-(``"<shard>-v<seq>"``) instead.  Both are skipped when the migration
-fell back to a state top-up (a diff copy carries only each key's latest
-value, legitimately skipping intermediate sequence numbers).
+Every shard is judged on its *owner at crash time* (the fleet directory
+— after cutover that is the destination chain) by
+:func:`~repro.check.harness.judge_shards`; the acked-durability oracle
+is the one that catches the seeded ``early_cutover`` bug even when later
+overwrites happen to make the folded *state* look like a full prefix.
 """
 
-import copy
+from dataclasses import asdict, dataclass
 
-from repro.check.model import ReferenceModel
-from repro.check.runner import (
-    CheckReport,
-    Outcome,
-    _collect_pages_tolerant,
+from repro.check.harness import (
+    FLEET_HEAVY_STRIDE,
+    crash_fleet,
+    inject_node_faults,
+    judge_shards,
+    start_fleet,
+    start_writers,
 )
-from repro.check.schedules import CrashSchedule
-from repro.check.shrink import shrink_schedule, write_reproducer
-from repro.cluster.fleet import Fleet
-from repro.db.engine import Database
-from repro.db.log_record import RecordKind
-from repro.db.recovery import durable_commit_ids, extract_records, \
-    recover_from_pages
-from repro.db.txn import TransactionAborted
-from repro.faults.injector import ChaosInjector
-from repro.faults.oracles import check_ftl_integrity
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.faults.scenario import chaos_config_factory
-from repro.health.errors import DeviceBusy
-from repro.host.baselines import NoLogFile
-from repro.sim import Engine
-from repro.sim.rng import derive
+from repro.check.points import bracket_events
+from repro.check.schedules import family, interleave
+from repro.faults.plan import FaultKind
 
 FLEET_FAMILIES = ("fleet-cutover-crash", "fleet-partition", "fleet-failover")
 
-# Partition/failover families take every HEAVY_STRIDE-th candidate: they
-# run to the full horizon, so density costs real wall time.
-HEAVY_STRIDE = 2
 
-
+@dataclass
 class FleetCheckConfig:
     """The fleet checker scenario's knobs (``scenario`` is always "fleet").
 
     A deliberately tiny fleet — two nodes, two shards each, a dozen
     transactions per shard — so one schedule runs in tens of
-    milliseconds.  ``max_inflight_flushes`` is pinned to 1 for the same
-    prefix-oracle soundness reason as the single-chain checker.
-    ``early_cutover`` seeds the ack-ordering bug in
+    milliseconds.  ``early_cutover`` seeds the ack-ordering bug in
     :class:`~repro.cluster.rebalance.ShardMigration`; it exists so the
-    mutation tests (and ``--seed-cutover-bug``) can prove the family
-    actually catches what it claims to.
+    mutation tests (and ``--scenario fleet --seeded-bug``) can prove the
+    family actually catches what it claims to.
     """
 
-    def __init__(self, seed=0, nodes=2, replicas=1, shards_per_node=2,
-                 transactions=12, key_space=5, group_commit_bytes=384,
-                 group_commit_timeout_ns=5_000.0, think_ns=12_000.0,
-                 migrate_at_ns=250_000.0, duration_ns=2_500_000.0,
-                 copy_rounds=1, round_wait_ns=100_000.0,
-                 heal_delay_ns=300_000.0, grace_ns=400_000.0,
-                 supervised=False, early_cutover=False):
-        if nodes < 2:
+    scenario: str = "fleet"
+    seed: int = 0
+    nodes: int = 2
+    replicas: int = 1
+    shards_per_node: int = 2
+    transactions: int = 12
+    key_space: int = 5
+    group_commit_bytes: int = 384
+    group_commit_timeout_ns: float = 5_000.0
+    think_ns: float = 12_000.0
+    migrate_at_ns: float = 250_000.0
+    duration_ns: float = 2_500_000.0
+    copy_rounds: int = 1
+    round_wait_ns: float = 100_000.0
+    heal_delay_ns: float = 300_000.0
+    grace_ns: float = 400_000.0
+    supervised: bool = False
+    early_cutover: bool = False
+
+    as_dict = asdict
+
+    def __post_init__(self):
+        if self.scenario != "fleet":
+            raise ValueError(f"not a fleet config: scenario={self.scenario!r}")
+        if self.nodes < 2:
             raise ValueError("the fleet scenario needs at least two nodes")
-        if shards_per_node < 1:
+        if self.shards_per_node < 1:
             raise ValueError("need at least one shard per node")
-        self.scenario = "fleet"
-        self.seed = seed
-        self.nodes = nodes
-        self.replicas = replicas
-        self.shards_per_node = shards_per_node
-        self.transactions = transactions
-        self.key_space = key_space
-        self.group_commit_bytes = group_commit_bytes
-        self.group_commit_timeout_ns = group_commit_timeout_ns
-        self.think_ns = float(think_ns)
-        self.migrate_at_ns = float(migrate_at_ns)
-        self.duration_ns = float(duration_ns)
-        self.copy_rounds = copy_rounds
-        self.round_wait_ns = float(round_wait_ns)
-        self.heal_delay_ns = float(heal_delay_ns)
-        self.grace_ns = float(grace_ns)
-        self.supervised = supervised
-        self.early_cutover = early_cutover
+        for name in ("think_ns", "migrate_at_ns", "duration_ns",
+                     "round_wait_ns", "heal_delay_ns", "grace_ns"):
+            setattr(self, name, float(getattr(self, name)))
 
-    @property
-    def shard_ids(self):
-        return [f"s{i}" for i in range(self.nodes * self.shards_per_node)]
-
-    @property
-    def migrate_shard(self):
-        return "s0"  # placed on node0 by the round-robin layout
-
-    @property
-    def dest(self):
-        return "node1"
-
-    def as_dict(self):
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "replicas": self.replicas,
-            "shards_per_node": self.shards_per_node,
-            "transactions": self.transactions,
-            "key_space": self.key_space,
-            "group_commit_bytes": self.group_commit_bytes,
-            "group_commit_timeout_ns": self.group_commit_timeout_ns,
-            "think_ns": self.think_ns,
-            "migrate_at_ns": self.migrate_at_ns,
-            "duration_ns": self.duration_ns,
-            "copy_rounds": self.copy_rounds,
-            "round_wait_ns": self.round_wait_ns,
-            "heal_delay_ns": self.heal_delay_ns,
-            "grace_ns": self.grace_ns,
-            "supervised": self.supervised,
-            "early_cutover": self.early_cutover,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        data = dict(data)
-        scenario = data.pop("scenario", "fleet")
-        if scenario != "fleet":
-            raise ValueError(f"not a fleet config: scenario={scenario!r}")
-        return cls(**data)
-
-
-class _FleetScenario:
-    """One built fleet run: engine, fleet, per-shard models, migration."""
-
-    def __init__(self, engine, fleet, models, acked_seqs, start_ns):
-        self.engine = engine
-        self.fleet = fleet
-        self.models = models  # shard_id -> ReferenceModel (writer == shard)
-        self.acked_seqs = acked_seqs  # shard_id -> [seq acked, in order]
-        self.start_ns = start_ns  # sim time when workload processes begin
-        self.migration = None
+    migrate_shard = "s0"  # placed on node0 by the round-robin layout
+    dest = "node1"
 
 
 def _build(config):
-    engine = Engine()
-    fleet = Fleet(
-        engine, chaos_config_factory(config.seed),
-        replicas=config.replicas,
-        group_commit_bytes=config.group_commit_bytes,
-        group_commit_timeout_ns=config.group_commit_timeout_ns,
-        max_inflight_flushes=1,
-        supervise=config.supervised,
-    )
-    fleet.add_nodes(config.nodes)
-    models = {}
-    acked_seqs = {}
-    scenario = _FleetScenario(engine, fleet, models, acked_seqs, engine.now)
-    for index, shard_id in enumerate(config.shard_ids):
-        fleet.create_shard(shard_id, node=f"node{index % config.nodes}")
-        models[shard_id] = ReferenceModel()
-        acked_seqs[shard_id] = []
-        rng = derive(config.seed, f"fleet-writer-{shard_id}")
-        engine.process(_writer(config, scenario, shard_id, rng),
-                       name=f"fleet-writer-{shard_id}")
-    engine.process(_migrate_later(config, scenario), name="fleet-migrate")
-    return scenario
+    run = start_fleet(config, supervise=config.supervised)
+    start_writers(config, run, think_ns=config.think_ns)
+    run.migration = None
+    run.engine.process(_migrate_later(config, run), name="fleet-migrate")
+    return run
 
 
-def _writer(config, scenario, shard_id, rng):
-    """One shard's tenant: sequence-stamped single-key commits.
-
-    Values are self-describing (``"<shard>-v<seq>"``) because replay
-    rewrites transaction ids; the acked-durability and seq-order oracles
-    recover the sequence number from the value itself.
-    """
-    engine = scenario.engine
-    shard = scenario.fleet.shards[shard_id]
-    model = scenario.models[shard_id]
-    for seq in range(config.transactions):
-        key = f"k{rng.randrange(config.key_space)}"
-        value = f"{shard_id}-v{seq}"
-
-        def body(txn, key=key, value=value):
-            txn.write("kv", key, value)
-            model.committed(shard_id, txn.txn_id, [(key, value)])
-
-        while True:
-            try:
-                yield from shard.run_body(body)
-                break
-            except DeviceBusy as busy:
-                yield engine.timeout(busy.retry_after_ns or 20_000.0)
-            except TransactionAborted:
-                # Single-writer shards cannot conflict in practice, but
-                # the model must never count a refused commit.
-                model.aborted(shard_id)
-        model.acknowledged(shard_id)
-        scenario.acked_seqs[shard_id].append(seq)
-        if config.think_ns > 0:
-            yield engine.timeout(config.think_ns)
-
-
-def _migrate_later(config, scenario):
-    yield scenario.engine.timeout(config.migrate_at_ns)
-    migration = scenario.fleet.migrate(
+def _migrate_later(config, run):
+    yield run.engine.timeout(config.migrate_at_ns)
+    run.migration = run.fleet.migrate(
         config.migrate_shard, config.dest,
         copy_rounds=config.copy_rounds,
         round_wait_ns=config.round_wait_ns,
         early_cutover=config.early_cutover,
     )
-    scenario.migration = migration
     try:
-        yield migration._process
+        yield run.migration.process
     except BaseException:  # noqa: BLE001 — the autopsy judges the aftermath
         pass
 
 
-# -- crash-candidate probing ---------------------------------------------------------
-
-
 def probe_fleet_candidates(config):
-    """Fault-free run → ``(time_ns, label)`` crash candidates.
-
-    Candidates bracket the migration: before it starts, at each phase
-    entry, between consecutive phases, just after completion, and the
-    end of the run — so the cutover-crash family lands the power loss
-    exactly at (and exactly between) protocol steps.
-    """
-    scenario = _build(config)
-    horizon = scenario.start_ns + config.duration_ns
-    scenario.engine.run(until=horizon)
-    candidates = [
-        (scenario.start_ns + config.migrate_at_ns / 2, "pre-copy"),
-    ]
-    migration = scenario.migration
+    """Fault-free run → candidates bracketing the migration's phases."""
+    run = _build(config)
+    run.engine.run(until=run.horizon)
+    migration = run.migration
+    events = []
+    extra = []
     if migration is not None:
         events = [(event["time_ns"], event["phase"])
                   for event in migration.events]
-        for index, (time_ns, phase) in enumerate(events):
-            candidates.append((time_ns, phase))
-            next_ns = (events[index + 1][0] if index + 1 < len(events)
-                       else min(time_ns + 150_000.0, horizon))
-            if next_ns > time_ns:
-                candidates.append(((time_ns + next_ns) / 2, f"{phase}-mid"))
         if migration.done:
             done_ns = events[-1][0]
-            candidates.append(
-                (min(done_ns + 300_000.0, horizon), "post-cutover")
-            )
-    candidates.append((horizon, "end"))
-    deduped = {}
-    for time_ns, label in candidates:
-        deduped.setdefault(round(time_ns, 3), (time_ns, label))
-    return [deduped[key] for key in sorted(deduped)]
-
-
-# -- schedule enumeration ------------------------------------------------------------
+            extra.append((min(done_ns + 300_000.0, run.horizon),
+                          "post-cutover"))
+    return bracket_events(
+        (run.start_ns + config.migrate_at_ns / 2, "pre-copy"),
+        events, run.horizon, extra=extra,
+    )
 
 
 def enumerate_fleet_schedules(config, candidates):
-    """Every fleet schedule over the probed candidates, round-robin mixed.
-
-    Fault sites are fleet-scoped names (``"node1.bridge-0"``,
-    ``"node1.secondary-1"``): the node prefix routes the spec to that
-    node's injector, and server sites keep the full name because a
-    node's cluster registers its servers under fleet-wide names.
-    """
-    if not candidates:
-        return []
+    """Every fleet schedule over the probed candidates, round-robin mixed."""
     horizon = max(time_ns for time_ns, _label in candidates)
-    heavy = candidates[::HEAVY_STRIDE] or candidates[:1]
-    dest = config.dest
-    bridge = f"{dest}.bridge-0"
-    secondary = f"{dest}.secondary-1"
-
-    families = [
-        [
-            CrashSchedule("fleet-cutover-crash", label, "fleet", time_ns)
-            for time_ns, label in candidates
-        ],
-        [
-            CrashSchedule(
-                "fleet-partition", label, bridge, horizon,
-                FaultPlan([
-                    FaultSpec(time_ns, bridge, FaultKind.LINK_DOWN),
-                    FaultSpec(time_ns + config.heal_delay_ns, bridge,
-                              FaultKind.LINK_UP),
-                ]),
-            )
-            for time_ns, label in heavy
-        ],
-        [
-            CrashSchedule(
-                "fleet-failover", label, secondary, horizon,
-                FaultPlan([
-                    FaultSpec(time_ns, secondary, FaultKind.REPLICA_CRASH),
-                ]),
-            )
-            for time_ns, label in heavy
-        ],
-    ]
-    interleaved = []
-    seen = set()
-    cursor = 0
-    while any(cursor < len(family) for family in families):
-        for family in families:
-            if cursor < len(family):
-                schedule = family[cursor]
-                key = schedule.key()
-                if key not in seen:
-                    seen.add(key)
-                    interleaved.append(schedule)
-        cursor += 1
-    return interleaved
+    heavy = candidates[::FLEET_HEAVY_STRIDE] or candidates[:1]
+    bridge = f"{config.dest}.bridge-0"
+    secondary = f"{config.dest}.secondary-1"
+    return interleave([
+        family("fleet-cutover-crash", candidates, "fleet"),
+        family("fleet-partition", heavy, bridge, horizon,
+               [(0, FaultKind.LINK_DOWN),
+                (config.heal_delay_ns, FaultKind.LINK_UP)]),
+        family("fleet-failover", heavy, secondary, horizon,
+               [(0, FaultKind.REPLICA_CRASH)]),
+    ])
 
 
-def _site_node(site):
-    return site.split(".", 1)[0]
+def execute_fleet_schedule(config, schedule, violations, stats):
+    run = _build(config)
+    inject_node_faults(run, schedule.plan, config.grace_ns,
+                       auto_reconfigure=not config.supervised)
+    run.engine.run(until=max(schedule.end_time_ns, run.engine.now + 1.0))
 
-
-def _local_site(site):
-    """Strip the node prefix from bridge sites only.
-
-    A node's :class:`~repro.cluster.topology.Cluster` keys its servers
-    by their fleet-wide names (``"node1.secondary-1"``) but its bridges
-    by position (``"bridge-0"``), so only bridge sites need rewriting
-    before the per-node :class:`ChaosInjector` resolves them.
-    """
-    node, _dot, local = site.partition(".")
-    if local.startswith("bridge-"):
-        return local
-    return site
-
-
-# -- executing one schedule ----------------------------------------------------------
-
-
-def run_fleet_schedule(config, schedule, with_trace=False):
-    if with_trace:
-        from repro.obs import capture
-        from repro.check.runner import TRACE_TAIL_LINES
-
-        with capture() as session:
-            outcome = _execute(config, schedule)
-        outcome.trace_tail = session.tail(TRACE_TAIL_LINES)
-        return outcome
-    return _execute(config, schedule)
-
-
-def _execute(config, schedule):
-    violations = {}
-    stats = {"family": schedule.family, "end_time_ns": schedule.end_time_ns}
-    try:
-        scenario = _build(config)
-        engine = scenario.engine
-        fleet = scenario.fleet
-        if len(schedule.plan):
-            by_node = {}
-            for spec in schedule.plan:
-                by_node.setdefault(_site_node(spec.site), []).append(spec)
-            for node_name, specs in sorted(by_node.items()):
-                local_plan = FaultPlan([
-                    FaultSpec(spec.time_ns, _local_site(spec.site),
-                              spec.kind, spec.params)
-                    for spec in specs
-                ])
-                injector = ChaosInjector(
-                    engine, fleet.nodes[node_name].cluster, local_plan,
-                    grace_ns=config.grace_ns,
-                    auto_reconfigure=not config.supervised,
-                )
-                injector.start()
-        engine.run(until=max(schedule.end_time_ns, engine.now + 1.0))
-
-        # Freeze the control plane, then cut power to every node's
-        # primary before any page collection: no writer may observe a
-        # post-crash ack, and no supervisor may react to the autopsy.
-        for node in fleet.nodes.values():
-            if node.supervisor is not None:
-                node.supervisor.stop()
-        reports = {
-            name: node.cluster.primary.crash()
-            for name, node in fleet.nodes.items()
-        }
-        models = {
-            shard_id: copy.deepcopy(model)
-            for shard_id, model in scenario.models.items()
-        }
-        acked_seqs = {
-            shard_id: list(seqs)
-            for shard_id, seqs in scenario.acked_seqs.items()
-        }
-        owners = {
-            shard_id: shard.node.name
-            for shard_id, shard in fleet.shards.items()
-        }
-        migration = scenario.migration
-        topped_up = migration is not None and migration.topped_up_keys > 0
-
-        recovered_dbs = {}
-        durable_ids = {}
-        pages_by_node = {}
-        for name, node in fleet.nodes.items():
-            pages, page_errors = _collect_pages_tolerant(engine, node.device)
-            pages_by_node[name] = pages
-            violations[f"page-read:{name}"] = page_errors
-            fresh = Engine()
-            recovered = Database(fresh, NoLogFile(fresh))
-            for shard_id in config.shard_ids:
-                recovered.create_table(f"{shard_id}.kv")
-            recover_from_pages(recovered, pages)
-            recovered_dbs[name] = recovered
-            durable_ids[name] = durable_commit_ids(pages)
-            violations[f"ftl-integrity:{name}"] = check_ftl_integrity(
-                node.device
-            )
-
-        require_acked = all(
-            report.reserve_energy_ok for report in reports.values()
-        )
-        for shard_id, model in models.items():
-            owner = owners[shard_id]
-            table = f"{shard_id}.kv"
-            slice_ = dict(recovered_dbs[owner].table(table).scan())
-            violations[f"model-state:{shard_id}"] = model.diff_recovered(
-                slice_, require_acked=require_acked
-            )
-            if shard_id != config.migrate_shard:
-                # Replay issues fresh transaction ids, so raw-id prefix
-                # comparison is only sound for unmigrated shards.
-                violations[f"model-commit-prefix:{shard_id}"] = (
-                    model.diff_commit_prefix(
-                        durable_ids[owner], require_acked=require_acked
-                    )
-                )
-            if not topped_up:
-                seqs = _durable_seqs(pages_by_node[owner], table)
-                violations[f"commit-seq-order:{shard_id}"] = (
-                    _seq_order_violations(shard_id, seqs)
-                )
-                if require_acked:
-                    violations[f"acked-durability:{shard_id}"] = (
-                        _acked_durability_violations(
-                            shard_id, owner, acked_seqs[shard_id], seqs
-                        )
-                    )
-
-        stats.update({
-            "commits_submitted": sum(
-                model.total_committed() for model in models.values()
-            ),
-            "commits_acked": sum(
-                model.total_acked() for model in models.values()
-            ),
-            "owners": owners,
-            "migration_phase": (
-                migration.phase if migration is not None else None
-            ),
-            "migration_replayed": (
-                migration.replayed_txns if migration is not None else 0
-            ),
-            "migration_topped_up": (
-                migration.topped_up_keys if migration is not None else 0
-            ),
-            "durable_commits": {
-                name: len(ids) for name, ids in durable_ids.items()
-            },
-        })
-    except Exception as error:  # noqa: BLE001 — a harness crash IS a finding
-        violations.setdefault("harness", []).append(
-            f"harness: fleet schedule execution raised {error!r}"
-        )
-    return Outcome(schedule, violations, stats)
-
-
-def _durable_seqs(pages, table):
-    """Sequence numbers of the table's committed data records, log order."""
-    records = extract_records(pages)
-    committed = {
-        record.txn_id for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    data = sorted(
-        (record for record in records
-         if record.is_data() and record.table == table
-         and record.txn_id in committed),
-        key=lambda record: record.lsn,
+    # Freeze the control plane before the terminal crash: no supervisor
+    # may react to the power loss we inject for the autopsy.
+    for node in run.fleet.nodes.values():
+        if node.supervisor is not None:
+            node.supervisor.stop()
+    crash = crash_fleet(run)
+    migration = run.migration
+    judge_shards(
+        run, crash, violations, stats, migrated=config.migrate_shard,
+        topped_up=migration is not None and migration.topped_up_keys > 0,
     )
-    seqs = []
-    for record in data:
-        value = record.value
-        if isinstance(value, str) and "-v" in value:
-            seqs.append(int(value.rsplit("-v", 1)[1]))
-    return seqs
-
-
-def _seq_order_violations(shard_id, seqs):
-    """Committed records must carry strictly increasing sequence numbers."""
-    for earlier, later in zip(seqs, seqs[1:]):
-        if later <= earlier:
-            return [
-                f"seq-order: {shard_id} committed v{later} after v{earlier} "
-                f"in the owner's durable log (replay broke commit order)"
-            ]
-    return []
-
-
-def _acked_durability_violations(shard_id, owner, acked, seqs):
-    """Every acked sequence number must be durable on the owner chain."""
-    missing = sorted(set(acked) - set(seqs))
-    if not missing:
-        return []
-    return [
-        f"acked-durability: {shard_id} acked seqs "
-        f"{missing[:5]}{'...' if len(missing) > 5 else ''} are not durable "
-        f"on owner {owner} ({len(missing)} of {len(acked)} acked lost)"
-    ]
-
-
-# -- the driver ----------------------------------------------------------------------
-
-
-def run_fleet_check(config, budget=60, exhaustive=False, out_dir=None,
-                    max_reproducers=3, log=None):
-    """Probe, enumerate, run, and (on failure) shrink + dump reproducers.
-
-    The fleet analogue of :func:`repro.check.runner.run_check`; returns
-    the same :class:`~repro.check.runner.CheckReport` shape, so the CLI
-    and CI surfaces need no special casing.
-    """
-    emit = log or (lambda message: None)
-    candidates = probe_fleet_candidates(config)
-    schedules = enumerate_fleet_schedules(config, candidates)
-    selected = schedules if exhaustive else schedules[:budget]
-    emit(f"probed {len(candidates)} migration crash points; enumerated "
-         f"{len(schedules)} schedules; running {len(selected)}")
-    outcomes = []
-    failures = []
-    for index, schedule in enumerate(selected):
-        outcome = run_fleet_schedule(config, schedule)
-        outcomes.append(outcome)
-        if not outcome.ok:
-            failures.append(outcome)
-        if (index + 1) % 10 == 0:
-            emit(f"  {index + 1}/{len(selected)} schedules run "
-                 f"({len(failures)} failing)")
-    reproducers = []
-    for outcome in failures[:max_reproducers]:
-        minimal, trials = shrink_schedule(
-            outcome.schedule,
-            lambda trial: not run_fleet_schedule(config, trial).ok,
-        )
-        final = run_fleet_schedule(config, minimal, with_trace=True)
-        entry = {
-            "family": minimal.family,
-            "fault_events": len(minimal.plan),
-            "shrink_trials": trials,
-            "violations": (final.flat_violations()
-                           or outcome.flat_violations()),
-        }
-        if out_dir is not None:
-            path = write_reproducer(out_dir, config, final)
-            entry["path"] = str(path)
-            emit(f"reproducer written: {path}")
-        reproducers.append(entry)
-    return CheckReport(config, selected, outcomes, failures, reproducers,
-                       enumerated=len(schedules))
+    if migration is None:
+        stats.update(migration_phase=None, migration_replayed=0,
+                     migration_topped_up=0)
+    else:
+        stats.update(migration_phase=migration.phase,
+                     migration_replayed=migration.replayed_txns,
+                     migration_topped_up=migration.topped_up_keys)

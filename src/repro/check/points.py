@@ -89,3 +89,26 @@ def stage_coverage(transitions):
     """Which of the seven pipeline stages the probe actually exercised."""
     present = {stage for _time, stage in transitions}
     return [stage for stage in STAGES if stage in present]
+
+
+def bracket_events(first, events, horizon, tail_ns=150_000.0, extra=()):
+    """Crash candidates bracketing a fault-free run's event log.
+
+    ``first`` (a pre-activity point), every event, the midpoint after
+    each (up to the next event, or at most ``tail_ns`` past the last),
+    any ``extra`` points and the horizon — deduplicated to 1e-3 ns and
+    time-sorted, so power loss lands exactly at, and between, steps.
+    """
+    candidates = [first]
+    for index, (time_ns, label) in enumerate(events):
+        candidates.append((time_ns, label))
+        next_ns = (events[index + 1][0] if index + 1 < len(events)
+                   else min(time_ns + tail_ns, horizon))
+        if next_ns > time_ns:
+            candidates.append(((time_ns + next_ns) / 2, f"{label}-mid"))
+    candidates.extend(extra)
+    candidates.append((horizon, "end"))
+    deduped = {}
+    for time_ns, label in candidates:
+        deduped.setdefault(round(time_ns, 3), (time_ns, label))
+    return [deduped[key] for key in sorted(deduped)]

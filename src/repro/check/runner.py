@@ -1,187 +1,60 @@
-"""Running one crash schedule end-to-end and diffing it against the model.
+"""The one checker driver: probe → enumerate → run → shrink → dump.
 
-Each schedule gets a fresh engine and cluster (deterministic: same seed →
-same build), the scenario's workload, and a
-:class:`~repro.faults.injector.ChaosInjector` walking the schedule's
-perturbations.  At ``end_time_ns`` the primary suffers power loss; the
-destaged log is read back (tolerantly — an unreadable page is itself
-evidence), recovery replays it into a fresh database, and every oracle
-runs: the reference model's state and commit-prefix diffs, the durable
-prefix / FTL / visible-counter oracles from ``repro.faults``, and the
-chain-prefix check across the surviving replica order.
+:data:`TIERS` maps each ``scenario`` name — carried by every config and
+so by every reproducer — to its tier: config class, probe, family
+enumerator, executor and the config field arming its seeded mutation.
 """
 
-import copy
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 
-from repro.check.model import ReferenceModel, chain_frontier_violations
-from repro.check.points import crash_candidates, extract_transitions
-from repro.check.schedules import enumerate_schedules
+from repro.check import chain, dr, fleet, slo
+from repro.check.schedules import CrashSchedule
 from repro.check.shrink import shrink_schedule, write_reproducer
-from repro.cluster.server import Server
-from repro.cluster.topology import Cluster, replicated_chain
-from repro.db.engine import Database
-from repro.db.recovery import durable_commit_ids, recover_from_pages
-from repro.db.txn import TransactionAborted
-from repro.faults.injector import ChaosInjector
-from repro.faults.oracles import (
-    StreamRecorder,
-    check_durable_prefix,
-    check_ftl_integrity,
-    check_replica_prefix,
-    check_visible_counter_bound,
-)
-from repro.faults.plan import FaultKind
-from repro.faults.scenario import chaos_config_factory
-from repro.host.baselines import NoLogFile
-from repro.sim import Engine
-from repro.sim.rng import derive
 
 TRACE_TAIL_LINES = 80
 
+Tier = namedtuple("Tier", "config probe enumerate execute seeded_bug")
 
-class CheckConfig:
-    """One checker scenario's knobs; every run_* function takes one.
-
-    The devices are deliberately tiny (the chaos geometry) and the
-    workload short: a schedule must run in tens of milliseconds of wall
-    time for a 500-schedule budget to be routine.  ``max_inflight_flushes``
-    stays 1 — with a pipelined flusher, recovered state need not be a
-    per-writer commit prefix even when nothing is wrong, and the model's
-    prefix oracle would be unsound (see CHECKING.md).
-    """
-
-    SCENARIOS = ("local", "chain", "multiwriter")
-
-    def __init__(self, scenario="chain", seed=0, secondaries=2,
-                 transactions=24, duration_ns=2_500_000.0, key_space=6,
-                 writers=3, group_commit_bytes=384,
-                 group_commit_timeout_ns=5_000.0, grace_ns=400_000.0,
-                 heal_delay_ns=300_000.0, supervised=False):
-        if scenario not in self.SCENARIOS:
-            raise ValueError(
-                f"scenario must be one of {self.SCENARIOS}, got {scenario!r}"
-            )
-        if scenario == "chain" and secondaries < 1:
-            raise ValueError("a chain scenario needs at least one secondary")
-        if supervised and scenario != "chain":
-            raise ValueError("supervised checking needs the chain scenario")
-        self.scenario = scenario
-        self.seed = seed
-        self.secondaries = secondaries if scenario == "chain" else 0
-        self.transactions = transactions
-        self.duration_ns = float(duration_ns)
-        self.key_space = key_space
-        self.writers = writers if scenario == "multiwriter" else 1
-        self.group_commit_bytes = group_commit_bytes
-        self.group_commit_timeout_ns = group_commit_timeout_ns
-        self.grace_ns = grace_ns
-        self.heal_delay_ns = heal_delay_ns
-        # With a supervisor attached, the injector's own auto-splice is
-        # disabled: every reconfiguration in a supervised schedule is the
-        # control plane's doing, so the model checks *its* recovery.
-        self.supervised = supervised
-
-    def as_dict(self):
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "secondaries": self.secondaries,
-            "transactions": self.transactions,
-            "duration_ns": self.duration_ns,
-            "key_space": self.key_space,
-            "writers": self.writers,
-            "group_commit_bytes": self.group_commit_bytes,
-            "group_commit_timeout_ns": self.group_commit_timeout_ns,
-            "grace_ns": self.grace_ns,
-            "heal_delay_ns": self.heal_delay_ns,
-            "supervised": self.supervised,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+_CHAIN = Tier(chain.CheckConfig, chain.probe_chain_candidates,
+              chain.enumerate_chain_schedules, chain.execute_chain_schedule,
+              None)
+TIERS = {
+    "local": _CHAIN,
+    "chain": _CHAIN,
+    "multiwriter": _CHAIN,
+    "fleet": Tier(fleet.FleetCheckConfig, fleet.probe_fleet_candidates,
+                  fleet.enumerate_fleet_schedules,
+                  fleet.execute_fleet_schedule, "early_cutover"),
+    "dr": Tier(dr.DrCheckConfig, dr.probe_dr_candidates,
+               dr.enumerate_dr_schedules, dr.execute_dr_schedule,
+               "drop_segment"),
+    "slo": Tier(slo.SloCheckConfig, slo.probe_slo_candidates,
+                slo.enumerate_slo_schedules, slo.execute_slo_schedule,
+                "seed_shed_acked_bug"),
+}
 
 
-class _Scenario:
-    """One built instance: engine, cluster, model, witnesses, workload."""
-
-    def __init__(self, engine, cluster, database, model, recorders,
-                 workload_procs, supervisor=None):
-        self.engine = engine
-        self.cluster = cluster
-        self.database = database
-        self.model = model
-        self.recorders = recorders
-        self.workload_procs = workload_procs
-        self.supervisor = supervisor
+def config_from_dict(data):
+    """Rebuild any tier's config from its ``as_dict()`` form."""
+    return TIERS[data["scenario"]].config(**data)
 
 
-def _build(config):
-    engine = Engine()
-    factory = chaos_config_factory(config.seed)
-    if config.scenario == "chain":
-        cluster = replicated_chain(engine, factory,
-                                   secondaries=config.secondaries)
-    else:
-        server = Server(engine, "primary", factory()).start()
-        server.become_standalone()
-        cluster = Cluster(engine, [server], [], primary_name="primary")
-        engine.run(until=engine.now + 100_000.0)  # let the admin land
-    recorders = {
-        name: StreamRecorder(server.device, name=name)
-        for name, server in cluster.servers.items()
-    }
-    supervisor = None
-    if config.supervised:
-        from repro.health.supervisor import ChainSupervisor
-
-        supervisor = ChainSupervisor(engine, cluster)
-        supervisor.start()
-    database = cluster.primary.with_database(
-        group_commit_bytes=config.group_commit_bytes,
-        group_commit_timeout_ns=config.group_commit_timeout_ns,
-    )
-    database.create_table("kv")
-    model = ReferenceModel()
-
-    def writer_proc(writer, key_prefix, count, rng):
-        for index in range(count):
-            txn = database.begin()
-            key = f"{key_prefix}{rng.randrange(config.key_space)}"
-            value = f"{writer}-v{index}"
-            txn.write("kv", key, value)
-            model.committed(writer, txn.txn_id, [(key, value)])
-            try:
-                yield txn.commit()
-            except TransactionAborted:
-                # Disjoint per-writer key sets make this unreachable in
-                # practice, but the model must never count a commit that
-                # the database refused.
-                model.aborted(writer)
-                continue
-            model.acknowledged(writer)
-
-    per_writer = max(1, config.transactions // config.writers)
-    workload_procs = []
-    for index in range(config.writers):
-        writer = f"w{index}"
-        prefix = f"{writer}k" if config.writers > 1 else "k"
-        rng = derive(config.seed, f"check-writer-{index}")
-        workload_procs.append(writer_proc(writer, prefix, per_writer, rng))
-    return _Scenario(engine, cluster, database, model, recorders,
-                     workload_procs, supervisor=supervisor)
+def enumerate_schedules(config, candidates):
+    """Every schedule of ``config``'s tier over the probed candidates."""
+    if not candidates:
+        return []
+    return TIERS[config.scenario].enumerate(config, candidates)
 
 
+@dataclass
 class Outcome:
     """One schedule's verdict: violations per oracle plus run stats."""
 
-    __slots__ = ("schedule", "violations", "stats", "trace_tail")
-
-    def __init__(self, schedule, violations, stats, trace_tail=None):
-        self.schedule = schedule
-        self.violations = violations
-        self.stats = stats
-        self.trace_tail = trace_tail
+    schedule: CrashSchedule
+    violations: dict
+    stats: dict
+    trace_tail: list = None
 
     @property
     def ok(self):
@@ -193,14 +66,17 @@ class Outcome:
             for entry in entries
         ]
 
+    def failed_oracles(self):
+        """Oracle name -> violations, for the oracles that fired."""
+        return {
+            name: list(entries)
+            for name, entries in sorted(self.violations.items()) if entries
+        }
+
     def as_dict(self):
         payload = {
             "schedule": self.schedule.as_dict(),
-            "violations": {
-                name: list(entries)
-                for name, entries in sorted(self.violations.items())
-                if entries
-            },
+            "violations": self.failed_oracles(),
             "stats": self.stats,
             "ok": self.ok,
         }
@@ -215,188 +91,31 @@ def run_schedule(config, schedule, with_trace=False):
         from repro.obs import capture
 
         with capture() as session:
-            outcome = _execute(config, schedule)
+            outcome = run_schedule(config, schedule)
         outcome.trace_tail = session.tail(TRACE_TAIL_LINES)
         return outcome
-    return _execute(config, schedule)
-
-
-def _execute(config, schedule):
+    execute = TIERS[config.scenario].execute
     violations = {}
     stats = {"family": schedule.family, "end_time_ns": schedule.end_time_ns}
     try:
-        scenario = _build(config)
-        engine = scenario.engine
-        cluster = scenario.cluster
-        injector = None
-        if len(schedule.plan):
-            injector = ChaosInjector(engine, cluster, schedule.plan,
-                                     grace_ns=config.grace_ns,
-                                     auto_reconfigure=not config.supervised)
-            injector.start()
-        for index, proc in enumerate(scenario.workload_procs):
-            engine.process(proc, name=f"check-writer-{index}")
-        engine.run(until=max(schedule.end_time_ns, engine.now + 1.0))
-
-        if scenario.supervisor is not None:
-            # Freeze the control plane before the terminal crash: the
-            # supervisor must not react to the power loss we are about
-            # to inject for the autopsy.
-            scenario.supervisor.stop()
-        violations["visible-counter"] = check_visible_counter_bound(cluster)
-        dirty_sites = {
-            spec.site for spec in schedule.plan
-            if spec.kind is FaultKind.SUPERCAP_FAIL
-        }
-        report = cluster.primary.crash()
-        if not report.reserve_energy_ok:
-            dirty_sites.add("primary")
-
-        # Freeze the model at crash time: page collection steps the engine
-        # forward, and surviving writer processes may observe the crash
-        # salvage's credit advance and record post-crash acks that the
-        # pre-crash client never saw.
-        model = copy.deepcopy(scenario.model)
-
-        pages, page_errors = _collect_pages_tolerant(
-            engine, cluster.primary.device
-        )
-        violations["page-read"] = page_errors
-        violations["durable-prefix"] = check_durable_prefix(report, pages)
-
-        fresh = Engine()
-        recovered_db = Database(fresh, NoLogFile(fresh))
-        recovered_db.create_table("kv")
-        recover_from_pages(recovered_db, pages)
-        recovered = dict(recovered_db.table("kv").scan())
-        durable_ids = durable_commit_ids(pages)
-
-        require_acked = report.reserve_energy_ok
-        violations["model-state"] = model.diff_recovered(
-            recovered, require_acked=require_acked
-        )
-        violations["model-commit-prefix"] = model.diff_commit_prefix(
-            durable_ids, require_acked=require_acked
-        )
-
-        if config.scenario == "chain":
-            violations["chain-prefix"] = _chain_violations(
-                cluster, scenario.recorders, injector, report, dirty_sites
-            )
-            for name in (s.name for s in cluster.secondaries()):
-                violations[f"replica-prefix:{name}"] = check_replica_prefix(
-                    scenario.recorders["primary"], scenario.recorders[name],
-                    secondary_credit=_frontier(cluster, injector, name),
-                )
-        for name, server in cluster.servers.items():
-            violations[f"ftl-integrity:{name}"] = check_ftl_integrity(
-                server.device
-            )
-
-        stats.update({
-            "commits_submitted": model.total_committed(),
-            "commits_acked": model.total_acked(),
-            "durable_commits": len(durable_ids),
-            "recovered_keys": len(recovered),
-            "pages": len(pages),
-            "credit_at_crash": report.credit_at_crash,
-            "durable_offset": report.durable_offset,
-            "reserve_energy_ok": report.reserve_energy_ok,
-        })
-        if scenario.supervisor is not None:
-            stats["supervisor_events"] = [
-                f"{entry['action']}@{entry['site']}"
-                for entry in scenario.supervisor.events
-            ]
+        execute(config, schedule, violations, stats)
     except Exception as error:  # noqa: BLE001 — a harness crash IS a finding
         violations.setdefault("harness", []).append(
-            f"harness: schedule execution raised {error!r}"
+            f"harness: {config.scenario} schedule execution raised {error!r}"
         )
     return Outcome(schedule, violations, stats)
 
 
-def _frontier(cluster, injector, name):
-    """A server's contiguous persisted frontier, dead or alive."""
-    server = cluster.servers[name]
-    if server.device.halted and injector is not None:
-        report = injector.crash_reports.get(name)
-        if report is not None:
-            return report.durable_offset
-    return server.device.cmb.credit.value
-
-
-def _chain_violations(cluster, recorders, injector, primary_report,
-                      dirty_sites):
-    order = list(cluster.order)
-    frontiers = {"primary": primary_report.durable_offset}
-    received = {}
-    for name in order:
-        if name != "primary":
-            frontiers[name] = _frontier(cluster, injector, name)
-        coverage = recorders[name].coverage()
-        received[name] = (
-            coverage[0][1] if coverage and coverage[0][0] == 0 else 0
-        )
-    return chain_frontier_violations(order, frontiers, received, dirty_sites)
-
-
-def _collect_pages_tolerant(engine, device):
-    """Read back the durable destaged ring, noting unreadable pages.
-
-    Tolerance is the point: when a seeded bug loses a page mapping, the
-    failed read must surface as a clean oracle violation (a hole in the
-    durable prefix), not as a harness crash that masks the diff.
-    """
-    pages = []
-    errors = []
-
-    def reader():
-        destage = device.destage
-        for sequence in range(destage.head_sequence, destage.durable_tail):
-            try:
-                page = yield destage.read_page(sequence)
-            except Exception as error:  # noqa: BLE001 — evidence, not a bug
-                errors.append(
-                    f"page-read: durable sequence {sequence} unreadable: "
-                    f"{error!r}"
-                )
-                continue
-            pages.append(page)
-
-    done = engine.process(reader(), name="check-page-collect")
-    # Step in slices: surviving secondaries keep the heap non-empty, so
-    # one big run(until=...) would grind through the whole window.
-    deadline = engine.now + 5e9
-    while not done.triggered and engine.now < deadline:
-        engine.run(until=min(engine.now + 1e6, deadline))
-    if not done.triggered:
-        errors.append("page-read: collection did not finish in bounded time")
-    return pages, errors
-
-
-def probe_transitions(config):
-    """Fault-free instrumented run → the pipeline's transition points."""
-    from repro.obs import capture
-
-    with capture() as session:
-        scenario = _build(config)
-        for index, proc in enumerate(scenario.workload_procs):
-            scenario.engine.process(proc, name=f"check-writer-{index}")
-        scenario.engine.run(until=config.duration_ns)
-    return extract_transitions(session.tracers)
-
-
+@dataclass
 class CheckReport:
     """The checker's aggregate result over one budget of schedules."""
 
-    def __init__(self, config, schedules, outcomes, failures, reproducers,
-                 enumerated):
-        self.config = config
-        self.schedules = schedules
-        self.outcomes = outcomes
-        self.failures = failures
-        self.reproducers = reproducers
-        self.enumerated = enumerated
+    config: object
+    schedules: list
+    outcomes: list
+    failures: list
+    reproducers: list
+    enumerated: int
 
     @property
     def ok(self):
@@ -407,10 +126,8 @@ class CheckReport:
         return len({schedule.key() for schedule in self.schedules})
 
     def family_histogram(self):
-        histogram = {}
-        for schedule in self.schedules:
-            histogram[schedule.family] = histogram.get(schedule.family, 0) + 1
-        return dict(sorted(histogram.items()))
+        counts = Counter(schedule.family for schedule in self.schedules)
+        return dict(sorted(counts.items()))
 
     def as_dict(self):
         return {
@@ -430,7 +147,7 @@ def run_check(config, budget=200, exhaustive=False, out_dir=None,
               max_reproducers=3, log=None):
     """Probe, enumerate, run, and (on failure) shrink + dump reproducers."""
     emit = log or (lambda message: None)
-    candidates = crash_candidates(probe_transitions(config))
+    candidates = TIERS[config.scenario].probe(config)
     schedules = enumerate_schedules(config, candidates)
     selected = schedules if exhaustive else schedules[:budget]
     emit(f"probed {len(candidates)} crash points; enumerated "
@@ -442,7 +159,7 @@ def run_check(config, budget=200, exhaustive=False, out_dir=None,
         outcomes.append(outcome)
         if not outcome.ok:
             failures.append(outcome)
-        if (index + 1) % 50 == 0:
+        if (index + 1) % 25 == 0:
             emit(f"  {index + 1}/{len(selected)} schedules run "
                  f"({len(failures)} failing)")
     reproducers = []

@@ -1,4 +1,4 @@
-"""Crash-schedule enumeration over the probed transition points.
+"""Crash schedules: the checker's unit of work, shared by every tier.
 
 A :class:`CrashSchedule` is one experiment: run the scenario with a
 :class:`~repro.faults.plan.FaultPlan` of perturbations, then cut the
@@ -6,31 +6,9 @@ primary's power at ``end_time_ns``.  The primary crash is implicit — it
 is the one fault every schedule shares, so the shrinker can never remove
 it — and ``end_time_ns`` is chosen from the probe's transition points so
 the crash lands exactly at (or exactly between) pipeline stages.
-
-Families:
-
-* ``primary-crash`` — plain power loss at each candidate point;
-* ``dirty-crash`` — supercap failure then power loss at the same point;
-* ``replica-crash`` / ``replica-flap`` — a secondary dies (and maybe
-  rejoins/resyncs) mid-run, primary crashes at the end;
-* ``partition`` — an NTB bridge severs and heals, primary crashes at
-  the end;
-* ``torn-write`` — a torn CMB chunk at the candidate point;
-* ``combo`` — seeded bundles of several perturbations, the shrinker's
-  natural prey.
-
-Enumeration is round-robin across families so a small ``--budget`` still
-samples every family; bounded-exhaustive mode runs the whole list.
 """
 
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.sim.rng import derive
-
-# Heavier families (full-duration runs) take every STRIDE-th candidate so
-# primary-crash coverage stays dense without quadratic schedule counts.
-HEAVY_STRIDE = 4
-COMBO_COUNT = 8
-COMBO_EVENTS = 4
+from repro.faults.plan import FaultPlan, FaultSpec
 
 
 class CrashSchedule:
@@ -87,98 +65,33 @@ class CrashSchedule:
                 f"{len(self.plan)} faults)")
 
 
-def enumerate_schedules(config, candidates):
-    """Every schedule for ``config`` over the probed ``candidates``.
 
-    ``candidates`` are ``(time_ns, label)`` pairs from
-    :func:`repro.check.points.crash_candidates`.  Returns a deduplicated
-    list, round-robin interleaved across families, deterministic for a
-    given (config, candidates).
+
+def family(name, points, site, end_ns=None, steps=()):
+    """One schedule per ``(time_ns, label)`` point of ``points``.
+
+    ``steps`` are ``(delay_ns, kind[, params])`` faults at ``site``,
+    timed relative to the point; the terminal crash lands at ``end_ns``,
+    or at the point itself when ``end_ns`` is None.
     """
-    if not candidates:
-        return []
-    duration = config.duration_ns
-    secondaries = [f"secondary-{i}" for i in range(1, config.secondaries + 1)]
-    chain = config.scenario == "chain"
-    servers = ["primary"] + (secondaries if chain else [])
-    heavy = candidates[::HEAVY_STRIDE] or candidates[:1]
-
-    families = []
-    families.append([
-        CrashSchedule("primary-crash", label, "primary", time_ns)
-        for time_ns, label in candidates
-    ])
-    families.append([
+    return [
         CrashSchedule(
-            "dirty-crash", label, "primary", time_ns,
-            FaultPlan([FaultSpec(time_ns, "primary",
-                                 FaultKind.SUPERCAP_FAIL)]),
+            name, label, site, time_ns if end_ns is None else end_ns,
+            FaultPlan([
+                FaultSpec(time_ns + delay_ns, site, kind, *params)
+                for delay_ns, kind, *params in steps
+            ]),
         )
-        for time_ns, label in heavy
-    ])
-    if chain:
-        for name in secondaries:
-            families.append([
-                CrashSchedule(
-                    "replica-crash", label, name, duration,
-                    FaultPlan([FaultSpec(time_ns, name,
-                                         FaultKind.REPLICA_CRASH)]),
-                )
-                for time_ns, label in heavy
-            ])
-            families.append([
-                CrashSchedule(
-                    "replica-flap", label, name, duration,
-                    FaultPlan([
-                        FaultSpec(time_ns, name, FaultKind.REPLICA_CRASH),
-                        FaultSpec(time_ns + config.heal_delay_ns, name,
-                                  FaultKind.REPLICA_REJOIN),
-                    ]),
-                )
-                for time_ns, label in heavy
-            ])
-        if getattr(config, "supervised", False):
-            # Supervised failover: kill a replica with NO rejoin in the
-            # plan and NO injector auto-splice — detection, eviction,
-            # reattach and resync are all the supervisor's.  The end
-            # time is pushed past the full heal window so the terminal
-            # crash lands on a *reconfigured* chain, and the usual
-            # prefix/chain oracles judge the state it left behind.
-            heal_window = 1_500_000.0
-            for name in secondaries:
-                families.append([
-                    CrashSchedule(
-                        "supervised-failover", label, name,
-                        max(duration, time_ns + heal_window),
-                        FaultPlan([FaultSpec(time_ns, name,
-                                             FaultKind.REPLICA_CRASH)]),
-                    )
-                    for time_ns, label in heavy
-                ])
-        for index in range(len(secondaries)):
-            bridge = f"bridge-{index}"
-            families.append([
-                CrashSchedule(
-                    "partition", label, bridge, duration,
-                    FaultPlan([
-                        FaultSpec(time_ns, bridge, FaultKind.LINK_DOWN),
-                        FaultSpec(time_ns + config.heal_delay_ns, bridge,
-                                  FaultKind.LINK_UP),
-                    ]),
-                )
-                for time_ns, label in heavy
-            ])
-    for name in servers:
-        families.append([
-            CrashSchedule(
-                "torn-write", label, name, duration,
-                FaultPlan([FaultSpec(time_ns, name,
-                                     FaultKind.CMB_TORN_WRITE)]),
-            )
-            for time_ns, label in heavy
-        ])
-    families.append(_combo_family(config, candidates, secondaries))
+        for time_ns, label in points
+    ]
 
+
+def interleave(families):
+    """Round-robin merge of per-family schedule lists, deduplicated by key.
+
+    A small ``--budget`` thus still samples every family, while
+    bounded-exhaustive mode runs the whole list.
+    """
     interleaved = []
     seen = set()
     cursor = 0
@@ -192,42 +105,3 @@ def enumerate_schedules(config, candidates):
                     interleaved.append(schedule)
         cursor += 1
     return interleaved
-
-
-def _combo_family(config, candidates, secondaries):
-    """Seeded multi-fault bundles: several perturbations, one crash."""
-    rng = derive(config.seed, "check-combos")
-    pool = [("primary", FaultKind.CMB_TORN_WRITE),
-            ("primary", FaultKind.NAND_PROGRAM_FAIL)]
-    for name in secondaries:
-        pool.extend([
-            (name, FaultKind.REPLICA_CRASH),
-            (name, FaultKind.CMB_TORN_WRITE),
-            (name, FaultKind.SUPERCAP_FAIL),
-        ])
-    for index in range(len(secondaries)):
-        pool.append((f"bridge-{index}", FaultKind.LINK_CORRUPT))
-        pool.append((f"bridge-{index}", FaultKind.LINK_LATENCY_SPIKE))
-    schedules = []
-    for combo in range(COMBO_COUNT):
-        specs = []
-        crashed = set()
-        for _ in range(COMBO_EVENTS):
-            site, kind = rng.choice(pool)
-            time_ns = rng.choice(candidates)[0]
-            if kind is FaultKind.REPLICA_CRASH:
-                if site in crashed:
-                    continue
-                crashed.add(site)
-            params = {}
-            if kind in (FaultKind.NAND_PROGRAM_FAIL, FaultKind.LINK_CORRUPT):
-                params["count"] = rng.randint(1, 2)
-            if kind is FaultKind.LINK_LATENCY_SPIKE:
-                params["extra_ns"] = rng.uniform(5_000.0, 20_000.0)
-                params["duration_ns"] = rng.uniform(50_000.0, 200_000.0)
-            specs.append(FaultSpec(time_ns, site, kind, params))
-        schedules.append(
-            CrashSchedule("combo", f"combo-{combo}", "mixed",
-                          config.duration_ns, FaultPlan(specs))
-        )
-    return schedules

@@ -16,6 +16,8 @@ records not just the minimal plan but what shrinking ruled out.
 import json
 from pathlib import Path
 
+from repro.check.schedules import CrashSchedule
+
 MAX_SHRINK_TRIALS = 64
 
 
@@ -60,11 +62,7 @@ def write_reproducer(out_dir, config, outcome):
     payload = {
         "config": config.as_dict(),
         "schedule": schedule.as_dict(),
-        "violations": {
-            name: list(entries)
-            for name, entries in sorted(outcome.violations.items())
-            if entries
-        },
+        "violations": outcome.failed_oracles(),
         "stats": outcome.stats,
         "trace_tail": list(outcome.trace_tail or ()),
     }
@@ -79,28 +77,8 @@ def replay_reproducer(path):
     same engine timeline, so a genuine violation fails again and a fixed
     one passes.
     """
-    from repro.check.runner import CheckConfig, run_schedule
-    from repro.check.schedules import CrashSchedule
+    from repro.check.runner import config_from_dict, run_schedule
 
     data = json.loads(Path(path).read_text())
-    schedule = CrashSchedule.from_dict(data["schedule"])
-    if data["config"].get("scenario") == "fleet":
-        from repro.check.fleet import FleetCheckConfig, run_fleet_schedule
-
-        return run_fleet_schedule(
-            FleetCheckConfig.from_dict(data["config"]), schedule
-        )
-    if data["config"].get("scenario") == "dr":
-        from repro.check.dr import DrCheckConfig, run_dr_schedule
-
-        return run_dr_schedule(
-            DrCheckConfig.from_dict(data["config"]), schedule
-        )
-    if data["config"].get("scenario") == "slo":
-        from repro.check.slo import SloCheckConfig, run_slo_schedule
-
-        return run_slo_schedule(
-            SloCheckConfig.from_dict(data["config"]), schedule
-        )
-    config = CheckConfig.from_dict(data["config"])
-    return run_schedule(config, schedule)
+    return run_schedule(config_from_dict(data["config"]),
+                        CrashSchedule.from_dict(data["schedule"]))

@@ -17,14 +17,12 @@ then cuts power to every node's primary and audits the wreckage:
   down/up blip) lands at those same instants, forcing the controller's
   transitions to race failover and partition healing to the horizon.
 
-Oracles, per shard, judged against the shard's owner (same recovery
-path as the fleet tier — tolerant page readback, fresh-engine replay):
-model-state, model-commit-prefix (no shard migrates here, so raw-id
-prefix comparison is sound for all of them), commit-seq-order and
-acked-durability over the self-describing ``"<shard>-v<seq>"`` values,
-FTL integrity — plus a **controller-sanity** oracle: the durability
-fence must be clean, the ladder must move one rung at a time inside
-[0, MAX_LEVEL], and every knob must sit inside its configured bounds.
+Every shard faces the fleet tier's oracles
+(:func:`~repro.check.harness.judge_shards`; no shard migrates here, so
+all of them apply to every shard), plus a **controller-sanity** oracle:
+the durability fence must be clean, the ladder must move one rung at a
+time inside [0, MAX_LEVEL], and every knob must sit inside its
+configured bounds.
 
 ``seed_shed_acked_bug`` arms the controller's deliberate violation
 (acking commit waiters without durability on a rung-3 shed, outside the
@@ -33,237 +31,92 @@ catch it, proving the tier checks durability end to end rather than
 trusting the controller's own bookkeeping.
 """
 
-import copy
+from dataclasses import asdict, dataclass
 
-from repro.check.model import ReferenceModel
-from repro.check.runner import (
-    CheckReport,
-    Outcome,
-    _collect_pages_tolerant,
+from repro.check.harness import (
+    FLEET_HEAVY_STRIDE,
+    crash_fleet,
+    inject_node_faults,
+    judge_shards,
+    start_fleet,
+    start_writers,
 )
-from repro.check.schedules import CrashSchedule
-from repro.check.shrink import shrink_schedule, write_reproducer
-from repro.check.fleet import (
-    _acked_durability_violations,
-    _durable_seqs,
-    _local_site,
-    _seq_order_violations,
-    _site_node,
-)
-from repro.cluster.fleet import Fleet
-from repro.db.engine import Database
-from repro.db.recovery import durable_commit_ids, recover_from_pages
-from repro.db.txn import TransactionAborted
-from repro.faults.injector import ChaosInjector
-from repro.faults.oracles import check_ftl_integrity
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.faults.scenario import chaos_config_factory
-from repro.health.errors import DeviceBusy
-from repro.host.baselines import NoLogFile
-from repro.sim import Engine
-from repro.sim.rng import derive
+from repro.check.points import bracket_events
+from repro.check.schedules import family, interleave
+from repro.faults.plan import FaultKind
 from repro.slo.controller import MAX_LEVEL
 
 SLO_FAMILIES = ("slo-overload", "slo-adaptation")
 
-# Adaptation schedules run to the full horizon; take every other
-# candidate so density does not cost quadratic wall time.
-HEAVY_STRIDE = 2
 
-
+@dataclass
 class SloCheckConfig:
     """The SLO checker scenario's knobs (``scenario`` is always "slo").
 
     The workload is shaped to *force* the ladder: every shard writes
-    padded values back to back through a deliberately small admission
-    ceiling against a low p99 target, so a fault-free probe run already
-    walks the controller through shedding.  ``max_inflight_flushes`` is
-    pinned to 1 for prefix-oracle soundness, as in the other tiers.
+    padded values back to back (no think time) through a deliberately
+    small admission ceiling against a low p99 target, so a fault-free
+    probe run already walks the controller through shedding.
     ``seed_shed_acked_bug`` arms the controller's seeded mutation.
     """
 
-    def __init__(self, seed=0, nodes=2, replicas=1, shards_per_node=3,
-                 transactions=24, key_space=5, group_commit_bytes=384,
-                 group_commit_timeout_ns=5_000.0, value_pad=128,
-                 admission_bytes=4096, target_p99_ns=15_000.0,
-                 poll_ns=25_000.0, enter_polls=1, exit_polls=3,
-                 duration_ns=1_500_000.0, heal_delay_ns=300_000.0,
-                 grace_ns=400_000.0, seed_shed_acked_bug=False):
-        if nodes < 1:
+    scenario: str = "slo"
+    seed: int = 0
+    nodes: int = 2
+    replicas: int = 1
+    shards_per_node: int = 3
+    transactions: int = 24
+    key_space: int = 5
+    group_commit_bytes: int = 384
+    group_commit_timeout_ns: float = 5_000.0
+    value_pad: int = 128
+    admission_bytes: int = 4096
+    target_p99_ns: float = 15_000.0
+    poll_ns: float = 25_000.0
+    enter_polls: int = 1
+    exit_polls: int = 3
+    duration_ns: float = 1_500_000.0
+    heal_delay_ns: float = 300_000.0
+    grace_ns: float = 400_000.0
+    seed_shed_acked_bug: bool = False
+
+    as_dict = asdict
+
+    def __post_init__(self):
+        if self.scenario != "slo":
+            raise ValueError(f"not an slo config: scenario={self.scenario!r}")
+        if self.nodes < 1:
             raise ValueError("the slo scenario needs at least one node")
-        if shards_per_node < 1:
+        if self.shards_per_node < 1:
             raise ValueError("need at least one shard per node")
-        self.scenario = "slo"
-        self.seed = seed
-        self.nodes = nodes
-        self.replicas = replicas
-        self.shards_per_node = shards_per_node
-        self.transactions = transactions
-        self.key_space = key_space
-        self.group_commit_bytes = group_commit_bytes
-        self.group_commit_timeout_ns = group_commit_timeout_ns
-        self.value_pad = value_pad
-        self.admission_bytes = admission_bytes
-        self.target_p99_ns = float(target_p99_ns)
-        self.poll_ns = float(poll_ns)
-        self.enter_polls = enter_polls
-        self.exit_polls = exit_polls
-        self.duration_ns = float(duration_ns)
-        self.heal_delay_ns = float(heal_delay_ns)
-        self.grace_ns = float(grace_ns)
-        self.seed_shed_acked_bug = seed_shed_acked_bug
-
-    @property
-    def shard_ids(self):
-        return [f"s{i}" for i in range(self.nodes * self.shards_per_node)]
-
-    def as_dict(self):
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "replicas": self.replicas,
-            "shards_per_node": self.shards_per_node,
-            "transactions": self.transactions,
-            "key_space": self.key_space,
-            "group_commit_bytes": self.group_commit_bytes,
-            "group_commit_timeout_ns": self.group_commit_timeout_ns,
-            "value_pad": self.value_pad,
-            "admission_bytes": self.admission_bytes,
-            "target_p99_ns": self.target_p99_ns,
-            "poll_ns": self.poll_ns,
-            "enter_polls": self.enter_polls,
-            "exit_polls": self.exit_polls,
-            "duration_ns": self.duration_ns,
-            "heal_delay_ns": self.heal_delay_ns,
-            "grace_ns": self.grace_ns,
-            "seed_shed_acked_bug": self.seed_shed_acked_bug,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        data = dict(data)
-        scenario = data.pop("scenario", "slo")
-        if scenario != "slo":
-            raise ValueError(f"not an slo config: scenario={scenario!r}")
-        return cls(**data)
-
-
-class _SloScenario:
-    """One built run: engine, fleet, controller, per-shard models."""
-
-    def __init__(self, engine, fleet, controller, models, acked_seqs,
-                 start_ns):
-        self.engine = engine
-        self.fleet = fleet
-        self.controller = controller
-        self.models = models  # shard_id -> ReferenceModel
-        self.acked_seqs = acked_seqs  # shard_id -> [seq acked, in order]
-        self.start_ns = start_ns
+        for name in ("target_p99_ns", "poll_ns", "duration_ns",
+                     "heal_delay_ns", "grace_ns"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 def _build(config):
-    engine = Engine()
-    fleet = Fleet(
-        engine, chaos_config_factory(config.seed),
-        replicas=config.replicas,
-        group_commit_bytes=config.group_commit_bytes,
-        group_commit_timeout_ns=config.group_commit_timeout_ns,
-        max_inflight_flushes=1,
-        admission_bytes=config.admission_bytes,
-    )
-    fleet.add_nodes(config.nodes)
-    controller = fleet.enable_slo(
+    run = start_fleet(config, admission_bytes=config.admission_bytes)
+    run.controller = run.fleet.enable_slo(
         target_p99_ns=config.target_p99_ns,
         poll_ns=config.poll_ns,
         enter_polls=config.enter_polls,
         exit_polls=config.exit_polls,
         seed_shed_acked_bug=config.seed_shed_acked_bug,
     )
-    models = {}
-    acked_seqs = {}
-    scenario = _SloScenario(engine, fleet, controller, models, acked_seqs,
-                            engine.now)
-    for index, shard_id in enumerate(config.shard_ids):
-        fleet.create_shard(shard_id, node=f"node{index % config.nodes}")
-        models[shard_id] = ReferenceModel()
-        acked_seqs[shard_id] = []
-        rng = derive(config.seed, f"slo-writer-{shard_id}")
-        engine.process(_writer(config, scenario, shard_id, rng),
-                       name=f"slo-writer-{shard_id}")
-    return scenario
-
-
-def _writer(config, scenario, shard_id, rng):
-    """One shard's tenant: back-to-back padded, sequence-stamped commits.
-
-    No think time — the point is to overload the node so the controller
-    actually walks its ladder while the schedule's crash/faults land.
-    Values stay self-describing (``"<shard>-v<seq>-<pad>"``) for the
-    acked-durability and seq-order oracles.
-    """
-    engine = scenario.engine
-    shard = scenario.fleet.shards[shard_id]
-    model = scenario.models[shard_id]
-    # Padding sits *before* the "-v<seq>" marker so the shared
-    # _durable_seqs parser still recovers the sequence number.
-    pad = "x" * config.value_pad
-    for seq in range(config.transactions):
-        key = f"k{rng.randrange(config.key_space)}"
-        body_id = f"{shard_id}-{pad}" if pad else shard_id
-        value = f"{body_id}-v{seq}"
-
-        def body(txn, key=key, value=value):
-            txn.write("kv", key, value)
-            model.committed(shard_id, txn.txn_id, [(key, value)])
-
-        while True:
-            try:
-                yield from shard.run_body(body)
-                break
-            except DeviceBusy as busy:
-                yield engine.timeout(busy.retry_after_ns or 20_000.0)
-            except TransactionAborted:
-                model.aborted(shard_id)
-        model.acknowledged(shard_id)
-        scenario.acked_seqs[shard_id].append(seq)
-
-
-# -- crash-candidate probing ---------------------------------------------------------
+    start_writers(config, run, value_pad=config.value_pad)
+    return run
 
 
 def probe_slo_candidates(config):
-    """Fault-free run → ``(time_ns, label)`` crash candidates.
-
-    Candidates bracket the controller's audit timeline: before the first
-    possible actuation, at every knob turn, between consecutive turns,
-    and at the horizon — power loss lands exactly at (and exactly
-    between) ladder transitions.
-    """
-    scenario = _build(config)
-    horizon = scenario.start_ns + config.duration_ns
-    scenario.engine.run(until=horizon)
-    candidates = [
-        (scenario.start_ns + config.poll_ns / 2, "pre-control"),
-    ]
+    """Fault-free run → candidates bracketing the controller's turns."""
+    run = _build(config)
+    run.engine.run(until=run.horizon)
     events = [
         (event["time_ns"], f"{event['action']}-L{event['level']}")
-        for event in scenario.controller.events
+        for event in run.controller.events
     ]
-    for index, (time_ns, label) in enumerate(events):
-        candidates.append((time_ns, label))
-        next_ns = (events[index + 1][0] if index + 1 < len(events)
-                   else min(time_ns + 150_000.0, horizon))
-        if next_ns > time_ns:
-            candidates.append(((time_ns + next_ns) / 2, f"{label}-mid"))
-    candidates.append((horizon, "end"))
-    deduped = {}
-    for time_ns, label in candidates:
-        deduped.setdefault(round(time_ns, 3), (time_ns, label))
-    return [deduped[key] for key in sorted(deduped)]
-
-
-# -- schedule enumeration ------------------------------------------------------------
+    return bracket_events((run.start_ns + config.poll_ns / 2, "pre-control"),
+                          events, run.horizon)
 
 
 def enumerate_slo_schedules(config, candidates):
@@ -273,185 +126,47 @@ def enumerate_slo_schedules(config, candidates):
     carries the overload the controller is reacting to; sites use the
     fleet-scoped naming the per-node injector routing expects.
     """
-    if not candidates:
-        return []
     horizon = max(time_ns for time_ns, _label in candidates)
-    heavy = candidates[::HEAVY_STRIDE] or candidates[:1]
+    heavy = candidates[::FLEET_HEAVY_STRIDE] or candidates[:1]
     secondary = "node0.secondary-1"
     bridge = "node0.bridge-0"
 
-    adaptation = []
-    for time_ns, label in heavy:
-        adaptation.append(CrashSchedule(
-            "slo-adaptation", label, secondary, horizon,
-            FaultPlan([
-                FaultSpec(time_ns, secondary, FaultKind.REPLICA_CRASH),
-            ]),
-        ))
-        adaptation.append(CrashSchedule(
-            "slo-adaptation", f"{label}-blip", bridge, horizon,
-            FaultPlan([
-                FaultSpec(time_ns, bridge, FaultKind.LINK_DOWN),
-                FaultSpec(time_ns + config.heal_delay_ns, bridge,
-                          FaultKind.LINK_UP),
-            ]),
-        ))
-    families = [
-        [
-            CrashSchedule("slo-overload", label, "fleet", time_ns)
-            for time_ns, label in candidates
-        ],
-        adaptation,
-    ]
-    interleaved = []
-    seen = set()
-    cursor = 0
-    while any(cursor < len(family) for family in families):
-        for family in families:
-            if cursor < len(family):
-                schedule = family[cursor]
-                key = schedule.key()
-                if key not in seen:
-                    seen.add(key)
-                    interleaved.append(schedule)
-        cursor += 1
-    return interleaved
+    crashes = family("slo-adaptation", heavy, secondary, horizon,
+                     [(0, FaultKind.REPLICA_CRASH)])
+    blips = family("slo-adaptation",
+                   [(time_ns, f"{label}-blip") for time_ns, label in heavy],
+                   bridge, horizon,
+                   [(0, FaultKind.LINK_DOWN),
+                    (config.heal_delay_ns, FaultKind.LINK_UP)])
+    return interleave([
+        family("slo-overload", candidates, "fleet"),
+        # Each point's crash then its blip, as one family.
+        [schedule for pair in zip(crashes, blips) for schedule in pair],
+    ])
 
 
-# -- executing one schedule ----------------------------------------------------------
+def execute_slo_schedule(config, schedule, violations, stats):
+    run = _build(config)
+    inject_node_faults(run, schedule.plan, config.grace_ns)
+    run.engine.run(until=max(schedule.end_time_ns, run.engine.now + 1.0))
 
-
-def run_slo_schedule(config, schedule, with_trace=False):
-    if with_trace:
-        from repro.obs import capture
-        from repro.check.runner import TRACE_TAIL_LINES
-
-        with capture() as session:
-            outcome = _execute(config, schedule)
-        outcome.trace_tail = session.tail(TRACE_TAIL_LINES)
-        return outcome
-    return _execute(config, schedule)
-
-
-def _execute(config, schedule):
-    violations = {}
-    stats = {"family": schedule.family, "end_time_ns": schedule.end_time_ns}
-    try:
-        scenario = _build(config)
-        engine = scenario.engine
-        fleet = scenario.fleet
-        if len(schedule.plan):
-            by_node = {}
-            for spec in schedule.plan:
-                by_node.setdefault(_site_node(spec.site), []).append(spec)
-            for node_name, specs in sorted(by_node.items()):
-                local_plan = FaultPlan([
-                    FaultSpec(spec.time_ns, _local_site(spec.site),
-                              spec.kind, spec.params)
-                    for spec in specs
-                ])
-                injector = ChaosInjector(
-                    engine, fleet.nodes[node_name].cluster, local_plan,
-                    grace_ns=config.grace_ns, auto_reconfigure=True,
-                )
-                injector.start()
-        engine.run(until=max(schedule.end_time_ns, engine.now + 1.0))
-
-        # Freeze the control plane before the autopsy: the controller
-        # must not actuate against a crashed device, and no writer may
-        # observe a post-crash ack.
-        scenario.controller.stop()
-        reports = {
-            name: node.cluster.primary.crash()
-            for name, node in fleet.nodes.items()
-        }
-        models = {
-            shard_id: copy.deepcopy(model)
-            for shard_id, model in scenario.models.items()
-        }
-        acked_seqs = {
-            shard_id: list(seqs)
-            for shard_id, seqs in scenario.acked_seqs.items()
-        }
-        owners = {
-            shard_id: shard.node.name
-            for shard_id, shard in fleet.shards.items()
-        }
-
-        violations["controller-sanity"] = _controller_violations(
-            scenario.controller, config
-        )
-
-        recovered_dbs = {}
-        durable_ids = {}
-        pages_by_node = {}
-        for name, node in fleet.nodes.items():
-            pages, page_errors = _collect_pages_tolerant(engine, node.device)
-            pages_by_node[name] = pages
-            violations[f"page-read:{name}"] = page_errors
-            fresh = Engine()
-            recovered = Database(fresh, NoLogFile(fresh))
-            for shard_id in config.shard_ids:
-                recovered.create_table(f"{shard_id}.kv")
-            recover_from_pages(recovered, pages)
-            recovered_dbs[name] = recovered
-            durable_ids[name] = durable_commit_ids(pages)
-            violations[f"ftl-integrity:{name}"] = check_ftl_integrity(
-                node.device
-            )
-
-        require_acked = all(
-            report.reserve_energy_ok for report in reports.values()
-        )
-        for shard_id, model in models.items():
-            owner = owners[shard_id]
-            table = f"{shard_id}.kv"
-            slice_ = dict(recovered_dbs[owner].table(table).scan())
-            violations[f"model-state:{shard_id}"] = model.diff_recovered(
-                slice_, require_acked=require_acked
-            )
-            # No shard migrates in this tier, so raw-id prefix
-            # comparison is sound for every shard.
-            violations[f"model-commit-prefix:{shard_id}"] = (
-                model.diff_commit_prefix(
-                    durable_ids[owner], require_acked=require_acked
-                )
-            )
-            seqs = _durable_seqs(pages_by_node[owner], table)
-            violations[f"commit-seq-order:{shard_id}"] = (
-                _seq_order_violations(shard_id, seqs)
-            )
-            if require_acked:
-                violations[f"acked-durability:{shard_id}"] = (
-                    _acked_durability_violations(
-                        shard_id, owner, acked_seqs[shard_id], seqs
-                    )
-                )
-
-        controller = scenario.controller
-        stats.update({
-            "commits_submitted": sum(
-                model.total_committed() for model in models.values()
-            ),
-            "commits_acked": sum(
-                model.total_acked() for model in models.values()
-            ),
-            "owners": owners,
-            "controller_events": len(controller.events),
-            "controller_levels": {
-                name: controller.level_of(name)
-                for name in sorted(fleet.nodes)
-            },
-            "fence_violations": len(controller.invariant_violations),
-            "durable_commits": {
-                name: len(ids) for name, ids in durable_ids.items()
-            },
-        })
-    except Exception as error:  # noqa: BLE001 — a harness crash IS a finding
-        violations.setdefault("harness", []).append(
-            f"harness: slo schedule execution raised {error!r}"
-        )
-    return Outcome(schedule, violations, stats)
+    # Freeze the control plane before the autopsy: the controller must
+    # not actuate against a crashed device.
+    controller = run.controller
+    controller.stop()
+    crash = crash_fleet(run)
+    violations["controller-sanity"] = _controller_violations(
+        controller, config
+    )
+    judge_shards(run, crash, violations, stats)
+    stats.update({
+        "controller_events": len(controller.events),
+        "controller_levels": {
+            name: controller.level_of(name)
+            for name in sorted(run.fleet.nodes)
+        },
+        "fence_violations": len(controller.invariant_violations),
+    })
 
 
 def _controller_violations(controller, config):
@@ -513,52 +228,3 @@ def _controller_violations(controller, config):
                 f"[{floor}, {admission.baseline_max_outstanding_bytes}]"
             )
     return errors
-
-
-# -- the driver ----------------------------------------------------------------------
-
-
-def run_slo_check(config, budget=60, exhaustive=False, out_dir=None,
-                  max_reproducers=3, log=None):
-    """Probe, enumerate, run, and (on failure) shrink + dump reproducers.
-
-    The SLO analogue of :func:`repro.check.fleet.run_fleet_check`;
-    returns the same :class:`~repro.check.runner.CheckReport` shape.
-    """
-    emit = log or (lambda message: None)
-    candidates = probe_slo_candidates(config)
-    schedules = enumerate_slo_schedules(config, candidates)
-    selected = schedules if exhaustive else schedules[:budget]
-    emit(f"probed {len(candidates)} controller transition points; "
-         f"enumerated {len(schedules)} schedules; running {len(selected)}")
-    outcomes = []
-    failures = []
-    for index, schedule in enumerate(selected):
-        outcome = run_slo_schedule(config, schedule)
-        outcomes.append(outcome)
-        if not outcome.ok:
-            failures.append(outcome)
-        if (index + 1) % 10 == 0:
-            emit(f"  {index + 1}/{len(selected)} schedules run "
-                 f"({len(failures)} failing)")
-    reproducers = []
-    for outcome in failures[:max_reproducers]:
-        minimal, trials = shrink_schedule(
-            outcome.schedule,
-            lambda trial: not run_slo_schedule(config, trial).ok,
-        )
-        final = run_slo_schedule(config, minimal, with_trace=True)
-        entry = {
-            "family": minimal.family,
-            "fault_events": len(minimal.plan),
-            "shrink_trials": trials,
-            "violations": (final.flat_violations()
-                           or outcome.flat_violations()),
-        }
-        if out_dir is not None:
-            path = write_reproducer(out_dir, config, final)
-            entry["path"] = str(path)
-            emit(f"reproducer written: {path}")
-        reproducers.append(entry)
-    return CheckReport(config, selected, outcomes, failures, reproducers,
-                       enumerated=len(schedules))

@@ -26,8 +26,8 @@ protocol is the classic live-migration shape:
 
 ``early_cutover=True`` deliberately skips DRAIN and CATCHUP — cutting
 over while acked source transactions are still unreplayed.  That is the
-seeded ack-ordering bug the ``--fleet`` checker family must catch (see
-``repro/check/fleet.py``); it exists only to be found.
+seeded ack-ordering bug the ``--scenario fleet`` checker family must
+catch (see ``repro/check/fleet.py``); it exists only to be found.
 
 :class:`FleetSupervisor` closes the loop: it polls per-node admitted-byte
 rates (plus gauge samples when tracing), detects a sustained hot node,
@@ -122,15 +122,15 @@ class ShardMigration:
         self.busy_backoffs = 0
         self._replayed_ids = set()
         self._txn_buffer = {}  # source txn_id -> [data records]
-        self._process = None
+        self.process = None  # the sim process; yield on it to await the move
         self.done = False
         self.error = None
 
     def start(self):
-        if self._process is not None:
+        if self.process is not None:
             raise RuntimeError("migration already started")
-        self._process = self.engine.process(self._run(), name=self.name)
-        return self._process
+        self.process = self.engine.process(self._run(), name=self.name)
+        return self.process
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -549,7 +549,7 @@ class FleetSupervisor:
 
     def _watch(self, migration):
         try:
-            yield migration._process
+            yield migration.process
         except BaseException as exc:
             self._record("migration-failed", migration.shard.shard_id,
                          error=type(exc).__name__)

@@ -7,7 +7,11 @@ import pytest
 from repro.check import (
     CheckConfig,
     CrashSchedule,
+    DrCheckConfig,
+    FleetCheckConfig,
+    SloCheckConfig,
     STAGES,
+    config_from_dict,
     crash_candidates,
     enumerate_schedules,
     probe_transitions,
@@ -129,6 +133,77 @@ def test_cli_smoke(tmp_path, capsys):
     assert "all schedules passed" in out
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["ok"] is True
+
+
+@pytest.mark.parametrize("argv, status, expected", [
+    (["--scenario", "chain", "--seeded-bug"], 2, "has no seeded mutation"),
+    (["--scenario", "slo", "--supervised"], 2,
+     "--supervised does not apply to --scenario slo"),
+    (["--scenario", "local", "--nodes", "3"], 2,
+     "--nodes does not apply to --scenario local"),
+    (["--scenario", "local", "--supervised"], 2,
+     "supervised checking needs the chain scenario"),
+    (["--scenario", "fleet", "--seeded-bug", "--budget", "2"], 1,
+     {"scenario": "fleet", "early_cutover": True, "nodes": 2}),
+    (["--scenario", "slo", "--transactions", "3", "--nodes", "1",
+      "--budget", "1"], 0,
+     {"scenario": "slo", "transactions": 3, "nodes": 1,
+      "seed_shed_acked_bug": False}),
+    (["--scenario", "dr", "--seed", "5", "--budget", "1"], 0,
+     {"scenario": "dr", "seed": 5, "nodes": 2, "transactions": 10}),
+], ids=["chain-seeded-bug", "slo-supervised", "local-nodes",
+        "local-supervised", "fleet-seeded-bug", "slo-transactions",
+        "dr-seed"])
+def test_cli_applies_every_flag_or_rejects_it(argv, status, expected,
+                                              tmp_path, capsys):
+    """A flag the chosen tier cannot take is a usage error, never dropped.
+
+    Accepted flags must reach the config; flags left unset must leave the
+    tier's own defaults in force.
+    """
+    from repro.check.__main__ import main
+
+    report = tmp_path / "report.json"
+    try:
+        code = main(argv + ["--quiet", "--out-dir", str(tmp_path / "repros"),
+                            "--json", str(report)])
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == status
+    if status == 2:
+        assert expected in capsys.readouterr().err
+        assert not report.exists()
+    else:
+        config = json.loads(report.read_text())["config"]
+        assert {name: config[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("config_class, foreign", [
+    (CheckConfig, "fleet"),
+    (FleetCheckConfig, "chain"),
+    (DrCheckConfig, "fleet"),
+    (SloCheckConfig, "fleet"),
+], ids=["check", "fleet", "dr", "slo"])
+def test_config_round_trips(config_class, foreign):
+    config = config_class(seed=3)
+    rebuilt = config_from_dict(json.loads(json.dumps(config.as_dict())))
+    assert type(rebuilt) is config_class
+    assert rebuilt.as_dict() == config.as_dict()
+    with pytest.raises(ValueError):
+        config_class(scenario=foreign)
+
+
+@pytest.mark.parametrize("config_class", [
+    CheckConfig, FleetCheckConfig, DrCheckConfig, SloCheckConfig,
+], ids=["check", "fleet", "dr", "slo"])
+def test_config_times_serialize_as_floats(config_class):
+    payload = config_class(duration_ns=1_000_000, grace_ns=400_000).as_dict()
+    assert payload["duration_ns"] == 1_000_000.0
+    assert isinstance(payload["duration_ns"], float)
+    if config_class is not CheckConfig:
+        # The fleet tiers coerce every time knob, the chain tier only the
+        # run length.
+        assert isinstance(payload["grace_ns"], float)
 
 
 def test_invalid_scenario_rejected():

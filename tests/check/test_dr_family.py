@@ -13,27 +13,16 @@ reproducer to the same verdict, flipping to a pass once the bug is
 
 import json
 
-import pytest
-
 from repro.check import (
     DR_FAMILIES,
     DrCheckConfig,
     enumerate_dr_schedules,
     probe_dr_candidates,
     replay_reproducer,
-    run_dr_check,
-    run_dr_schedule,
+    run_check,
+    run_schedule,
     shrink_schedule,
 )
-
-
-def test_dr_config_round_trips():
-    config = DrCheckConfig(seed=3, nodes=1, drop_segment=True)
-    rebuilt = DrCheckConfig.from_dict(config.as_dict())
-    assert rebuilt.as_dict() == config.as_dict()
-    assert rebuilt.scenario == "dr"
-    with pytest.raises(ValueError):
-        DrCheckConfig.from_dict({"scenario": "fleet"})
 
 
 def test_probe_brackets_the_archiver_events():
@@ -76,7 +65,7 @@ def test_correct_protocol_passes_each_family():
         by_family.setdefault(schedule.family, schedule)
     assert set(by_family) == set(DR_FAMILIES)
     for family, schedule in sorted(by_family.items()):
-        outcome = run_dr_schedule(config, schedule)
+        outcome = run_schedule(config, schedule)
         assert outcome.ok, (
             f"{family} failed under the correct protocol: "
             f"{outcome.flat_violations()[:3]}"
@@ -85,8 +74,8 @@ def test_correct_protocol_passes_each_family():
 
 def test_seeded_dropped_segment_is_caught_named_and_shrunk(tmp_path):
     config = DrCheckConfig(nodes=1, drop_segment=True)
-    report = run_dr_check(config, budget=6, out_dir=tmp_path,
-                          max_reproducers=1)
+    report = run_check(config, budget=6, out_dir=tmp_path,
+                       max_reproducers=1)
     assert not report.ok, "the seeded dropped-segment bug went undetected"
     assert report.reproducers, "no reproducer was produced"
 
@@ -122,9 +111,9 @@ def test_shrinker_strips_irrelevant_grid_faults():
     schedules = enumerate_dr_schedules(config, probe_dr_candidates(config))
     faulted = next(s for s in schedules
                    if s.family == "dr-archive-lag" and len(s.plan) == 2)
-    assert not run_dr_schedule(config, faulted).ok
+    assert not run_schedule(config, faulted).ok
     minimal, trials = shrink_schedule(
-        faulted, lambda trial: not run_dr_schedule(config, trial).ok
+        faulted, lambda trial: not run_schedule(config, trial).ok
     )
     assert len(minimal.plan) == 0
     assert len(minimal.plan.excluded) == 2
@@ -134,8 +123,8 @@ def test_shrinker_strips_irrelevant_grid_faults():
 def test_fixed_bug_reproducer_passes_on_replay(tmp_path):
     """A reproducer dumped under the bug passes once the bug is gone."""
     buggy = DrCheckConfig(nodes=1, drop_segment=True)
-    report = run_dr_check(buggy, budget=3, out_dir=tmp_path,
-                          max_reproducers=1)
+    report = run_check(buggy, budget=3, out_dir=tmp_path,
+                       max_reproducers=1)
     assert report.reproducers
     path = report.reproducers[0]["path"]
 

@@ -12,26 +12,15 @@ reproducer to the same verdict.
 
 import json
 
-import pytest
-
 from repro.check import (
     FleetCheckConfig,
     enumerate_fleet_schedules,
     probe_fleet_candidates,
     replay_reproducer,
-    run_fleet_check,
-    run_fleet_schedule,
+    run_check,
+    run_schedule,
     shrink_schedule,
 )
-
-
-def test_fleet_config_round_trips():
-    config = FleetCheckConfig(seed=3, nodes=2, early_cutover=True)
-    rebuilt = FleetCheckConfig.from_dict(config.as_dict())
-    assert rebuilt.as_dict() == config.as_dict()
-    assert rebuilt.scenario == "fleet"
-    with pytest.raises(ValueError):
-        FleetCheckConfig.from_dict({"scenario": "chain"})
 
 
 def test_probe_brackets_the_migration_phases():
@@ -65,7 +54,7 @@ def test_correct_protocol_passes_each_family():
     for schedule in schedules:
         by_family.setdefault(schedule.family, schedule)
     for family, schedule in sorted(by_family.items()):
-        outcome = run_fleet_schedule(config, schedule)
+        outcome = run_schedule(config, schedule)
         assert outcome.ok, (
             f"{family} failed under the correct protocol: "
             f"{outcome.flat_violations()[:3]}"
@@ -74,7 +63,7 @@ def test_correct_protocol_passes_each_family():
 
 def test_seeded_cutover_bug_is_caught_named_and_shrunk(tmp_path):
     config = FleetCheckConfig(early_cutover=True)
-    report = run_fleet_check(config, budget=8, out_dir=tmp_path)
+    report = run_check(config, budget=8, out_dir=tmp_path)
     assert not report.ok, "the seeded early-cutover bug went undetected"
     assert report.reproducers, "no reproducer was produced"
 
@@ -109,9 +98,9 @@ def test_shrinker_strips_irrelevant_fleet_faults():
     )
     faulted = next(s for s in schedules
                    if s.family == "fleet-partition" and len(s.plan) == 2)
-    assert not run_fleet_schedule(config, faulted).ok
+    assert not run_schedule(config, faulted).ok
     minimal, trials = shrink_schedule(
-        faulted, lambda trial: not run_fleet_schedule(config, trial).ok
+        faulted, lambda trial: not run_schedule(config, trial).ok
     )
     assert len(minimal.plan) == 0
     assert len(minimal.plan.excluded) == 2
@@ -121,8 +110,8 @@ def test_shrinker_strips_irrelevant_fleet_faults():
 def test_fixed_bug_reproducer_passes_on_replay(tmp_path):
     """A reproducer dumped under the bug passes once the bug is gone."""
     buggy = FleetCheckConfig(early_cutover=True)
-    report = run_fleet_check(buggy, budget=4, out_dir=tmp_path,
-                             max_reproducers=1)
+    report = run_check(buggy, budget=4, out_dir=tmp_path,
+                       max_reproducers=1)
     assert report.reproducers
     path = report.reproducers[0]["path"]
 

@@ -16,28 +16,16 @@ reproducer to the same verdict, flipping to a pass once the bug is
 
 import json
 
-import pytest
-
 from repro.check import (
     SLO_FAMILIES,
     SloCheckConfig,
     enumerate_slo_schedules,
     probe_slo_candidates,
     replay_reproducer,
-    run_slo_check,
-    run_slo_schedule,
+    run_check,
+    run_schedule,
     shrink_schedule,
 )
-
-
-def test_slo_config_round_trips():
-    config = SloCheckConfig(seed=3, shards_per_node=2,
-                            seed_shed_acked_bug=True)
-    rebuilt = SloCheckConfig.from_dict(config.as_dict())
-    assert rebuilt.as_dict() == config.as_dict()
-    assert rebuilt.scenario == "slo"
-    with pytest.raises(ValueError):
-        SloCheckConfig.from_dict({"scenario": "fleet"})
 
 
 def test_probe_brackets_the_controller_ladder():
@@ -95,7 +83,7 @@ def test_correct_controller_passes_each_family():
             by_family[schedule.family] = schedule
     assert set(by_family) == set(SLO_FAMILIES)
     for family, schedule in sorted(by_family.items()):
-        outcome = run_slo_schedule(config, schedule)
+        outcome = run_schedule(config, schedule)
         assert outcome.ok, (
             f"{family} failed under the correct controller: "
             f"{outcome.flat_violations()[:3]}"
@@ -106,8 +94,8 @@ def test_correct_controller_passes_each_family():
 
 def test_seeded_shed_acked_is_caught_named_and_shrunk(tmp_path):
     config = SloCheckConfig(seed_shed_acked_bug=True)
-    report = run_slo_check(config, budget=8, out_dir=tmp_path,
-                           max_reproducers=1)
+    report = run_check(config, budget=8, out_dir=tmp_path,
+                       max_reproducers=1)
     assert not report.ok, "the seeded shed-acked bug went undetected"
     assert report.reproducers, "no reproducer was produced"
 
@@ -144,9 +132,9 @@ def test_shrinker_strips_irrelevant_chain_faults():
                                         probe_slo_candidates(config))
     faulted = next(s for s in schedules
                    if s.family == "slo-adaptation" and len(s.plan) == 2)
-    assert not run_slo_schedule(config, faulted).ok
+    assert not run_schedule(config, faulted).ok
     minimal, trials = shrink_schedule(
-        faulted, lambda trial: not run_slo_schedule(config, trial).ok
+        faulted, lambda trial: not run_schedule(config, trial).ok
     )
     assert len(minimal.plan) == 0
     assert len(minimal.plan.excluded) == 2
@@ -156,8 +144,8 @@ def test_shrinker_strips_irrelevant_chain_faults():
 def test_fixed_bug_reproducer_passes_on_replay(tmp_path):
     """A reproducer dumped under the bug passes once the bug is gone."""
     buggy = SloCheckConfig(seed_shed_acked_bug=True)
-    report = run_slo_check(buggy, budget=4, out_dir=tmp_path,
-                           max_reproducers=1)
+    report = run_check(buggy, budget=4, out_dir=tmp_path,
+                       max_reproducers=1)
     assert report.reproducers
     path = report.reproducers[0]["path"]
 

@@ -66,7 +66,7 @@ def writer(engine, fleet, shard_id, model, acked, seed, txns=TXNS):
 def migrate_later(engine, fleet, shard_id, dest, box, **kw):
     yield engine.timeout(MIGRATE_AT_NS)
     box["migration"] = fleet.migrate(shard_id, dest, **kw)
-    yield box["migration"]._process
+    yield box["migration"].process
 
 
 def run_migration_scenario(seed=11, **migration_kw):
