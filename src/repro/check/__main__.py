@@ -50,8 +50,9 @@ def build_parser():
     parser.add_argument("--nodes", type=int, default=None,
                         help="fleet size (fleet, dr, slo)")
     parser.add_argument("--seeded-bug", action="store_true", default=None,
-                        help="arm the tier's seeded mutation (fleet, dr, "
-                             "slo) to prove the checker catches it")
+                        help="arm the tier's seeded mutation (fleet: early "
+                             "cutover; dr: dropped segment; slo: shed acked "
+                             "commits) and expect failures")
     parser.add_argument("--transactions", type=int, default=None,
                         help="workload transactions (per shard on the "
                              "fleet tiers)")

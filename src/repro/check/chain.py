@@ -100,10 +100,8 @@ class CheckConfig:
             raise ValueError("a chain scenario needs at least one secondary")
         if self.supervised and self.scenario != "chain":
             raise ValueError("supervised checking needs the chain scenario")
-        if self.scenario != "chain":
-            self.secondaries = 0
-        if self.scenario != "multiwriter":
-            self.writers = 1
+        self.secondaries = self.secondaries if self.scenario == "chain" else 0
+        self.writers = self.writers if self.scenario == "multiwriter" else 1
         self.duration_ns = float(self.duration_ns)
 
 

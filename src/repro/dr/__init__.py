@@ -15,9 +15,10 @@ alive through *total fleet loss*.  Three pieces:
   snapshot + segment replay, including point-in-time recovery to any
   committed transaction boundary.
 
-Verified by ``python -m repro.check --dr`` (restore-after-total-loss and
-archive-lag schedule families with a PITR oracle against the
-ReferenceModel) and measured by ``python -m repro.bench dr``.
+Verified by ``python -m repro.check --scenario dr``
+(restore-after-total-loss and archive-lag schedule families with a PITR
+oracle against the ReferenceModel) and measured by
+``python -m repro.bench dr``.
 See RECOVERY.md for the design.
 """
 

@@ -189,9 +189,9 @@ class Archiver:
     PITR headroom below the snapshot boundary.
 
     ``drop_segment_seqs`` seeds the archiver bug the mutation tests
-    prove the ``--dr`` checker catches: listed segment seqs are sealed,
-    recorded in the manifest, and counted as archived — but never
-    uploaded.
+    prove the ``dr`` checker tier catches: listed segment seqs are
+    sealed, recorded in the manifest, and counted as archived — but
+    never uploaded.
     """
 
     def __init__(self, engine, node, device, database, grid,

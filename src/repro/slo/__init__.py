@@ -13,7 +13,7 @@ ROADMAP item 4's closed loop.  The pieces:
 
 Driven by the diurnal traffic model in :mod:`repro.workloads.diurnal`,
 benchmarked by ``python -m repro.bench slo``, and checked by
-``python -m repro.check --slo``.  See SLO.md for the full tour.
+``python -m repro.check --scenario slo``.  See SLO.md for the full tour.
 """
 
 from repro.slo.controller import MAX_LEVEL, SloController

@@ -38,7 +38,7 @@ passes), so the WAL's durability state must be *identical* before and
 after each one: the fence fingerprints ``durable_lsn``, the pending
 record count/bytes, and the waiter LSN order around every rung
 transition, and any difference is recorded in
-``invariant_violations`` — which the ``--slo`` checker treats as a
+``invariant_violations`` — which the ``slo`` checker tier treats as a
 protocol violation.  (``seed_shed_acked_bug`` deliberately breaks the
 contract *outside* the fenced window — acking commit waiters without
 durability on a rung-3 shed — so the end-to-end crash-recovery oracles,
@@ -403,7 +403,7 @@ class SloController:
     # -- the seeded bug -------------------------------------------------------------
 
     def _seeded_shed_acked(self, node):
-        """Deliberate protocol violation for the ``--slo`` checker.
+        """Deliberate protocol violation for the ``slo`` checker tier.
 
         On a rung-3 shed, acknowledge every commit waiter immediately and
         drop the records still pending — acks without durability.  The
