@@ -45,8 +45,10 @@ def build_parser():
     parser.add_argument("--secondaries", type=int, default=None,
                         help="chain length behind the primary (chain)")
     parser.add_argument("--supervised", action="store_true", default=None,
-                        help="attach chain supervisors; every "
-                             "reconfiguration is theirs (chain, fleet)")
+                        help="attach chain supervisors and disable the "
+                             "injector's auto-splice: every reconfiguration "
+                             "is the control plane's (chain, fleet; adds "
+                             "the supervised-failover family on chain)")
     parser.add_argument("--nodes", type=int, default=None,
                         help="fleet size (fleet, dr, slo)")
     parser.add_argument("--seeded-bug", action="store_true", default=None,

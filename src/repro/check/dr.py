@@ -43,7 +43,6 @@ from repro.check.harness import (
     FLEET_HEAVY_STRIDE,
     crash_fleet,
     inject_node_faults,
-    shard_stats,
     start_fleet,
     start_writers,
 )
@@ -209,7 +208,7 @@ def execute_dr_schedule(config, schedule, violations, stats):
                                       table)
         )
 
-    stats.update(shard_stats(crash))
+    stats.update(crash.stats)
     stats.update({
         "archived_prefixes": archived_prefixes,
         "reserve_energy_ok": all(

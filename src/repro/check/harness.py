@@ -184,7 +184,8 @@ def crash_fleet(run):
     The tier stops its control plane first: nothing may react to the
     power loss.  Models are deep-copied at crash time because page
     collection steps the engine and surviving writers could record
-    post-crash acks the pre-crash client never saw.
+    post-crash acks the pre-crash client never saw.  ``stats`` holds the
+    commit counts and shard owners every fleet tier reports.
     """
     reports = {
         name: node.cluster.primary.crash()
@@ -198,19 +199,17 @@ def crash_fleet(run):
         shard_id: shard.node.name
         for shard_id, shard in run.fleet.shards.items()
     }
-    return SimpleNamespace(reports=reports, models=models, owners=owners)
-
-
-def shard_stats(crash):
-    return {
+    stats = {
         "commits_submitted": sum(
-            model.total_committed() for model in crash.models.values()
+            model.total_committed() for model in models.values()
         ),
         "commits_acked": sum(
-            model.total_acked() for model in crash.models.values()
+            model.total_acked() for model in models.values()
         ),
-        "owners": crash.owners,
+        "owners": owners,
     }
+    return SimpleNamespace(reports=reports, models=models, owners=owners,
+                           stats=stats)
 
 
 def judge_shards(run, crash, violations, stats, migrated=None,
@@ -271,7 +270,7 @@ def judge_shards(run, crash, violations, stats, migrated=None,
                         shard_id, owner, range(model.total_acked()), seqs
                     )
                 )
-    stats.update(shard_stats(crash))
+    stats.update(crash.stats)
     stats["durable_commits"] = {
         name: len(ids) for name, ids in durable_ids.items()
     }
