@@ -17,7 +17,14 @@ through the log control interface; the secondary-side read path
 (:func:`repro.host.api.x_pread`) uses them.
 """
 
+from repro.sim.engine import Event
 from repro.ssd.scheduler import Source, WriteRequest
+
+# Minimum wait quantum: floating-point clocks cannot represent arbitrarily
+# small remainders near large timestamps, so a naive
+# `timeout(threshold - waited)` can round to a zero-advance event and spin.
+# One nanosecond is far below anything we measure.
+MIN_WAIT_NS = 1.0
 
 
 class DestagePage:
@@ -80,8 +87,24 @@ class DestageModule:
         # Tracing: open page-program spans keyed by sequence.
         self._trace_tokens = {}
         self._running = False
-        self._kick = engine.event()
-        cmb.watch_credit(lambda _value: self._wake())
+        # The change-driven loop (see ``_evaluate``).  Each start opens a
+        # generation; an issue completing under an older one is ignored,
+        # so a stop followed by a restart at one instant never leaves the
+        # old loop issuing beside the new one.
+        self._generation = 0
+        # Hops from a wake to the next evaluation: 1 while waiting for news
+        # alone, 2 while a partial page waits (the kick, then the race it
+        # wins against the deadline), 0 while no wake is listened for.
+        self._listening = 0
+        self._hop = None  # the pending immediate event toward an evaluation
+        self._waiting_since = None  # when the waiting partial page started
+        # The partial page's deadline timer, armed once: its float instant,
+        # and — while it stands in for a timer re-armed later for the same
+        # instant — the sequence mark where that re-arm would have been.
+        self._expiry = None
+        self._expiry_when = None
+        self._expiry_mark = None
+        cmb.watch_credit(self._wake)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -89,59 +112,118 @@ class DestageModule:
         if self._running:
             raise RuntimeError("destage module already started")
         self._running = True
-        return self.engine.process(self._loop(), name=f"{self.name}-loop")
+        self._generation += 1
+        self._waiting_since = None
+        self._hop_to(self._evaluate)
 
     def stop(self):
         self._running = False
-        self._wake()
+        self._generation += 1
+        self._listening = 0
+        if self._hop is not None:
+            self._hop.cancel()
+            self._hop = None
+        self._disarm()
 
-    def _wake(self):
-        if not self._kick.triggered:
-            self._kick.succeed()
+    def _wake(self, _value=None):
+        """News: the credit advanced or a page program completed."""
+        hops = self._listening
+        if hops:
+            self._listening = 0
+            self._hop_to(self._evaluate if hops == 1 else self._second_hop)
+
+    def _hop_to(self, callback):
+        """Run ``callback`` one immediate-queue hop from now."""
+        hop = self._hop = Event(self.engine)
+        hop.callbacks.append(callback)
+        hop.succeed()
+
+    def _second_hop(self, _event):
+        self._hop_to(self._evaluate)
 
     # -- the destage loop -----------------------------------------------------------
 
-    def _loop(self):
-        # Minimum wait quantum: floating-point clocks cannot represent
-        # arbitrarily small remainders near large timestamps, so a naive
-        # `timeout(threshold - waited)` can round to a zero-advance event
-        # and spin.  One nanosecond is far below anything we measure.
-        min_wait = 1.0
-        waiting_since = None
-        while self._running:
-            if self._outstanding >= self.max_outstanding_pages:
-                yield self._next_kick()
-                continue
-            available = self.cmb.ring.consumable_bytes()
-            if available >= self.page_bytes:
-                yield self.engine.process(self._issue_page())
-                waiting_since = None
-                continue
-            if available > 0:
-                if waiting_since is None:
-                    waiting_since = self.engine.now
-                deadline = waiting_since + self.latency_threshold_ns
-                if self.engine.now >= deadline - min_wait:
-                    # Partial page with filler to bound latency.
-                    yield self.engine.process(self._issue_page())
-                    waiting_since = None
-                    continue
-                # Wait for either more data or the threshold to expire; the
-                # losing timer is cancelled so repeated kicks do not pile
-                # dead timeout entries onto the heap.
-                remaining = max(deadline - self.engine.now, min_wait)
-                kick = self._next_kick()
-                expiry = self.engine.timeout(remaining)
-                yield self.engine.any_of([kick, expiry])
-                expiry.cancel()
-                continue
-            waiting_since = None
-            yield self._next_kick()
+    def _evaluate(self, _event=None):
+        """One pass of the destage loop: issue a page or wait for news.
 
-    def _next_kick(self):
-        if self._kick.triggered:
-            self._kick = self.engine.event()
-        return self._kick
+        The loop waits for news on a kick and, while a partial page waits,
+        on the race between a kick and its deadline.  It evaluates one hop
+        after a kick that found it waiting for news alone, two hops after
+        one that found a partial page waiting (the hop at which the race
+        would resume it), and one hop after the deadline fires.  Every
+        wake gets that evaluation; one that cannot complete a page costs
+        no timer and no process resume, only the two hop events.  The
+        deadline timer is armed once per partial page and kept while a
+        re-arm would land on the same float instant; a same-instant tie
+        with other timers then resolves as the re-armed one would have
+        (``Engine.defer_to_mark``).
+        """
+        self._hop = None
+        self._listening = 0
+        if self._outstanding >= self.max_outstanding_pages:
+            self._disarm()
+            self._listening = 1
+            return
+        available = self.cmb.ring.consumable_bytes()
+        if 0 < available < self.page_bytes:
+            now = self.engine.now
+            if self._waiting_since is None:
+                self._waiting_since = now
+            deadline = self._waiting_since + self.latency_threshold_ns
+            if now < deadline - MIN_WAIT_NS:
+                self._arm(max(deadline - now, MIN_WAIT_NS))
+                self._listening = 2
+                return
+        elif available == 0:
+            self._waiting_since = None
+            self._disarm()
+            self._listening = 1
+            return
+        # A full page, or a partial one past its deadline (padded).
+        self._disarm()
+        self._waiting_since = None
+        generation = self._generation
+        self.engine.process(self._issue_page()).then(
+            lambda event: self._issued(event, generation))
+
+    def _issued(self, event, generation):
+        event.value  # re-raise a failed issue
+        if generation == self._generation:
+            self._evaluate()
+
+    def _arm(self, remaining):
+        """Wait for the deadline ``remaining`` ns from now."""
+        when = self.engine.now + remaining
+        if self._expiry is not None and when == self._expiry_when:
+            self._expiry_mark = self.engine.mark()
+            return
+        self._disarm()
+        expiry = self._expiry = self.engine.timeout(remaining)
+        expiry.then(self._on_expiry)
+        self._expiry_when = when
+        self._expiry_mark = None
+
+    def _disarm(self):
+        if self._expiry is not None:
+            self._expiry.cancel()
+            self._expiry = None
+
+    def _on_expiry(self, expiry):
+        if self._expiry_mark is None:
+            self._expired(expiry)
+        else:
+            self.engine.defer_to_mark(self._expiry_mark,
+                                      lambda: self._expired(expiry))
+
+    def _expired(self, expiry):
+        """The deadline won the race: evaluate one hop from now."""
+        if expiry is not self._expiry:
+            return  # stopped while a same-instant tie was resolving
+        self._expiry = None
+        if self._hop is not None:
+            self._hop.cancel()  # a kick earlier in this instant lost the race
+        self._listening = 0
+        self._hop_to(self._evaluate)
 
     def _issue_page(self):
         """Bundle the ring's head into one page and launch its program.

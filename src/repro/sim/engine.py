@@ -614,6 +614,32 @@ class Engine:
                 break
         return firing
 
+    def defer_to_mark(self, mark, callback):
+        """Run ``callback()`` where a timer armed at ``mark`` would fire.
+
+        For a timer kept armed in place of one the model would have
+        re-armed at ``mark`` for the same instant: call it from the kept
+        timer's callback.  Live timers still due at this instant with a
+        sequence number below ``mark`` fire first — the callback rides on
+        the last of them, after its own callbacks — so the callback runs
+        exactly where the re-armed timer would have.  Like
+        :meth:`firing_timer`, meant for rare same-instant ties.
+        """
+        batch = self._batch
+        now = self._now
+        for index in range(self._batch_pos, len(batch)):
+            entry = batch[index]
+            if entry[0] != now:
+                break
+            event = entry[2]
+            if not event._processed and not event._cancelled:
+                if entry[1] < mark:
+                    event.then(
+                        lambda _event: self.defer_to_mark(mark, callback))
+                    return
+                break
+        callback()
+
     def process(self, generator, name=None):
         """Start ``generator`` as a process; returns its completion event."""
         return Process(self, generator, name)

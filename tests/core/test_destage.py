@@ -133,3 +133,26 @@ def test_destage_all_now_flushes_contiguous_prefix():
     # component responsible for declaring it lost.
     assert cmb.ring.has_gap
     assert cmb.ring.drop_pending() == 1
+
+
+def test_same_instant_restart_leaves_one_loop():
+    # Device.halt() then restart() at one instant: the old loop must exit
+    # instead of evaluating beside the new one.  Two loops would both see
+    # the page's worth that the third chunk completes and both issue: the
+    # second issue would pad the chunk left over behind the first page at
+    # once instead of letting it wait for the threshold.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e9)
+    chunk = 3 * PAGE // 8
+
+    def restart():
+        yield engine.timeout(1_000.0)
+        destage.stop()
+        destage.start()
+        feed(engine, cmb, 3 * chunk, chunk=chunk)
+
+    engine.process(restart())
+    engine.run(until=5_000_000.0)
+    assert destage.tail_sequence == 1
+    assert destage.pages_written == 1
+    assert destage.destaged_offset == 2 * chunk
+    assert cmb.ring.consumable_bytes() == chunk

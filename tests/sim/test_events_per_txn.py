@@ -2,12 +2,14 @@
 
 Wall-clock throughput is noisy; the number of generator resumes the
 engine performs per acknowledged operation is not.  These cells count
-``Process._resume`` calls by wrapping the method inside the test only
-(the engine's hot path carries no counter) and pin ceilings about 10%
-above the counts measured when the counter reporters and the CMB intake
-became change-driven.  A loop that wakes without news — a reporter
-ticking through idle periods, a per-chunk intake process — pushes a cell
-over its ceiling deterministically.
+``Process._resume`` calls (and, for the standalone group-commit cell,
+timers created) by wrapping the engine inside the test only (the hot path
+carries no counter) and pin ceilings about 10% above the counts measured
+when the counter reporters, the CMB intake and the destage loop became
+change-driven.  A loop that wakes without news — a reporter ticking
+through idle periods, a per-chunk intake process, a destage loop re-arming
+its deadline on every credit advance — pushes a cell over its ceiling
+deterministically.
 """
 
 import random
@@ -17,15 +19,20 @@ import pytest
 from repro.cluster import Fleet, run_shard_body
 from repro.cluster.topology import replicated_chain
 from repro.faults.scenario import chaos_config_factory
-from repro.sim import Engine, Process
+from repro.sim import Engine, Process, Timeout
 
-from tests.conftest import cluster_config_factory
+from tests.conftest import build_logging_device, cluster_config_factory
 
-# Resumes per acknowledged operation at seed 7, measured: chain 184.6
+# Resumes per acknowledged operation at seed 7, measured: chain 155.7
 # (825.5 with a reporter that ticked every period and a process per
-# intake chunk), fleet 33.5 (88.8).  Ceilings sit about 10% above.
-CHAIN_CEILING = 203.0
-FLEET_CEILING = 37.0
+# intake chunk, 184.6 with a destage loop resumed on every credit
+# advance), fleet 29.5 (88.8, then 33.5), standalone group commit 11.0
+# (14.2) with 15.9 timers created per commit (18.9).  Ceilings sit about
+# 10% above.
+CHAIN_CEILING = 171.0
+FLEET_CEILING = 32.5
+GROUP_COMMIT_CEILING = 12.0
+GROUP_COMMIT_TIMEOUT_CEILING = 17.5
 
 
 @pytest.fixture
@@ -40,6 +47,56 @@ def resumes(monkeypatch):
 
     monkeypatch.setattr(Process, "_resume", counting_resume)
     return counted
+
+
+@pytest.fixture
+def timeouts(monkeypatch):
+    """Count every timer created: ``engine.timeout`` and ``Timeout(...)``."""
+    counted = {"timeouts": 0}
+    install = Engine._install_timeout_fast_path
+    construct = Timeout.__init__
+
+    def counting_install(self):
+        install(self)
+        timeout = self.timeout
+
+        def counting_timeout(delay, value=None):
+            counted["timeouts"] += 1
+            return timeout(delay, value)
+
+        self.timeout = counting_timeout
+
+    def counting_construct(self, *args, **kwargs):
+        counted["timeouts"] += 1
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "_install_timeout_fast_path",
+                        counting_install)
+    monkeypatch.setattr(Timeout, "__init__", counting_construct)
+    return counted
+
+
+def group_commit_txns(seed, clients=4, txns=30):
+    """Closed-loop kv writers group-committing to one standalone SRAM device."""
+    engine, _device, database = build_logging_device(
+        group_commit_bytes=1024, group_commit_timeout_ns=5_000.0)
+    rng = random.Random(seed)
+    committed = []
+
+    def client(client_id):
+        for index in range(txns):
+            yield engine.timeout(rng.uniform(200.0, 2_000.0))
+            txn = database.begin()
+            txn.write("kv", f"k{client_id}-{index % 8}",
+                      "v" * rng.randrange(16, 200))
+            yield txn.commit_async()
+            committed.append(index)
+
+    for client_id in range(clients):
+        engine.process(client(client_id))
+    engine.run(until=5_000_000.0)
+    assert len(committed) == clients * txns
+    return len(committed)
 
 
 def chain_appends(seed, appends=40):
@@ -102,3 +159,8 @@ def test_fleet_resumes_per_commit(resumes):
     ops = fleet_commits(seed=7)
     assert resumes["resumes"] / ops <= FLEET_CEILING
 
+
+def test_group_commit_events_per_commit(resumes, timeouts):
+    ops = group_commit_txns(seed=7)
+    assert resumes["resumes"] / ops <= GROUP_COMMIT_CEILING
+    assert timeouts["timeouts"] / ops <= GROUP_COMMIT_TIMEOUT_CEILING
