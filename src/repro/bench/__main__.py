@@ -18,22 +18,27 @@ Usage::
     python -m repro.bench slo [--tenants 12] [--target-p99-us 150] [--seed 7]
     python -m repro.bench trace [--scenario chain|fig09|chaos] [--out t.json]
 
-Every subcommand accepts ``--jobs N`` (fan the figure's independent cells
-over N worker processes; 0 = one per core) and ``--json PATH`` (also write
-the structured rows as JSON, e.g. ``BENCH_fig09.json``).  Figure and chaos
-subcommands also accept ``--trace PATH``, which captures a Perfetto-loadable
-Chrome trace of the whole run (serial execution is forced, since pool
-workers' engines live out of the tracer's reach).  Figure-specific flags
-live on their own subparser, so a flag that a figure does not understand is
-an error instead of being silently ignored.
+Subcommands whose runner fans independent cells out (``fig09``…``fig13``,
+``all``, ``fleet``, ``dr``, ``slo``) accept ``--jobs N`` (N worker
+processes; 0 = one per core).  All but ``trace`` accept ``--json PATH``
+(also write the structured rows as JSON, e.g. ``BENCH_fig09.json``) and
+``--trace PATH``, which captures a Perfetto-loadable Chrome trace of the
+whole run (serial execution is forced, since pool workers' engines live
+out of the tracer's reach).  Each subcommand's flags map straight onto its
+runner's keyword arguments, so a flag it does not understand is an error
+instead of being silently ignored, and an unset flag leaves the runner's
+own default in force.
 
 Prints the same tables the pytest benchmarks print, without requiring
 pytest — handy for quick sweeps with custom parameters.
 """
 
 import argparse
+import inspect
 import json
 import sys
+from collections import namedtuple
+from functools import partial
 
 from repro.bench import (
     format_series,
@@ -51,19 +56,27 @@ from repro.bench import (
     run_nand_bench,
     run_slo_bench,
 )
+from repro.bench.trace_cmd import SCENARIOS as TRACE_SCENARIOS, run_trace
+from repro.health.scenarios import run_failover_scenario, run_overload_scenario
 from repro.sim.units import KIB
 
+ORACLE_COLUMNS = (
+    ("oracle", "oracle", ""),
+    ("verdict", "verdict", ""),
+    ("violations", "violations", "d"),
+    ("detail", "detail", ""),
+)
 
-def _jobs(args):
-    return getattr(args, "jobs", None)
+
+def _table(title, *columns):
+    """A renderer that prints the rows as one table and returns them."""
+    def show(rows):
+        print(format_table(rows, columns, title=title))
+        return rows
+    return show
 
 
-def _fig09(args):
-    rows = run_fig09(
-        worker_counts=tuple(getattr(args, "workers", None) or (1, 2, 4, 8)),
-        transactions_per_worker=getattr(args, "txns", 150),
-        jobs=_jobs(args),
-    )
+def _show_fig09(rows):
     print(format_table(rows, (
         ("setup", "setup", ""),
         ("workers", "workers", "d"),
@@ -77,88 +90,53 @@ def _fig09(args):
     return rows
 
 
-def _fig10(args):
-    rows = run_fig10(
-        total_bytes=getattr(args, "total_kib", 256) * KIB,
-        jobs=_jobs(args),
-    )
-    print(format_table(rows, (
-        ("backing", "backing", ""),
-        ("policy", "policy", ""),
-        ("write_bytes", "write [B]", "d"),
-        ("throughput_bytes_per_ns", "throughput [GB/s]", ".3f"),
-        ("normalized", "normalized", ".3f"),
-    ), title="Fig. 10 — write combining"))
-    return rows
+_show_fig10 = _table(
+    "Fig. 10 — write combining",
+    ("backing", "backing", ""),
+    ("policy", "policy", ""),
+    ("write_bytes", "write [B]", "d"),
+    ("throughput_bytes_per_ns", "throughput [GB/s]", ".3f"),
+    ("normalized", "normalized", ".3f"),
+)
+
+_show_fig11 = _table(
+    "Fig. 11 — group commit x queue size",
+    ("queue_kib", "queue [KiB]", "d"),
+    ("group_kib", "group [KiB]", "d"),
+    ("mean_latency_us", "latency [us]", ".1f"),
+    ("throughput_mb_per_s", "throughput [MB/s]", ".0f"),
+    ("credit_checks", "checks", "d"),
+)
+
+_show_fig12 = _table(
+    "Fig. 12 — opportunistic destaging",
+    ("mode", "mode", ""),
+    ("fast_offered_pct", "fast offered [%]", ".0f"),
+    ("conv_achieved_pct", "conv achieved [%]", ".1f"),
+    ("fast_achieved_pct", "fast achieved [%]", ".1f"),
+)
+
+_show_fig13 = _table(
+    "Fig. 13 — replication delay",
+    ("update_period_us", "period [us]", ".1f"),
+    ("latency_low_us", "low [us]", ".2f"),
+    ("latency_median_us", "median [us]", ".2f"),
+    ("latency_high_us", "high [us]", ".2f"),
+    ("latency_spread_us", "spread [us]", ".2f"),
+    ("bandwidth_pct", "bandwidth [%]", ".2f"),
+)
+
+_show_kernel = _table(
+    "Kernel microbenchmark — events/sec vs the seed engine",
+    ("workload", "workload", ""),
+    ("events", "events", "d"),
+    ("events_per_sec_m", "current [Mev/s]", ".3f"),
+    ("seed_events_per_sec_m", "seed [Mev/s]", ".3f"),
+    ("speedup_vs_seed", "speedup", ".2f"),
+)
 
 
-def _fig11(args):
-    rows = run_fig11(writes=getattr(args, "writes", 64), jobs=_jobs(args))
-    print(format_table(rows, (
-        ("queue_kib", "queue [KiB]", "d"),
-        ("group_kib", "group [KiB]", "d"),
-        ("mean_latency_us", "latency [us]", ".1f"),
-        ("throughput_mb_per_s", "throughput [MB/s]", ".0f"),
-        ("credit_checks", "checks", "d"),
-    ), title="Fig. 11 — group commit x queue size"))
-    return rows
-
-
-def _fig12(args):
-    rows = run_fig12(
-        duration_ns=getattr(args, "duration_ms", 40) * 1e6,
-        jobs=_jobs(args),
-        backend=getattr(args, "backend", "ideal"),
-    )
-    print(format_table(rows, (
-        ("mode", "mode", ""),
-        ("fast_offered_pct", "fast offered [%]", ".0f"),
-        ("conv_achieved_pct", "conv achieved [%]", ".1f"),
-        ("fast_achieved_pct", "fast achieved [%]", ".1f"),
-    ), title="Fig. 12 — opportunistic destaging"))
-    return rows
-
-
-def _fig13(args):
-    rows = run_fig13(
-        update_periods_us=tuple(
-            getattr(args, "periods", None) or (0.4, 0.8, 1.2, 1.6)
-        ),
-        writes=getattr(args, "writes", 200),
-        jobs=_jobs(args),
-    )
-    print(format_table(rows, (
-        ("update_period_us", "period [us]", ".1f"),
-        ("latency_low_us", "low [us]", ".2f"),
-        ("latency_median_us", "median [us]", ".2f"),
-        ("latency_high_us", "high [us]", ".2f"),
-        ("latency_spread_us", "spread [us]", ".2f"),
-        ("bandwidth_pct", "bandwidth [%]", ".2f"),
-    ), title="Fig. 13 — replication delay"))
-    return rows
-
-
-def _kernel(args):
-    rows = run_kernel_bench(
-        events=getattr(args, "events", 200_000),
-        repeat=getattr(args, "repeat", 3),
-    )
-    print(format_table(rows, (
-        ("workload", "workload", ""),
-        ("events", "events", "d"),
-        ("events_per_sec_m", "current [Mev/s]", ".3f"),
-        ("seed_events_per_sec_m", "seed [Mev/s]", ".3f"),
-        ("speedup_vs_seed", "speedup", ".2f"),
-    ), title="Kernel microbenchmark — events/sec vs the seed engine"))
-    return rows
-
-
-def _nand(args):
-    result = run_nand_bench(
-        reads=getattr(args, "reads", 96),
-        aged_reads=getattr(args, "aged_reads", 400),
-        pages=getattr(args, "pages", 32),
-    )
+def _show_nand(result):
     print(format_table(result["suspend"], (
         ("cell", "cell", ""),
         ("reads", "reads", "d"),
@@ -186,31 +164,15 @@ def _nand(args):
     return result
 
 
-def _chaos(args):
-    plan = None
-    if getattr(args, "faults", None):
-        plan = load_plan(args.faults)
-    result, rows = run_chaos_bench(
-        seed=getattr(args, "seed", 7),
-        secondaries=getattr(args, "secondaries", 2),
-        duration_ns=getattr(args, "duration_ms", 8.0) * 1e6,
-        plan=plan,
-        fault_events=getattr(args, "fault_events", 6),
-        transactions=getattr(args, "txns", 160),
-        collect_snapshots=True,
-    )
+def _show_chaos(outcome):
+    result, rows = outcome
     print(f"chaos run: seed={result['seed']} "
           f"chain={'->'.join(result['chain_order'])} "
           f"kinds={','.join(result['fault_kinds'])}")
     for entry in result["fault_log"]:
         print(f"  t={entry['time_ns'] / 1e6:7.3f} ms  "
               f"{entry['kind']:<20} {entry['site']:<12} {entry['detail']}")
-    print(format_table(rows, (
-        ("oracle", "oracle", ""),
-        ("verdict", "verdict", ""),
-        ("violations", "violations", "d"),
-        ("detail", "detail", ""),
-    ), title="Chaos oracles"))
+    print(format_table(rows, ORACLE_COLUMNS, title="Chaos oracles"))
     print(f"\ncommits acknowledged: {result['commits_acknowledged']}, "
           f"transactions recovered: {result['transactions_recovered']}, "
           f"ok: {result['ok']}")
@@ -250,77 +212,64 @@ def _health_oracle_rows(oracles):
     ]
 
 
-def _health(args):
-    from repro.health.scenarios import (
-        run_failover_scenario,
-        run_overload_scenario,
-    )
+HEALTH_SCENARIOS = {"failover": run_failover_scenario,
+                    "overload": run_overload_scenario}
 
-    which = getattr(args, "scenario", "all")
-    seed = getattr(args, "seed", 7)
-    results = []
-    if which in ("failover", "all"):
-        result = run_failover_scenario(seed=seed)
-        results.append(result)
-        print(f"failover: seed={result['seed']} victim={result['victim']} "
-              f"killed at {result['kill_at_ns'] / 1e6:.3f} ms; final chain "
-              f"{'->'.join(result['chain_order'])}")
-        for entry in result["events"]:
-            print(f"  t={entry['time_ns'] / 1e6:7.3f} ms  "
-                  f"{entry['action']:<15} {entry['site']:<12} "
-                  f"{entry['detail']}")
-        detection = result["detection_ns"]
-        loop = result["kill_to_resync_ns"]
-        print(f"  detection window: "
-              f"{'-' if detection is None else f'{detection:.0f}'} ns "
-              f"(bound {result['detect_within_ns']:.0f}); kill-to-resync: "
-              f"{'-' if loop is None else f'{loop:.0f}'} ns "
-              f"(bound {result['resync_within_ns']:.0f})")
-        print(format_table(_health_oracle_rows(result["oracles"]), (
-            ("oracle", "oracle", ""),
-            ("verdict", "verdict", ""),
-            ("violations", "violations", "d"),
-            ("detail", "detail", ""),
-        ), title="Failover convergence oracles"))
-        print()
-    if which in ("overload", "all"):
-        result = run_overload_scenario(seed=seed)
-        results.append(result)
-        print(f"overload: seed={result['seed']} writers={result['writers']} "
-              f"completed={result['writes_completed']} "
-              f"rejections={result['rejections']} "
-              f"({result['rejections_by_reason']})")
-        print(f"  backlog peaks: {result['backlog_peaks']}; chunks shed: "
-              f"{result['chunks_shed']}")
-        entered = result["brownout_entered_at_ns"]
-        exited = result["brownout_exited_at_ns"]
-        print(f"  brownout: enter at "
-              f"{'-' if entered is None else f'{entered / 1e6:.3f} ms'}, "
-              f"exit at "
-              f"{'-' if exited is None else f'{exited / 1e6:.3f} ms'}; "
-              f"final policy {result['final_policy']}")
-        print(format_table(_health_oracle_rows(result["oracles"]), (
-            ("oracle", "oracle", ""),
-            ("verdict", "verdict", ""),
-            ("violations", "violations", "d"),
-            ("detail", "detail", ""),
-        ), title="Overload protection oracles"))
+
+def _health(scenario="all", **kwargs):
+    """Run the failover and/or overload scenario; ``kwargs`` (the seed)
+    reach each scenario runner unchanged."""
+    return [runner(**kwargs) for name, runner in HEALTH_SCENARIOS.items()
+            if scenario in (name, "all")]
+
+
+def _show_failover(result):
+    print(f"failover: seed={result['seed']} victim={result['victim']} "
+          f"killed at {result['kill_at_ns'] / 1e6:.3f} ms; final chain "
+          f"{'->'.join(result['chain_order'])}")
+    for entry in result["events"]:
+        print(f"  t={entry['time_ns'] / 1e6:7.3f} ms  "
+              f"{entry['action']:<15} {entry['site']:<12} "
+              f"{entry['detail']}")
+    detection = result["detection_ns"]
+    loop = result["kill_to_resync_ns"]
+    print(f"  detection window: "
+          f"{'-' if detection is None else f'{detection:.0f}'} ns "
+          f"(bound {result['detect_within_ns']:.0f}); kill-to-resync: "
+          f"{'-' if loop is None else f'{loop:.0f}'} ns "
+          f"(bound {result['resync_within_ns']:.0f})")
+    print(format_table(_health_oracle_rows(result["oracles"]), ORACLE_COLUMNS,
+                       title="Failover convergence oracles"))
+    print()
+
+
+def _show_overload(result):
+    print(f"overload: seed={result['seed']} writers={result['writers']} "
+          f"completed={result['writes_completed']} "
+          f"rejections={result['rejections']} "
+          f"({result['rejections_by_reason']})")
+    print(f"  backlog peaks: {result['backlog_peaks']}; chunks shed: "
+          f"{result['chunks_shed']}")
+    entered = result["brownout_entered_at_ns"]
+    exited = result["brownout_exited_at_ns"]
+    print(f"  brownout: enter at "
+          f"{'-' if entered is None else f'{entered / 1e6:.3f} ms'}, "
+          f"exit at "
+          f"{'-' if exited is None else f'{exited / 1e6:.3f} ms'}; "
+          f"final policy {result['final_policy']}")
+    print(format_table(_health_oracle_rows(result["oracles"]), ORACLE_COLUMNS,
+                       title="Overload protection oracles"))
+
+
+def _show_health(results):
+    for result in results:
+        (_show_failover if "victim" in result else _show_overload)(result)
     if not all(result["ok"] for result in results):
         raise SystemExit(1)
     return results
 
 
-def _fleet(args):
-    result = run_fleet_bench(
-        device_counts=tuple(getattr(args, "devices", None) or (1, 2, 4)),
-        tenants_per_device=getattr(args, "tenants", 3),
-        duration_ms=getattr(args, "duration_ms", 2.0),
-        seed=getattr(args, "seed", 7),
-        replicas=getattr(args, "replicas", 1),
-        hot=not getattr(args, "no_hot", False),
-        hot_duration_ms=getattr(args, "hot_duration_ms", 10.0),
-        jobs=_jobs(args),
-    )
+def _show_fleet(result):
     print(format_table(result["scaling"], (
         ("devices", "devices", "d"),
         ("tenants", "tenants", "d"),
@@ -350,16 +299,7 @@ def _fleet(args):
     return result
 
 
-def _dr(args):
-    result = run_dr_bench(
-        seed=getattr(args, "seed", 7),
-        shards=getattr(args, "shards", 2),
-        duration_ms=getattr(args, "duration_ms", 2.0),
-        transactions=getattr(args, "txns", 500),
-        key_space=getattr(args, "key_space", 8),
-        segment_bytes=getattr(args, "segment_bytes", 4096),
-        jobs=_jobs(args),
-    )
+def _show_dr(result):
     for row in result["steady"]:
         row["mode"] = "archived" if row["dr"] else "baseline"
     print(format_table(result["steady"], (
@@ -387,43 +327,7 @@ def _dr(args):
     return result
 
 
-def _trace(args):
-    from repro.bench.trace_cmd import run_trace
-
-    metadata, summary = run_trace(
-        scenario=getattr(args, "scenario", "chain"),
-        out_path=getattr(args, "out", "trace.json"),
-        summary_path=getattr(args, "summary", None),
-        csv_path=getattr(args, "csv", None),
-        seed=getattr(args, "seed", 7),
-        secondaries=getattr(args, "secondaries", 2),
-        transactions=getattr(args, "txns", None),
-        duration_ns=(getattr(args, "duration_ms", None) or 0) * 1e6 or None,
-    )
-    return [{"metadata": metadata, "summary": summary}]
-
-
-FIGURES = {
-    "fig09": _fig09,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-}
-
-
-def _slo(args):
-    result = run_slo_bench(
-        seed=getattr(args, "seed", 7),
-        nodes=getattr(args, "nodes", 2),
-        tenants=getattr(args, "tenants", 12),
-        day_ms=getattr(args, "day_ms", 3.0),
-        windows=getattr(args, "windows", 12),
-        target_p99_us=getattr(args, "target_p99_us", 150.0),
-        mean_gap_us=getattr(args, "mean_gap_us", 2.0),
-        crowd_amplitude=getattr(args, "crowd_amplitude", 8.0),
-        jobs=_jobs(args),
-    )
+def _show_slo(result):
     baseline = result["runs"]["baseline"]
     controlled = result["runs"]["controlled"]
     series = []
@@ -466,6 +370,25 @@ def _slo(args):
     return result
 
 
+def _execute(command, kwargs):
+    """Run one command's runner and render its result; returns what
+    ``--json`` records."""
+    result = command.run(**kwargs)
+    return result if command.show is None else command.show(result)
+
+
+def _run_figures(jobs=None):
+    """``all``: every figure in turn with its own defaults."""
+    rows = {}
+    for name in FIGURES:
+        rows[name] = _execute(COMMANDS[name], {"jobs": jobs})
+        print()
+    return rows
+
+
+# -- flags --------------------------------------------------------------------
+
+
 def _jobs_count(text):
     value = int(text)
     if value < 0:
@@ -473,15 +396,180 @@ def _jobs_count(text):
     return value
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--jobs", type=_jobs_count, default=None, metavar="N",
-                     help="run the figure's cells over N worker processes "
-                          "(0 = one per core; default: serial)")
-    sub.add_argument("--json", metavar="PATH", default=None,
-                     help="also write the structured rows as JSON to PATH")
-    sub.add_argument("--trace", metavar="PATH", default=None,
-                     help="capture a Chrome trace-event file of the run to "
-                          "PATH (forces serial execution)")
+def _positive_ms(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of milliseconds, got {text}")
+    return value
+
+
+def _ms_as_ns(text):
+    return _positive_ms(text) * 1e6
+
+
+def _kib_as_bytes(text):
+    return int(text) * KIB
+
+
+def _flag(option, help, **options):
+    """A subcommand flag.  It defaults to None, so only a flag the user
+    gives reaches the runner, as the kwarg ``dest`` (argparse derives
+    ``dest`` from the option name unless the entry renames it)."""
+    if "dest" in options and "action" not in options:
+        # Name the value after the option, not the runner kwarg.
+        options.setdefault("metavar", option[2:].replace("-", "_").upper())
+    return option, dict(options, help=help, default=None)
+
+
+# ``run`` takes the flags' dests as keyword arguments (and gets ``--jobs``
+# iff it has a ``jobs`` parameter); ``show`` (optional) prints its result
+# and returns what ``--json`` records; ``outputs`` adds ``--json``/``--trace``.
+Command = namedtuple("Command", "run show help flags outputs",
+                     defaults=(True,))
+
+FIGURES = ("fig09", "fig10", "fig11", "fig12", "fig13")
+
+COMMANDS = {
+    "fig09": Command(
+        run_fig09, _show_fig09,
+        "logging to local storage (latency/throughput)", (
+            _flag("--txns", "transactions per worker", type=int,
+                  dest="transactions_per_worker"),
+            _flag("--workers", "worker counts to sweep", type=int, nargs="+",
+                  dest="worker_counts"),
+        )),
+    "fig10": Command(
+        run_fig10, _show_fig10,
+        "write combining vs uncached, by write size", (
+            _flag("--total-kib", "KiB pushed through the fast side per cell",
+                  type=_kib_as_bytes, dest="total_bytes"),
+        )),
+    "fig11": Command(
+        run_fig11, _show_fig11, "group-commit size x CMB queue size", (
+            _flag("--writes", "group writes per cell", type=int),
+        )),
+    "fig12": Command(
+        run_fig12, _show_fig12, "opportunistic destaging under contention", (
+            _flag("--duration-ms", "simulated milliseconds per cell",
+                  type=_ms_as_ns, dest="duration_ns"),
+            _flag("--backend", "flash model: idealized array or the NAND "
+                  "realism pack (planes, cache program, suspend)",
+                  choices=["ideal", "realistic"]),
+        )),
+    "fig13": Command(
+        run_fig13, _show_fig13, "shadow-counter freshness vs update period", (
+            _flag("--periods", "update periods to sweep [us]", type=float,
+                  nargs="+", dest="update_periods_us"),
+            _flag("--writes", "measured writes per cell", type=int),
+        )),
+    "all": Command(
+        _run_figures, None, "every figure with default parameters", ()),
+    "kernel": Command(
+        run_kernel_bench, _show_kernel,
+        "DES kernel microbenchmark (events/sec vs seed)", (
+            _flag("--events", "events per workload run", type=int),
+            _flag("--repeat", "runs per engine; best rate is kept", type=int),
+        )),
+    "nand": Command(
+        run_nand_bench, _show_nand,
+        "NAND realism: erase suspend tail, aging, pipelining", (
+            _flag("--reads", "paced reads in the suspend cell", type=int),
+            _flag("--aged-reads", "reads per aging variant", type=int),
+            _flag("--pages", "pages in the pipelining write stream",
+                  type=int),
+        )),
+    "chaos": Command(
+        partial(run_chaos_bench, collect_snapshots=True), _show_chaos,
+        "seeded fault-injection run with durability oracles", (
+            _flag("--seed", "master seed (workload, plan, fault models)",
+                  type=int),
+            _flag("--faults", "JSON fault plan overriding the seed-derived "
+                  "one", type=load_plan, metavar="PLAN_JSON", dest="plan"),
+            _flag("--secondaries", "chain length behind the primary",
+                  type=int),
+            _flag("--duration-ms", "simulated milliseconds before the final "
+                  "crash", type=_ms_as_ns, dest="duration_ns"),
+            _flag("--fault-events", "events in the seed-derived plan",
+                  type=int),
+            _flag("--txns", "transactions in the primary workload", type=int,
+                  dest="transactions"),
+        )),
+    "health": Command(
+        _health, _show_health,
+        "self-healing control plane: supervised failover + overload", (
+            _flag("--scenario", "which health scenario to run (default: all)",
+                  choices=[*HEALTH_SCENARIOS, "all"]),
+            _flag("--seed", "scenario seed", type=int),
+        )),
+    "fleet": Command(
+        run_fleet_bench, _show_fleet,
+        "sharded fleet: throughput scaling + hot-shard rebalance", (
+            _flag("--devices", "device counts for the scaling sweep",
+                  type=int, nargs="+", dest="device_counts"),
+            _flag("--tenants", "tenants (shards) per device", type=int,
+                  dest="tenants_per_device"),
+            _flag("--duration-ms", "simulated milliseconds per scaling cell",
+                  type=_positive_ms),
+            _flag("--hot-duration-ms", "simulated milliseconds for the "
+                  "hot-shard cell", type=_positive_ms),
+            _flag("--seed", "fleet seed (workloads, device fault models)",
+                  type=int),
+            _flag("--replicas", "secondaries per fleet node chain", type=int),
+            _flag("--no-hot", "skip the hot-shard rebalance cell",
+                  action="store_false", dest="hot"),
+        )),
+    "dr": Command(
+        run_dr_bench, _show_dr,
+        "disaster recovery: archival overhead + restore vs resync", (
+            _flag("--seed", "workload/device seed", type=int),
+            _flag("--shards", "shards (writers) on the archived node",
+                  type=int),
+            _flag("--duration-ms", "simulated milliseconds per steady-state "
+                  "cell", type=_positive_ms),
+            _flag("--txns", "transactions per shard in the recovery cell",
+                  type=int, dest="transactions"),
+            _flag("--key-space", "distinct keys per shard (small = snapshot "
+                  "compacts more history)", type=int),
+            _flag("--segment-bytes", "WAL bytes per archived segment",
+                  type=int),
+        )),
+    "slo": Command(
+        run_slo_bench, _show_slo,
+        "SLO control plane: a compressed day with/without the controller", (
+            _flag("--seed", "traffic/device seed", type=int),
+            _flag("--nodes", "fleet nodes (replication chains)", type=int),
+            _flag("--tenants", "diurnal tenants (Zipf-sized)", type=int),
+            _flag("--day-ms", "simulated milliseconds per compressed day",
+                  type=_positive_ms),
+            _flag("--windows", "SLO evaluation windows across the day",
+                  type=int),
+            _flag("--target-p99-us", "the p99 commit-latency SLO target",
+                  type=float),
+            _flag("--mean-gap-us", "fleet-mean transaction interarrival gap",
+                  type=float),
+            _flag("--crowd-amplitude", "flash-crowd rate multiplier "
+                  "amplitude", type=float),
+        )),
+    "trace": Command(
+        run_trace, None, "capture a full-stack trace of one scenario", (
+            _flag("--scenario", "what to trace (default: replicated chain)",
+                  choices=TRACE_SCENARIOS),
+            _flag("--out", "Chrome trace-event output file", metavar="PATH",
+                  dest="out_path"),
+            _flag("--summary", "also write the per-stage latency summary "
+                  "JSON", metavar="PATH", dest="summary_path"),
+            _flag("--csv", "also write the per-stage summary as CSV",
+                  metavar="PATH", dest="csv_path"),
+            _flag("--seed", "scenario seed", type=int),
+            _flag("--secondaries", "chain length behind the primary "
+                  "(chain/chaos scenarios)", type=int),
+            _flag("--txns", "override the scenario's transaction count",
+                  type=int, dest="transactions"),
+            _flag("--duration-ms", "override the scenario's time budget",
+                  type=_ms_as_ns, dest="duration_ns"),
+        ), outputs=False),
+}
 
 
 def build_parser():
@@ -489,181 +577,40 @@ def build_parser():
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation figures.",
     )
-    subparsers = parser.add_subparsers(dest="figure", required=True,
-                                       metavar="figure")
-
-    fig09 = subparsers.add_parser(
-        "fig09", help="logging to local storage (latency/throughput)")
-    fig09.add_argument("--txns", type=int, default=150,
-                       help="transactions per worker")
-    fig09.add_argument("--workers", type=int, nargs="+",
-                       default=[1, 2, 4, 8],
-                       help="worker counts to sweep")
-
-    fig10 = subparsers.add_parser(
-        "fig10", help="write combining vs uncached, by write size")
-    fig10.add_argument("--total-kib", type=int, default=256,
-                       help="KiB pushed through the fast side per cell")
-
-    fig11 = subparsers.add_parser(
-        "fig11", help="group-commit size x CMB queue size")
-    fig11.add_argument("--writes", type=int, default=64,
-                       help="group writes per cell")
-
-    fig12 = subparsers.add_parser(
-        "fig12", help="opportunistic destaging under contention")
-    fig12.add_argument("--duration-ms", type=float, default=40,
-                       help="simulated milliseconds per cell")
-    fig12.add_argument("--backend", choices=["ideal", "realistic"],
-                       default="ideal",
-                       help="flash model: idealized array or the NAND "
-                            "realism pack (planes, cache program, suspend)")
-
-    fig13 = subparsers.add_parser(
-        "fig13", help="shadow-counter freshness vs update period")
-    fig13.add_argument("--periods", type=float, nargs="+",
-                       default=[0.4, 0.8, 1.2, 1.6],
-                       help="update periods to sweep [us]")
-    fig13.add_argument("--writes", type=int, default=200,
-                       help="measured writes per cell")
-
-    subparsers.add_parser("all", help="every figure with default parameters")
-
-    kernel = subparsers.add_parser(
-        "kernel", help="DES kernel microbenchmark (events/sec vs seed)")
-    kernel.add_argument("--events", type=int, default=200_000,
-                        help="events per workload run")
-    kernel.add_argument("--repeat", type=int, default=3,
-                        help="runs per engine; best rate is kept")
-
-    nand = subparsers.add_parser(
-        "nand", help="NAND realism: erase suspend tail, aging, pipelining")
-    nand.add_argument("--reads", type=int, default=96,
-                      help="paced reads in the suspend cell")
-    nand.add_argument("--aged-reads", type=int, default=400,
-                      help="reads per aging variant")
-    nand.add_argument("--pages", type=int, default=32,
-                      help="pages in the pipelining write stream")
-
-    chaos = subparsers.add_parser(
-        "chaos", help="seeded fault-injection run with durability oracles")
-    chaos.add_argument("--seed", type=int, default=7,
-                       help="master seed (workload, plan, fault models)")
-    chaos.add_argument("--faults", metavar="PLAN_JSON", default=None,
-                       help="JSON fault plan overriding the seed-derived one")
-    chaos.add_argument("--secondaries", type=int, default=2,
-                       help="chain length behind the primary")
-    chaos.add_argument("--duration-ms", type=float, default=8.0,
-                       help="simulated milliseconds before the final crash")
-    chaos.add_argument("--fault-events", type=int, default=6,
-                       help="events in the seed-derived plan")
-    chaos.add_argument("--txns", type=int, default=160,
-                       help="transactions in the primary workload")
-
+    parser.set_defaults(json=None, trace=None)
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       metavar="command")
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        for option, spec in command.flags:
+            sub.add_argument(option, **spec)
+        if "jobs" in inspect.signature(command.run).parameters:
+            sub.add_argument("--jobs", type=_jobs_count, metavar="N",
+                             help="run the cells over N worker processes "
+                                  "(0 = one per core; default: serial)")
+        if command.outputs:
+            sub.add_argument("--json", metavar="PATH",
+                             help="also write the structured rows as JSON "
+                                  "to PATH")
+            sub.add_argument("--trace", metavar="PATH",
+                             help="capture a Chrome trace-event file of the "
+                                  "run to PATH (forces serial execution)")
     subparsers.add_parser(
         "check",
         help="crash-consistency model checker (python -m repro.check)",
         add_help=False,
     )
-
-    health = subparsers.add_parser(
-        "health",
-        help="self-healing control plane: supervised failover + overload")
-    health.add_argument("--scenario", choices=["failover", "overload", "all"],
-                        default="all",
-                        help="which health scenario to run (default: all)")
-    health.add_argument("--seed", type=int, default=7,
-                        help="scenario seed")
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="sharded fleet: throughput scaling + hot-shard rebalance")
-    fleet.add_argument("--devices", type=int, nargs="+", default=[1, 2, 4],
-                       help="device counts for the scaling sweep")
-    fleet.add_argument("--tenants", type=int, default=3,
-                       help="tenants (shards) per device")
-    fleet.add_argument("--duration-ms", type=float, default=2.0,
-                       help="simulated milliseconds per scaling cell")
-    fleet.add_argument("--hot-duration-ms", type=float, default=10.0,
-                       help="simulated milliseconds for the hot-shard cell")
-    fleet.add_argument("--seed", type=int, default=7,
-                       help="fleet seed (workloads, device fault models)")
-    fleet.add_argument("--replicas", type=int, default=1,
-                       help="secondaries per fleet node chain")
-    fleet.add_argument("--no-hot", action="store_true",
-                       help="skip the hot-shard rebalance cell")
-
-    dr = subparsers.add_parser(
-        "dr", help="disaster recovery: archival overhead + restore vs resync")
-    dr.add_argument("--seed", type=int, default=7,
-                    help="workload/device seed")
-    dr.add_argument("--shards", type=int, default=2,
-                    help="shards (writers) on the archived node")
-    dr.add_argument("--duration-ms", type=float, default=2.0,
-                    help="simulated milliseconds per steady-state cell")
-    dr.add_argument("--txns", type=int, default=500,
-                    help="transactions per shard in the recovery cell")
-    dr.add_argument("--key-space", type=int, default=8,
-                    help="distinct keys per shard (small = snapshot "
-                         "compacts more history)")
-    dr.add_argument("--segment-bytes", type=int, default=4096,
-                    help="WAL bytes per archived segment")
-
-    slo = subparsers.add_parser(
-        "slo", help="SLO control plane: a compressed day with/without the "
-                    "controller")
-    slo.add_argument("--seed", type=int, default=7,
-                     help="traffic/device seed")
-    slo.add_argument("--nodes", type=int, default=2,
-                     help="fleet nodes (replication chains)")
-    slo.add_argument("--tenants", type=int, default=12,
-                     help="diurnal tenants (Zipf-sized)")
-    slo.add_argument("--day-ms", type=float, default=3.0,
-                     help="simulated milliseconds per compressed day")
-    slo.add_argument("--windows", type=int, default=12,
-                     help="SLO evaluation windows across the day")
-    slo.add_argument("--target-p99-us", type=float, default=150.0,
-                     help="the p99 commit-latency SLO target")
-    slo.add_argument("--mean-gap-us", type=float, default=2.0,
-                     help="fleet-mean transaction interarrival gap")
-    slo.add_argument("--crowd-amplitude", type=float, default=8.0,
-                     help="flash-crowd rate multiplier amplitude")
-
-    trace = subparsers.add_parser(
-        "trace", help="capture a full-stack trace of one scenario")
-    trace.add_argument("--scenario", choices=["chain", "fig09", "chaos"],
-                       default="chain",
-                       help="what to trace (default: replicated chain)")
-    trace.add_argument("--out", metavar="PATH", default="trace.json",
-                       help="Chrome trace-event output file")
-    trace.add_argument("--summary", metavar="PATH", default=None,
-                       help="also write the per-stage latency summary JSON")
-    trace.add_argument("--csv", metavar="PATH", default=None,
-                       help="also write the per-stage summary as CSV")
-    trace.add_argument("--seed", type=int, default=7,
-                       help="scenario seed")
-    trace.add_argument("--secondaries", type=int, default=2,
-                       help="chain length behind the primary "
-                            "(chain/chaos scenarios)")
-    trace.add_argument("--txns", type=int, default=None,
-                       help="override the scenario's transaction count")
-    trace.add_argument("--duration-ms", type=float, default=None,
-                       help="override the scenario's time budget")
-
-    for sub in (fig09, fig10, fig11, fig12, fig13, kernel, nand, chaos,
-                health, fleet, dr, slo, subparsers.choices["all"]):
-        _add_common_flags(sub)
     return parser
 
 
-def _write_json(path, figure, rows):
-    payload = {"bench": figure, "rows": rows}
+def _write_json(path, name, rows):
+    payload = {"bench": name, "rows": rows}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _capturing(trace_path, figure, body):
+def _capturing(trace_path, name, body):
     """Run ``body()`` under a trace capture when ``trace_path`` is set."""
     if not trace_path:
         return body()
@@ -677,7 +624,7 @@ def _capturing(trace_path, figure, body):
             # raises SystemExit): the trace of a failing run is exactly
             # the artifact worth keeping.
             write_chrome_trace(trace_path, session.tracers,
-                               label=f"bench:{figure}")
+                               label=f"bench:{name}")
             print(f"trace: {session.events_recorded} events -> {trace_path}",
                   file=sys.stderr)
 
@@ -691,33 +638,20 @@ def main(argv=None):
 
         return check_main(argv[1:])
     args = build_parser().parse_args(argv)
-    json_path = getattr(args, "json", None)
-    trace_path = getattr(args, "trace", None)
-    if trace_path and getattr(args, "jobs", None) not in (None, 1):
+    # Only the flags the user set reach the runner (see ``_flag``).
+    kwargs = {name: value for name, value in vars(args).items()
+              if value is not None and name not in ("command", "json", "trace")}
+    if args.trace and kwargs.get("jobs", 1) != 1:
         # Worker processes build their engines out of the tracer's reach;
         # tracing implies the serial path so every engine is captured.
         print("note: --trace forces serial execution (--jobs ignored)",
               file=sys.stderr)
-        args.jobs = None
-    if args.figure == "all":
-        def body():
-            all_rows = {}
-            for name, runner in FIGURES.items():
-                all_rows[name] = runner(args)
-                print()
-            return all_rows
-
-        all_rows = _capturing(trace_path, "all", body)
-        if json_path:
-            _write_json(json_path, "all", all_rows)
-    else:
-        extras = {"kernel": _kernel, "nand": _nand, "chaos": _chaos,
-                  "trace": _trace, "health": _health, "fleet": _fleet,
-                  "dr": _dr, "slo": _slo}
-        runner = extras.get(args.figure) or FIGURES[args.figure]
-        rows = _capturing(trace_path, args.figure, lambda: runner(args))
-        if json_path:
-            _write_json(json_path, args.figure, rows)
+        del kwargs["jobs"]
+    command = COMMANDS[args.command]
+    rows = _capturing(args.trace, args.command,
+                      lambda: _execute(command, kwargs))
+    if args.json:
+        _write_json(args.json, args.command, rows)
     return 0
 
 

@@ -107,6 +107,21 @@ class LogManager:
         return self._pending_bytes
 
     @property
+    def pending_records(self):
+        """Records queued but not yet batched into a flush."""
+        return len(self._pending)
+
+    @property
+    def waiter_count(self):
+        """Commits waiting for their records to become durable."""
+        return len(self._waiters)
+
+    @property
+    def waiting_lsns(self):
+        """Commit LSNs of the waiting commits, in arrival order."""
+        return tuple(lsn for lsn, _ in self._waiters)
+
+    @property
     def has_room(self):
         return self._pending_bytes < self.pending_cap_bytes
 

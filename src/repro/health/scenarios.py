@@ -59,7 +59,7 @@ def build_supervised_chain(engine, seed, secondaries=2, **supervisor_kw):
     return cluster, supervisor, recorders
 
 
-def run_failover_scenario(seed=0, secondaries=2, victim="secondary-1",
+def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
                           kill_at_ns=600_000.0, transactions=24,
                           duration_ns=12_000_000.0, poll_ns=100_000.0,
                           dead_misses=3, reboot_delay_ns=400_000.0):
@@ -151,7 +151,7 @@ def run_failover_scenario(seed=0, secondaries=2, victim="secondary-1",
     }
 
 
-def run_overload_scenario(seed=0, writers=4, chunk_bytes=2048,
+def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
                           load_until_ns=3_000_000.0,
                           duration_ns=10_000_000.0,
                           max_outstanding_bytes=6 * 1024,

@@ -179,9 +179,9 @@ class SloController:
         lm = node.database.log_manager
         return (
             lm.durable_lsn,
-            len(lm._pending),
-            lm._pending_bytes,
-            tuple(lsn for lsn, _ in lm._waiters),
+            lm.pending_records,
+            lm.pending_bytes,
+            lm.waiting_lsns,
         )
 
     def _check_fence(self, node, before, after, transition, signals):

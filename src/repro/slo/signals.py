@@ -70,7 +70,7 @@ class SignalReader:
                                   if ring["capacity"] else 0.0),
             "destage_backlog_pages": snapshot["destage"]["outstanding_pages"],
             "shed_in_window": shed,
-            "wal_waiters": len(log_manager._waiters),
+            "wal_waiters": log_manager.waiter_count,
             "wal_pending_bytes": log_manager.pending_bytes,
             "pressure": node.admission.pressure(),
             "brownout_active": snapshot["health"]["brownout_active"],

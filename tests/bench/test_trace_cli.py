@@ -1,20 +1,26 @@
 """Tests for the ``trace`` subcommand and the ``--trace`` capture flag."""
 
+import inspect
 import json
 
 import pytest
 
 import repro.bench.__main__ as cli
 from repro.obs.validate import validate_trace_file
+from tests.bench.test_cli import stub_command
 
 
 class TestTraceArgParsing:
-    def test_defaults(self):
-        args = cli.build_parser().parse_args(["trace"])
-        assert args.scenario == "chain"
-        assert args.out == "trace.json"
-        assert args.summary is None
-        assert args.seed == 7
+    def test_defaults(self, monkeypatch):
+        """A bare ``trace`` leaves every choice to ``run_trace``."""
+        calls = stub_command(monkeypatch, "trace")
+        assert cli.main(["trace"]) == 0
+        assert calls == [{}]
+        defaults = inspect.signature(cli.COMMANDS["trace"].run).parameters
+        assert defaults["scenario"].default == "chain"
+        assert defaults["out_path"].default == "trace.json"
+        assert defaults["summary_path"].default is None
+        assert defaults["seed"].default == 7
 
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -29,12 +35,10 @@ class TestTraceArgParsing:
 
     def test_trace_forces_serial_execution(self, monkeypatch, tmp_path,
                                            capsys):
-        seen = {}
-        monkeypatch.setitem(cli.FIGURES, "fig10",
-                            lambda args: seen.update(jobs=args.jobs) or [])
+        calls = stub_command(monkeypatch, "fig10", returns=[])
         trace = tmp_path / "t.json"
         cli.main(["fig10", "--jobs", "4", "--trace", str(trace)])
-        assert seen["jobs"] is None
+        assert calls == [{}]
         assert "forces serial" in capsys.readouterr().err
 
 
@@ -72,14 +76,15 @@ class TestTraceSubcommand:
         assert payload["otherData"]["label"] == "bench:fig12"
 
     def test_trace_written_even_when_body_fails(self, monkeypatch, tmp_path):
-        def boom(args):
+        def boom(**kwargs):
             from repro.sim import Engine
 
             engine = Engine()
             engine.tracer.instant("t", "before-failure")
             raise SystemExit(1)
 
-        monkeypatch.setitem(cli.FIGURES, "fig10", boom)
+        monkeypatch.setitem(cli.COMMANDS, "fig10",
+                            cli.COMMANDS["fig10"]._replace(run=boom))
         trace = tmp_path / "failing.json"
         with pytest.raises(SystemExit):
             cli.main(["fig10", "--trace", str(trace)])

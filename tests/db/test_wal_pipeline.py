@@ -161,6 +161,21 @@ class TestPipelining:
         engine.run(until=10_000_000.0)
         assert waited  # the room waiter was eventually released
 
+    def test_read_surface_tracks_pending_records_and_waiters(self):
+        engine = Engine()
+        manager = LogManager(engine, SlowLogFile(engine, 1_000.0),
+                             group_commit_bytes=1 << 20,
+                             group_commit_timeout_ns=5_000.0)
+        manager.append_and_wait(records_of(200, 10))
+        manager.append_and_wait(records_of(200, 20))
+        assert manager.pending_records == 4
+        assert manager.waiter_count == 2
+        assert manager.waiting_lsns == (11, 21)
+        engine.run(until=1_000_000.0)
+        assert manager.durable_lsn == 21
+        assert (manager.pending_records, manager.pending_bytes,
+                manager.waiter_count, manager.waiting_lsns) == (0, 0, 0, ())
+
 
 class TestAsyncCommit:
     def make_db(self, max_inflight=4):
