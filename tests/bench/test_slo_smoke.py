@@ -5,7 +5,8 @@ crowds) frozen into ``tests/bench/golden/slo.json``.  Structural
 assertions guard the acceptance story — the controller must violate
 materially fewer windows than the uncontrolled baseline and its
 durability fence must stay clean — while the golden file pins the
-deterministic numbers so a physics, scheduling, or controller-policy
+deterministic numbers, down to every controller audit event and the
+signals it acted on, so a physics, scheduling, or controller-policy
 change shows up as a diff, not a silent curve shift.
 
 Regenerate after an *intentional* change with::
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.slo import run_slo_bench
+from repro.cluster.fleet import Fleet
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "slo.json"
 ROUND_DIGITS = 6
@@ -40,11 +42,32 @@ def _round(value):
         if math.isnan(value) or math.isinf(value):
             return repr(value)
         return round(value, ROUND_DIGITS)
+    if isinstance(value, dict):
+        return {key: _round(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round(item) for item in value]
     return value
 
 
+def run_capturing_audit():
+    """The smoke day, plus the controlled run's full audit-event list."""
+    controllers = []
+    enable_slo = Fleet.enable_slo
+
+    def capture(fleet, *args, **kwargs):
+        controller = enable_slo(fleet, *args, **kwargs)
+        controllers.append(controller)
+        return controller
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fleet, "enable_slo", capture)
+        result = run_slo_bench(**SMOKE_KW)
+    (controller,) = controllers
+    return result, controller.events
+
+
 def compute():
-    result = run_slo_bench(**SMOKE_KW)
+    result, events = run_capturing_audit()
     runs = {}
     for label, run in result["runs"].items():
         runs[label] = {
@@ -64,6 +87,7 @@ def compute():
         "deescalations": controlled["deescalations"],
         "invariant_violations": controlled["invariant_violations"],
         "final_levels": controlled["final_levels"],
+        "audit": _round(events),
     }
 
 
@@ -157,7 +181,7 @@ def test_matches_golden(result):
                     f"{value} != golden {expected}"
                 )
     for key in ("escalations", "deescalations", "invariant_violations",
-                "final_levels"):
+                "final_levels", "audit"):
         assert actual[key] == golden[key], (
             f"{key}: {actual[key]!r} != golden {golden[key]!r}"
         )
