@@ -15,7 +15,6 @@ from repro.bench.parallel import run_cells
 from repro.bench.stacks import build_villars
 from repro.host.api import XssdLogFile
 from repro.sim import Engine
-from repro.sim.stats import LatencyRecorder
 from repro.sim.units import KIB
 
 GROUP_SIZES = tuple(k * KIB for k in (1, 2, 4, 8, 16, 32, 64))
@@ -28,14 +27,14 @@ def run_one(group_bytes, queue_bytes, writes=64):
     device = build_villars(engine, "sram", queue_bytes=queue_bytes,
                            cmb_capacity=max(256 * KIB, 4 * queue_bytes))
     log = XssdLogFile(device)
-    latency = LatencyRecorder()
+    latencies = []
 
     def writer():
         for index in range(writes):
             start = engine.now
             yield log.x_pwrite(f"group-{index}", group_bytes)
             yield log.x_fsync()
-            latency.record(engine.now - start)
+            latencies.append(engine.now - start)
 
     start = engine.now
     done = engine.process(writer())
@@ -54,7 +53,7 @@ def run_one(group_bytes, queue_bytes, writes=64):
     return {
         "group_kib": group_bytes // KIB,
         "queue_kib": queue_bytes // KIB,
-        "mean_latency_us": latency.mean / 1e3,
+        "mean_latency_us": sum(latencies) / len(latencies) / 1e3,
         "throughput_mb_per_s": writes * group_bytes * 1e9 / elapsed / 1e6,
         "credit_checks": log.credit_checks,
     }

@@ -30,13 +30,13 @@ import copy
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
-from repro.check.harness import collect_pages_tolerant, recover_pages
 from repro.check.model import ReferenceModel, chain_frontier_violations
 from repro.check.points import crash_candidates, extract_transitions
 from repro.check.schedules import CrashSchedule, family, interleave
 from repro.cluster.server import Server
 from repro.cluster.topology import Cluster, replicated_chain
-from repro.db.recovery import durable_commit_ids
+from repro.core.crash import read_durable_pages
+from repro.db.recovery import durable_commit_ids, recover_pages
 from repro.db.txn import TransactionAborted
 from repro.faults.injector import ChaosInjector
 from repro.faults.oracles import (
@@ -211,13 +211,12 @@ def execute_chain_schedule(config, schedule, violations, stats):
     # pre-crash client never saw.
     model = copy.deepcopy(run.model)
 
-    pages, page_errors = collect_pages_tolerant(
-        engine, cluster.primary.device
-    )
+    pages, page_errors = read_durable_pages(engine, cluster.primary.device)
     violations["page-read"] = page_errors
     violations["durable-prefix"] = check_durable_prefix(report, pages)
 
-    recovered = dict(recover_pages(pages, ["kv"]).table("kv").scan())
+    recovered_db, _ = recover_pages(pages, ["kv"])
+    recovered = dict(recovered_db.table("kv").scan())
     durable_ids = durable_commit_ids(pages)
 
     require_acked = report.reserve_energy_ok

@@ -1,7 +1,9 @@
 """Building blocks the checker tiers share: build, perturb, crash, audit.
 
-Every tier reads a crashed device back with :func:`collect_pages_tolerant`;
-the fleet, dr and slo tiers assemble their sharded runs from the rest.
+Every tier reads a crashed device back with
+:func:`~repro.core.crash.read_durable_pages` and replays it with
+:func:`~repro.db.recovery.recover_pages`; the fleet, dr and slo tiers
+assemble their sharded runs from the helpers here.
 Shard values are self-describing (``"<shard>-v<seq>"``) because
 migration replay rewrites transaction ids; the acked-durability and
 seq-order oracles recover the sequence number from the value itself.
@@ -12,17 +14,16 @@ from types import SimpleNamespace
 
 from repro.check.model import ReferenceModel
 from repro.cluster.fleet import Fleet
-from repro.db.engine import Database
+from repro.core.crash import read_durable_pages
 from repro.db.log_record import RecordKind
 from repro.db.recovery import durable_commit_ids, extract_records, \
-    recover_from_pages
+    recover_pages
 from repro.db.txn import TransactionAborted
 from repro.faults.injector import ChaosInjector
 from repro.faults.oracles import check_ftl_integrity
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.scenario import chaos_config_factory
 from repro.health.errors import DeviceBusy
-from repro.host.baselines import NoLogFile
 from repro.sim import Engine
 from repro.sim.rng import derive
 
@@ -30,50 +31,6 @@ from repro.sim.rng import derive
 # Faulted fleet-tier families run to the full horizon, so density costs
 # real wall time: they take every FLEET_HEAVY_STRIDE-th candidate.
 FLEET_HEAVY_STRIDE = 2
-
-
-def collect_pages_tolerant(engine, device):
-    """Read back the durable destaged ring, noting unreadable pages.
-
-    Tolerance is the point: when a seeded bug loses a page mapping, the
-    failed read must surface as a clean oracle violation (a hole in the
-    durable prefix), not as a harness crash that masks the diff.
-    """
-    pages = []
-    errors = []
-
-    def reader():
-        destage = device.destage
-        for sequence in range(destage.head_sequence, destage.durable_tail):
-            try:
-                page = yield destage.read_page(sequence)
-            except Exception as error:  # noqa: BLE001 — evidence, not a bug
-                errors.append(
-                    f"page-read: durable sequence {sequence} unreadable: "
-                    f"{error!r}"
-                )
-                continue
-            pages.append(page)
-
-    done = engine.process(reader(), name="check-page-collect")
-    # Step in slices: surviving secondaries keep the heap non-empty, so
-    # one big run(until=...) would grind through the whole window.
-    deadline = engine.now + 5e9
-    while not done.triggered and engine.now < deadline:
-        engine.run(until=min(engine.now + 1e6, deadline))
-    if not done.triggered:
-        errors.append("page-read: collection did not finish in bounded time")
-    return pages, errors
-
-
-def recover_pages(pages, tables):
-    """Replay durable pages into a fresh database holding ``tables``."""
-    fresh = Engine()
-    database = Database(fresh, NoLogFile(fresh))
-    for table in tables:
-        database.create_table(table)
-    recover_from_pages(database, pages)
-    return database
 
 
 def start_fleet(config, **node_kw):
@@ -232,10 +189,10 @@ def judge_shards(run, crash, violations, stats, migrated=None,
     durable_ids = {}
     pages_by_node = {}
     for name, node in run.fleet.nodes.items():
-        pages, page_errors = collect_pages_tolerant(run.engine, node.device)
+        pages, page_errors = read_durable_pages(run.engine, node.device)
         pages_by_node[name] = pages
         violations[f"page-read:{name}"] = page_errors
-        recovered_dbs[name] = recover_pages(
+        recovered_dbs[name], _ = recover_pages(
             pages, [f"{shard_id}.kv" for shard_id in crash.models]
         )
         durable_ids[name] = durable_commit_ids(pages)

@@ -85,6 +85,12 @@ class XssdDevice:
         self._stream_cursor = 0
         self._halted = False
         self._started = False
+        # Brownout history, kept current by a ChainSupervisor when one
+        # watches this device (zeros otherwise); device_snapshot reports
+        # it under "health".
+        self.brownout_enters = 0
+        self.brownout_exits = 0
+        self.brownout_active = 0
 
     # -- stream allocation -------------------------------------------------------
 

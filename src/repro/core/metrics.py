@@ -103,11 +103,9 @@ def device_snapshot(device):
             "updates_received": transport.counter_updates_received,
         },
         "health": {
-            # Stamped by ChainSupervisor._mirror_brownout; devices that
-            # never ran under a supervisor report zeros.
-            "brownout_enters": getattr(device, "brownout_enters", 0),
-            "brownout_exits": getattr(device, "brownout_exits", 0),
-            "brownout_active": getattr(device, "brownout_active", 0),
+            "brownout_enters": device.brownout_enters,
+            "brownout_exits": device.brownout_exits,
+            "brownout_active": device.brownout_active,
         },
         "faults": {
             "torn_writes": cmb.torn_writes,

@@ -10,27 +10,35 @@ and workers map one-to-one to the paper's "threads" axis in Fig. 9.
 from repro.db.storage import Table
 from repro.db.txn import Transaction, TransactionAborted
 from repro.db.wal import LogManager
-from repro.sim.stats import LatencyRecorder
 from repro.sim.units import KIB
 
 
 class DatabaseStats:
-    """Commit/abort counters and transaction latency samples."""
+    """Commit/abort counters and O(1) commit-latency state.
+
+    A running latency total and the commit count give the mean Fig. 9
+    plots.  Individual latencies are kept only for windowed readers: each
+    registers a list in ``latency_windows`` (keyed by the reader) and
+    swaps it for an empty one when it reads, so a database nobody
+    watches keeps no samples at all.
+    """
 
     def __init__(self):
         self.commits = 0
         self.aborts = 0
-        self.latency = LatencyRecorder()
-        self.first_commit_at = None
+        self.latency_total_ns = 0
         self.last_commit_at = 0.0
+        self.latency_windows = {}  # reader -> latencies since its last read
 
-    def record_latency(self, latency_ns):
-        self.latency.record(latency_ns)
-
-    def mark_commit_time(self, now_ns):
-        if self.first_commit_at is None:
-            self.first_commit_at = now_ns
+    def record_commit(self, latency_ns, now_ns):
+        """Count a commit that took ``latency_ns``, ending at ``now_ns``."""
+        if latency_ns < 0:
+            raise ValueError("negative latency recorded")
+        self.commits += 1
+        self.latency_total_ns += latency_ns
         self.last_commit_at = now_ns
+        for window in self.latency_windows.values():
+            window.append(latency_ns)
 
     def throughput_per_s(self, elapsed_ns):
         if elapsed_ns <= 0:
@@ -39,7 +47,9 @@ class DatabaseStats:
 
     @property
     def mean_latency_ns(self):
-        return self.latency.mean
+        if not self.commits:
+            return 0.0
+        return self.latency_total_ns / self.commits
 
 
 class Database:

@@ -12,7 +12,10 @@ engine installs values into tables only after durability: there is never
 an un-undone dirty page to roll back.
 """
 
+from repro.db.engine import Database
 from repro.db.log_record import RecordKind
+from repro.host.baselines import NoLogFile
+from repro.sim import Engine
 
 
 def extract_records(pages):
@@ -85,6 +88,20 @@ def recover_from_pages(database, pages):
         table.install(record.key, value, commit_lsn_of[record.txn_id])
         redone.add(record.txn_id)
     return len(redone)
+
+
+def recover_pages(pages, tables):
+    """Replay ``pages`` into a fresh database that holds ``tables``.
+
+    The database runs on its own engine with logging off, so the replay
+    never touches the crashed run.  Returns ``(database,
+    transactions_redone)``.
+    """
+    fresh = Engine()
+    database = Database(fresh, NoLogFile(fresh))
+    for table in tables:
+        database.create_table(table)
+    return database, recover_from_pages(database, pages)
 
 
 def apply_records(database, records):

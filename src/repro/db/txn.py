@@ -66,11 +66,8 @@ class Transaction:
         self._validate()
         if not self._writes:
             self.state = "committed"
-            self.database.stats.commits += 1
-            self.database.stats.record_latency(
-                self.database.engine.now - self.started_at
-            )
-            self.database.stats.mark_commit_time(self.database.engine.now)
+            now = self.database.engine.now
+            self.database.stats.record_commit(now - self.started_at, now)
             yield self.database.engine.timeout(0.0)
             return 0
         self._acquire_commit_locks()
@@ -85,11 +82,8 @@ class Transaction:
         finally:
             self._release_commit_locks()
         self.state = "committed"
-        self.database.stats.commits += 1
-        self.database.stats.record_latency(
-            self.database.engine.now - self.started_at
-        )
-        self.database.stats.mark_commit_time(self.database.engine.now)
+        now = self.database.engine.now
+        self.database.stats.record_commit(now - self.started_at, now)
         return commit_lsn
 
     def _acquire_commit_locks(self):
@@ -161,9 +155,7 @@ class Transaction:
         self._validate()
         if not self._writes:
             self.state = "committed"
-            self.database.stats.commits += 1
-            self.database.stats.record_latency(0.0)
-            self.database.stats.mark_commit_time(self.database.engine.now)
+            self.database.stats.record_commit(0.0, self.database.engine.now)
             return self.database.engine.timeout(0.0, value=0)
         self._acquire_commit_locks()
         try:
@@ -181,9 +173,8 @@ class Transaction:
         database = self.database
 
         def _on_durable(_event):
-            database.stats.commits += 1
-            database.stats.record_latency(database.engine.now - started)
-            database.stats.mark_commit_time(database.engine.now)
+            now = database.engine.now
+            database.stats.record_commit(now - started, now)
 
         durable.then(_on_durable)
         return durable

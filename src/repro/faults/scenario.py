@@ -15,8 +15,8 @@ test, and the hypothesis chaos properties.
 
 from repro.cluster.topology import replicated_chain
 from repro.core.config import villars_sram
-from repro.db.engine import Database
-from repro.db.recovery import recover_from_pages
+from repro.core.crash import read_durable_pages
+from repro.db.recovery import recover_pages
 from repro.faults.injector import ChaosInjector
 from repro.faults.oracles import (
     StreamRecorder,
@@ -27,7 +27,6 @@ from repro.faults.oracles import (
     check_visible_counter_bound,
 )
 from repro.faults.plan import FaultPlan
-from repro.host.baselines import NoLogFile
 from repro.nand.ecc import EccFaultModel, ProgramFaultModel
 from repro.nand.geometry import Geometry
 from repro.nand.timing import NandTiming
@@ -165,12 +164,11 @@ def run_chaos(seed, secondaries=2, duration_ns=8_000_000.0, plan=None,
     # The final, always-injected fault: primary power loss.
     report = cluster.primary.crash()
 
-    pages = _collect_pages(engine, cluster.primary.device)
+    pages, page_errors = read_durable_pages(engine, cluster.primary.device)
+    if page_errors:
+        raise RuntimeError("; ".join(page_errors))
 
-    fresh = Engine()
-    recovered = Database(fresh, NoLogFile(fresh))
-    recovered.create_table("kv")
-    transactions_recovered = recover_from_pages(recovered, pages)
+    recovered, transactions_recovered = recover_pages(pages, ["kv"])
     recovered_values = dict(recovered.table("kv").scan())
 
     oracles = {
@@ -215,26 +213,3 @@ def run_chaos(seed, secondaries=2, duration_ns=8_000_000.0, plan=None,
             for name, server in sorted(cluster.servers.items())
         }
     return result
-
-
-def _collect_pages(engine, device):
-    """Read back every durable destaged page of a halted device."""
-    pages = []
-
-    def reader():
-        destage = device.destage
-        for sequence in range(destage.head_sequence, destage.durable_tail):
-            page = yield destage.read_page(sequence)
-            pages.append(page)
-
-    done = engine.process(reader(), name="chaos-page-collect")
-    # Step in small increments instead of one big window: surviving
-    # secondaries still run their reporter loops, so the event heap
-    # never drains and a single run(until=now+5e9) would simulate the
-    # whole window at reporter granularity.
-    deadline = engine.now + 5e9
-    while not done.triggered and engine.now < deadline:
-        engine.run(until=min(engine.now + 1e6, deadline))
-    if not done.triggered:
-        raise RuntimeError("page collection did not finish in bounded time")
-    return pages

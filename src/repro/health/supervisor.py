@@ -311,7 +311,7 @@ class ChainSupervisor:
             tracer.counter(self.name, "brownout", 0)
 
     def _mirror_brownout(self):
-        """Stamp the counters onto the primary device.
+        """Copy the counters into the primary device's brownout fields.
 
         ``device_snapshot`` reports them under ``health`` so gauges (and
         the SLO controller) can read brownout history without parsing the

@@ -35,8 +35,6 @@ from repro.sim.resources import (
 from repro.sim.stats import (
     Candlestick,
     Counter,
-    LatencyRecorder,
-    RateMeter,
     percentile,
 )
 from repro.sim.units import (
@@ -69,8 +67,6 @@ __all__ = [
     "BandwidthPipe",
     "Candlestick",
     "Counter",
-    "LatencyRecorder",
-    "RateMeter",
     "percentile",
     "KB",
     "MB",

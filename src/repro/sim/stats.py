@@ -1,4 +1,4 @@
-"""Measurement utilities: percentiles, candlesticks, rates, counters.
+"""Measurement utilities: percentiles, candlesticks, counters.
 
 The benchmark harness reports the same statistics the paper plots: average
 transaction latency/throughput (Fig. 9, 11), normalized throughput (Fig. 10),
@@ -14,7 +14,7 @@ def percentile(samples, fraction, presorted=False):
 
     Pass ``presorted=True`` when ``samples`` is already sorted to skip the
     O(n log n) copy — callers that take several percentiles of one sample
-    set (candlesticks, recorders) sort once and reuse.
+    set (candlesticks) sort once and reuse.
     """
     if not samples:
         raise ValueError("percentile of an empty sample set")
@@ -65,78 +65,6 @@ class Candlestick:
             f"median={self.median:.1f}, q3={self.q3:.1f}, "
             f"high={self.high:.1f}, n={self.count})"
         )
-
-
-class LatencyRecorder:
-    """Collects latency samples and summarizes them.
-
-    All times are nanoseconds, matching the engine clock.
-    """
-
-    def __init__(self):
-        self.samples = []
-        self._ordered = None  # cached sorted view; None when stale
-
-    def record(self, latency_ns):
-        if latency_ns < 0:
-            raise ValueError("negative latency recorded")
-        self.samples.append(latency_ns)
-        self._ordered = None
-
-    def __len__(self):
-        return len(self.samples)
-
-    @property
-    def mean(self):
-        if not self.samples:
-            return 0.0
-        return sum(self.samples) / len(self.samples)
-
-    def _sorted_samples(self):
-        # The length guard also invalidates after direct `samples` appends.
-        if self._ordered is None or len(self._ordered) != len(self.samples):
-            self._ordered = sorted(self.samples)
-        return self._ordered
-
-    def quantile(self, fraction):
-        return percentile(self._sorted_samples(), fraction, presorted=True)
-
-    def candlestick(self):
-        return Candlestick(self._sorted_samples(), presorted=True)
-
-
-class RateMeter:
-    """Counts discrete completions and converts them to a rate per second."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.count = 0
-        self.bytes = 0
-        self._started_at = engine.now
-
-    def tick(self, nbytes=0):
-        self.count += 1
-        self.bytes += nbytes
-
-    def reset(self):
-        self.count = 0
-        self.bytes = 0
-        self._started_at = self.engine.now
-
-    @property
-    def elapsed_ns(self):
-        return self.engine.now - self._started_at
-
-    def per_second(self):
-        """Completions per second of simulated time."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.count * 1e9 / self.elapsed_ns
-
-    def bytes_per_second(self):
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.bytes * 1e9 / self.elapsed_ns
 
 
 class Counter:

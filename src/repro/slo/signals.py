@@ -4,22 +4,25 @@ The controller never reaches into device internals mid-decision; a
 :class:`SignalReader` condenses everything it may react to into a flat
 dict of numbers once per poll:
 
-* **p99 commit latency** over the window — the freshest samples from the
-  node database's :class:`~repro.sim.stats.LatencyRecorder`, windowed by
-  a per-reader seen-index so each poll judges only what happened since
-  the last one;
+* **p99 commit latency** over the window — exact, over every commit
+  latency since the last poll: the reader registers its own window in
+  the node database's
+  :attr:`~repro.db.engine.DatabaseStats.latency_windows` and swaps it
+  for an empty list on each read, so memory is bounded by one poll's
+  commits and each poll judges only what happened since the last one;
 * **CMB occupancy and destage backlog** — from
   :func:`~repro.core.metrics.device_snapshot` (via the node's
   :class:`~repro.obs.gauges.GaugeSampler` when tracing, so every signal
   the controller acted on is also on the counter tracks);
 * **admission shed rate** — the rejection-count delta over the window;
-* **brownout counters** — the ``health`` snapshot section stamped by the
-  chain supervisor;
+* **brownout counters** — the ``health`` snapshot section, read from the
+  device's brownout fields the chain supervisor keeps current;
 * **rebalance stalls** — the fleet supervisor's typed hot-but-stuck
   records, counted for this node.
 
 Readers are pure observers: taking a reading never advances simulation
-time and never mutates the observed structures.
+time and never mutates the observed structures (a reader's latency
+window is its own).
 """
 
 from repro.core.metrics import device_snapshot
@@ -33,7 +36,8 @@ class SignalReader:
         self.node = node
         self.sampler = sampler  # GaugeSampler when tracing is on
         self.fleet_supervisor = fleet_supervisor
-        self._seen_samples = 0
+        self._windows = node.database.stats.latency_windows
+        self._windows[self] = []
         self._last_rejections = 0
         self.readings = 0
 
@@ -45,10 +49,8 @@ class SignalReader:
         else:
             snapshot = device_snapshot(node.device)
 
-        recorder = node.database.stats.latency
-        samples = recorder.samples
-        window = samples[self._seen_samples:]
-        self._seen_samples = len(samples)
+        window = self._windows[self]
+        self._windows[self] = []
         p99 = percentile(window, 0.99) if window else None
 
         rejections = node.admission.rejections

@@ -12,16 +12,14 @@ import pytest
 
 from repro.check.model import ReferenceModel
 from repro.cluster import Fleet, ShardView
-from repro.db.engine import Database
+from repro.core.crash import read_durable_pages
 from repro.db.log_record import RecordKind
-from repro.db.recovery import extract_records, recover_from_pages
+from repro.db.recovery import extract_records, recover_pages
 from repro.db.txn import TransactionAborted
 from repro.faults.scenario import chaos_config_factory
 from repro.health.errors import DeviceBusy
-from repro.host.baselines import NoLogFile
 from repro.sim import Engine
 from repro.sim.rng import derive
-from tests.conftest import collect_destaged_pages
 
 TXNS = 30
 THINK_NS = 8_000.0
@@ -109,12 +107,9 @@ def test_no_acked_txn_lost_and_commit_order_held():
     # destination primary and recover its shard slice from the pages.
     dest = fleet.nodes["node1"]
     dest.cluster.primary.crash()
-    pages = collect_destaged_pages(engine, dest.device)
-    fresh = Engine()
-    recovered = Database(fresh, NoLogFile(fresh))
-    for table in ("s0.kv", "s1.kv"):
-        recovered.create_table(table)
-    recover_from_pages(recovered, pages)
+    pages, errors = read_durable_pages(engine, dest.device)
+    assert errors == []
+    recovered, _ = recover_pages(pages, ["s0.kv", "s1.kv"])
     slice_ = dict(recovered.table("s0.kv").scan())
     assert model.diff_recovered(slice_, require_acked=True) == []
 

@@ -95,19 +95,3 @@ def build_logging_device(group_commit_bytes,
                         group_commit_timeout_ns=group_commit_timeout_ns)
     database.create_table("kv")
     return engine, device, database
-
-
-def collect_destaged_pages(engine, device, window_ns=5e9):
-    """Read back every durable destaged page (post-crash autopsy)."""
-    pages = []
-
-    def reader():
-        destage = device.destage
-        for sequence in range(destage.head_sequence, destage.durable_tail):
-            page = yield destage.read_page(sequence)
-            pages.append(page)
-
-    done = engine.process(reader())
-    engine.run(until=engine.now + window_ns)
-    assert done.triggered, "page collection did not finish in bounded time"
-    return pages

@@ -1,8 +1,10 @@
 """Tests for the database engine: transactions, commit, group commit, OCC."""
 
+import tracemalloc
+
 import pytest
 
-from repro.db.engine import Database
+from repro.db.engine import Database, DatabaseStats
 from repro.db.txn import TransactionAborted
 from repro.host.baselines import NoLogFile, NvdimmLogFile
 from repro.pm.nvdimm import Nvdimm
@@ -162,8 +164,80 @@ def test_latency_recorded_per_commit():
 
     engine.process(proc())
     engine.run(until=10_000_000.0)
-    assert len(database.stats.latency) == 1
+    assert database.stats.commits == 1
     assert database.stats.mean_latency_ns > 0
+
+
+class TestDatabaseStats:
+    def test_mean_latency(self):
+        stats = DatabaseStats()
+        for value in (10.0, 20.0, 30.0):
+            stats.record_commit(value, now_ns=100.0)
+        assert stats.mean_latency_ns == 20.0
+        assert stats.commits == 3
+        assert stats.last_commit_at == 100.0
+
+    def test_empty_mean_latency_is_zero(self):
+        assert DatabaseStats().mean_latency_ns == 0.0
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError):
+            DatabaseStats().record_commit(-1.0, now_ns=0.0)
+
+    def test_windows_keep_only_commits_after_registration(self):
+        stats = DatabaseStats()
+        stats.record_commit(5.0, now_ns=0.0)  # before any reader: not kept
+        stats.latency_windows["a"] = []
+        stats.record_commit(7.0, now_ns=1.0)
+        stats.latency_windows["b"] = []
+        stats.record_commit(9.0, now_ns=2.0)
+        assert stats.latency_windows == {"a": [7.0, 9.0], "b": [9.0]}
+
+
+# Modules whose allocations a long-lived database must not accumulate.
+LATENCY_STATE_FILES = (
+    "*/repro/sim/stats.py",
+    "*/repro/db/engine.py",
+    "*/repro/slo/signals.py",
+)
+
+
+def _latency_state_bytes(commits):
+    """Bytes still held by LATENCY_STATE_FILES allocations after a run."""
+    tracemalloc.start()
+    try:
+        engine = Engine()
+        database = Database(engine, NoLogFile(engine))
+        database.create_table("kv")
+
+        def worker():
+            for index in range(commits):
+                txn = database.begin()
+                txn.write("kv", f"k{index % 8}", index)
+                yield txn.commit()
+
+        engine.process(worker())
+        engine.run()
+        # The WAL's flushed-batch history is kept on purpose (migration
+        # replay reads it) and holds every LSN; drop it so only latency
+        # state is left to measure.
+        database.log_manager.batches.clear()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert database.stats.commits == commits
+    watched = snapshot.filter_traces(
+        [tracemalloc.Filter(True, pattern) for pattern in LATENCY_STATE_FILES]
+    )
+    return sum(stat.size for stat in watched.statistics("filename"))
+
+
+def test_latency_state_does_not_grow_with_commits():
+    small = _latency_state_bytes(300)
+    large = _latency_state_bytes(3000)
+    assert large - small <= 1024, (
+        f"latency state grew {large - small} B from 300 to 3000 commits"
+    )
 
 
 def test_duplicate_table_rejected():

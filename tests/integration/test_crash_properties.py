@@ -8,16 +8,12 @@ never a lost acknowledged commit.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.crash import PowerLossInjector
-from repro.db.engine import Database
+from repro.core.crash import PowerLossInjector, read_durable_pages
 from repro.db.log_record import RecordKind
-from repro.db.recovery import extract_records, recover_from_pages
+from repro.db.recovery import extract_records, recover_pages
 from repro.host.api import XssdLogFile
-from repro.host.baselines import NoLogFile
-from repro.sim import Engine
 
 from tests.conftest import build_logging_device as build
-from tests.conftest import collect_destaged_pages as collect_pages
 
 
 @given(
@@ -42,12 +38,9 @@ def test_recovery_exactness_at_random_crash_points(transactions, crash_at_us,
     engine.process(workload())
     engine.run(until=crash_at_us * 1_000.0)
     PowerLossInjector(engine, device).power_loss()
-    pages = collect_pages(engine, device)
-
-    fresh = Engine()
-    recovered = Database(fresh, NoLogFile(fresh))
-    recovered.create_table("kv")
-    recover_from_pages(recovered, pages)
+    pages, errors = read_durable_pages(engine, device)
+    assert errors == []
+    recovered, _ = recover_pages(pages, ["kv"])
 
     # 1. Every acknowledged commit survives with its value or a newer
     #    acknowledged value for the same key (the engine acknowledged in

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import Engine
-from repro.sim.stats import (
-    Candlestick,
-    Counter,
-    LatencyRecorder,
-    RateMeter,
-    percentile,
-)
+from repro.sim.stats import Candlestick, Counter, percentile
 
 
 class TestPercentile:
@@ -68,52 +62,6 @@ class TestCandlestick:
         assert (stick.low <= stick.q1 <= stick.median
                 <= stick.q3 <= stick.high)
         assert stick.count == len(samples)
-
-
-class TestLatencyRecorder:
-    def test_mean(self):
-        recorder = LatencyRecorder()
-        for value in (10.0, 20.0, 30.0):
-            recorder.record(value)
-        assert recorder.mean == 20.0
-        assert len(recorder) == 3
-
-    def test_empty_mean_is_zero(self):
-        assert LatencyRecorder().mean == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder().record(-1.0)
-
-
-class TestRateMeter:
-    def test_per_second(self):
-        engine = Engine()
-        meter = RateMeter(engine)
-
-        def proc():
-            for _ in range(10):
-                yield engine.timeout(1e6)  # 1 ms apart
-                meter.tick(nbytes=100)
-
-        engine.process(proc())
-        engine.run()
-        assert meter.per_second() == pytest.approx(1000.0)
-        assert meter.bytes_per_second() == pytest.approx(100_000.0)
-
-    def test_zero_elapsed_is_zero_rate(self):
-        engine = Engine()
-        meter = RateMeter(engine)
-        meter.tick()
-        assert meter.per_second() == 0.0
-
-    def test_reset(self):
-        engine = Engine()
-        meter = RateMeter(engine)
-        meter.tick(50)
-        meter.reset()
-        assert meter.count == 0
-        assert meter.bytes == 0
 
 
 class TestCounter:
