@@ -15,9 +15,7 @@ from types import SimpleNamespace
 from repro.check.model import ReferenceModel
 from repro.cluster.fleet import Fleet
 from repro.core.crash import read_durable_pages
-from repro.db.log_record import RecordKind
-from repro.db.recovery import durable_commit_ids, extract_records, \
-    recover_pages
+from repro.db.recovery import LogReader, durable_commit_ids, recover_pages
 from repro.db.txn import TransactionAborted
 from repro.faults.injector import ChaosInjector
 from repro.faults.oracles import check_ftl_integrity
@@ -235,22 +233,14 @@ def judge_shards(run, crash, violations, stats, migrated=None,
 
 def durable_seqs(pages, table):
     """Sequence numbers of the table's committed data records, log order."""
-    records = extract_records(pages)
-    committed = {
-        record.txn_id for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    data = sorted(
-        (record for record in records
-         if record.is_data() and record.table == table
-         and record.txn_id in committed),
-        key=lambda record: record.lsn,
-    )
+    reader = LogReader()
     seqs = []
-    for record in data:
-        value = record.value
-        if isinstance(value, str) and "-v" in value:
-            seqs.append(int(value.rsplit("-v", 1)[1]))
+    for _commit, data in reader.committed(reader.feed(pages)):
+        for record in data:
+            value = record.value
+            if (record.table == table and isinstance(value, str)
+                    and "-v" in value):
+                seqs.append(int(value.rsplit("-v", 1)[1]))
     return seqs
 
 

@@ -38,57 +38,9 @@ cold colocated tenants away frees capacity under the hot one.
 
 from repro.cluster.fleet import ShardView
 from repro.db.log_record import RecordKind
+from repro.db.recovery import LogReader
 from repro.db.txn import TransactionAborted
 from repro.health.errors import DeviceBusy
-
-
-class StreamScanner:
-    """Incremental record extraction over a live destage ring.
-
-    The batch torn-tail rule (:func:`repro.db.recovery.extract_records`)
-    needs byte coverage accumulated across *all* pages that carried a
-    batch; a batch can straddle scan rounds, so coverage state must
-    persist between rounds.  Each :meth:`scan` round reads only pages
-    newer than the last round (re-clamped to the ring head after
-    evictions) and returns the records that *newly* became durable.
-    """
-
-    def __init__(self, device):
-        self.device = device
-        self._next_sequence = None
-        self._covered = {}  # id(batch) -> [batch, bytes seen]
-        self._emitted = {}  # id(batch) -> records already returned
-        self.pages_read = 0
-
-    def scan(self):
-        destage = self.device.destage
-        if self._next_sequence is None:
-            self._next_sequence = destage.head_sequence
-        self._next_sequence = max(self._next_sequence, destage.head_sequence)
-        fresh = []
-        while self._next_sequence < destage.durable_tail:
-            page = yield destage.read_page(self._next_sequence)
-            self._next_sequence += 1
-            self.pages_read += 1
-            for _offset, _nbytes, payload in page.chunks:
-                if payload is None:
-                    continue
-                batch, _cursor, step = payload
-                key = id(batch)
-                entry = self._covered.get(key)
-                if entry is None:
-                    entry = self._covered[key] = [batch, 0]
-                entry[1] += step
-                covered = batch.records_covered_by(entry[1])
-                emitted = self._emitted.get(key, 0)
-                if len(covered) > emitted:
-                    fresh.extend(covered[emitted:])
-                    self._emitted[key] = len(covered)
-        return fresh
-
-
-# Historical name; the DR archiver made the scanner a shared surface.
-_StreamScanner = StreamScanner
 
 
 class ShardMigration:
@@ -121,7 +73,6 @@ class ShardMigration:
         self.archive_catchup_txns = 0
         self.busy_backoffs = 0
         self._replayed_ids = set()
-        self._txn_buffer = {}  # source txn_id -> [data records]
         self.process = None  # the sim process; yield on it to await the move
         self.done = False
         self.error = None
@@ -163,11 +114,11 @@ class ShardMigration:
             # rebuilt, not shipped: only transactional deltas ride the WAL.
             shard.bootstrap(dest_view)
         self.dest.admission.register_writer(self.writer_id)
-        scanner = StreamScanner(self.source.cluster.primary.device)
+        reader = LogReader(self.source.cluster.primary.device)
         try:
             self._mark("copy")
             for _round in range(self.copy_rounds):
-                yield from self._replay_round(scanner, dest_view)
+                yield from self._replay_round(reader, dest_view)
                 yield self.engine.timeout(self.round_wait_ns)
             if self.early_cutover:
                 # BUG (seeded, for the checker): cut over with acked
@@ -180,7 +131,7 @@ class ShardMigration:
                 self._mark("catchup")
                 stalled = 0
                 while True:
-                    fresh = yield from self._replay_round(scanner, dest_view)
+                    fresh = yield from self._replay_round(reader, dest_view)
                     if shard.view.state() == dest_view.state():
                         break
                     stalled = 0 if fresh else stalled + 1
@@ -212,34 +163,31 @@ class ShardMigration:
         finally:
             self.dest.admission.unregister_writer(self.writer_id)
 
-    def _replay_round(self, scanner, dest_view):
+    def _replay_round(self, reader, dest_view):
         """Scan new WAL, replay this shard's newly committed txns; returns
         how many transactions were replayed."""
-        records = yield from scanner.scan()
-        commits = []
-        for record in records:
-            if record.kind is RecordKind.COMMIT:
-                commits.append(record)
-            elif record.is_data():
-                self._txn_buffer.setdefault(record.txn_id, []).append(record)
-        commits.sort(key=lambda record: record.lsn)
+        records = yield from reader.scan()
         replayed = 0
-        prefix = self.shard.prefix
-        for commit in commits:
-            txn_id = commit.txn_id
-            data = self._txn_buffer.pop(txn_id, [])
-            mine = [r for r in data if r.table.startswith(prefix)]
-            if not mine or txn_id in self._replayed_ids:
-                continue
-            yield from self._replay_txn(dest_view, mine)
-            self._replayed_ids.add(txn_id)
-            replayed += 1
-            self.replayed_txns += 1
+        for commit, data in reader.committed(records):
+            replayed += yield from self._replay_committed(dest_view, commit,
+                                                          data)
         return replayed
+
+    def _replay_committed(self, dest_view, commit, data):
+        """Replay one committed source transaction's rows of this shard;
+        returns 1 if it replayed, 0 if it had none or already replayed."""
+        prefix = self.shard.prefix
+        mine = [r for r in data if r.table.startswith(prefix)]
+        if not mine or commit.txn_id in self._replayed_ids:
+            return 0
+        yield from self._replay_txn(dest_view, mine)
+        self._replayed_ids.add(commit.txn_id)
+        self.replayed_txns += 1
+        return 1
 
     def _replay_txn(self, dest_view, records):
         writes = {}
-        for record in sorted(records, key=lambda r: r.lsn):
+        for record in records:  # LSN order
             value = None if record.kind is RecordKind.DELETE else record.value
             writes[(record.table, record.key)] = value
         est = max(1, sum(record.nbytes for record in records))
@@ -291,11 +239,10 @@ class ShardMigration:
             return 0
         from repro.dr.archive import record_from_dict
         from repro.dr.grid import GridUnavailable
-        from repro.db.log_record import RecordKind as _Kind
 
         records = []
         try:
-            for entry in list(archiver._segment_entries):
+            for entry in archiver.segment_entries:
                 stored = yield from archiver.grid.get(entry["key"])
                 records.extend(
                     record_from_dict(data)
@@ -304,26 +251,11 @@ class ShardMigration:
         except (GridUnavailable, KeyError):
             self._mark("archive-catchup", replayed=0, aborted=True)
             return 0
-        by_txn = {}
-        commits = []
-        for record in records:
-            if record.kind is _Kind.COMMIT:
-                commits.append(record)
-            elif record.is_data():
-                by_txn.setdefault(record.txn_id, []).append(record)
-        commits.sort(key=lambda record: record.lsn)
-        prefix = self.shard.prefix
         replayed = 0
-        for commit in commits:
-            mine = [r for r in by_txn.get(commit.txn_id, ())
-                    if r.table.startswith(prefix)]
-            if not mine or commit.txn_id in self._replayed_ids:
-                continue
-            yield from self._replay_txn(dest_view, mine)
-            self._replayed_ids.add(commit.txn_id)
-            replayed += 1
-            self.replayed_txns += 1
-            self.archive_catchup_txns += 1
+        for commit, data in LogReader().committed(records):
+            done = yield from self._replay_committed(dest_view, commit, data)
+            replayed += done
+            self.archive_catchup_txns += done
         self._mark("archive-catchup", replayed=replayed)
         return replayed
 

@@ -105,6 +105,6 @@ class Server:
         self.device.restart()
         transport = self.device.transport
         if (transport.role is TransportRole.SECONDARY
-                and transport._primary_name is not None):
-            transport.set_secondary(transport._primary_name)
+                and transport.primary_name is not None):
+            transport.set_secondary(transport.primary_name)
         return self

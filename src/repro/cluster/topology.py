@@ -2,7 +2,7 @@
 
 from repro.cluster.server import Server
 from repro.core.replication import policy_by_name
-from repro.db.recovery import extract_records, apply_records
+from repro.db.recovery import LogReader, apply_transactions
 from repro.pcie.ntb import NtbBridge
 from repro.ssd.nvme import AdminOpcode
 
@@ -79,7 +79,7 @@ class Cluster:
         if upstream is None:
             return 0
         transport = upstream.device.transport
-        if secondary_name not in transport._flows:
+        if secondary_name not in transport.peers:
             return 0
         frontier = self.servers[secondary_name].device.cmb.credit.value
         return transport.resync_peer(secondary_name, from_offset=frontier)
@@ -101,7 +101,7 @@ class Cluster:
         successor = self.successor_of(dead_name)
         if upstream is not None:
             transport = upstream.device.transport
-            if dead_name in transport._flows:
+            if dead_name in transport.peers:
                 transport.remove_peer(dead_name)
         self.order.remove(dead_name)
         self._membership("evict", dead_name,
@@ -116,7 +116,7 @@ class Cluster:
                            successor.device.transport.ntb_port)
         self.bridges.append(bridge)
         upstream.right_port = new_port
-        if successor.name not in upstream.device.transport._flows:
+        if successor.name not in upstream.device.transport.peers:
             upstream.device.transport.add_peer(successor.name, port=new_port)
         successor.device.transport.set_secondary(upstream.name)
         self.resync(successor.name)
@@ -144,7 +144,7 @@ class Cluster:
             raise RuntimeError(f"{name!r} is down; rejoin it before "
                                f"reattaching")
         transport = server.device.transport
-        for peer in list(transport._flows):
+        for peer in list(transport.peers):
             transport.remove_peer(peer)
         tail = self.servers[self.order[-1]]
         new_port = NtbPort(self.engine, f"{tail.name}.right@{name}")
@@ -152,7 +152,7 @@ class Cluster:
         bridge = NtbBridge(self.engine, new_port, server.ntb_port)
         self.bridges.append(bridge)
         tail.right_port = new_port
-        if name not in tail.device.transport._flows:
+        if name not in tail.device.transport.peers:
             tail.device.transport.add_peer(name, port=new_port)
         transport.set_secondary(tail.name)
         self.order.append(name)
@@ -234,13 +234,13 @@ class SecondaryApplyLoop:
 
     def _loop(self):
         log = self.server.log
+        reader = LogReader()  # batches straddle x_pread rounds
         while self._running:
             destage = self.server.device.destage
-            if destage.durable_tail > log._read_sequence:
+            if destage.durable_tail > log.read_sequence:
                 pages = yield log.x_pread(min_bytes=1)
-                records = extract_records(pages)
-                self.transactions_applied += apply_records(
-                    self.database, records
+                self.transactions_applied += apply_transactions(
+                    self.database, reader.committed(reader.feed(pages))
                 )
             else:
                 yield self.engine.timeout(self.poll_ns)

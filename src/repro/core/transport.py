@@ -469,6 +469,16 @@ class TransportModule:
     # -- aggregate flow statistics ------------------------------------------------------
 
     @property
+    def peers(self):
+        """Names of the peers this transport mirrors to (a live view)."""
+        return self._flows.keys()
+
+    @property
+    def primary_name(self):
+        """The upstream a secondary reports to (None until assigned)."""
+        return self._primary_name
+
+    @property
     def sends_retried(self):
         """Total link-layer retries across all mirror flows."""
         return sum(flow.sends_retried for flow in self._flows.values())

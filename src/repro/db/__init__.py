@@ -16,7 +16,9 @@ the aspects the evaluation depends on:
   (the Villars drop-in API, or any baseline from
   :mod:`repro.host.baselines`) can absorb the stream;
 * recovery replays the destaged log back into tables, and a secondary
-  server applies shipped log pages to stay hot (Fig. 1's step (3)).
+  server applies shipped log pages to stay hot (Fig. 1's step (3)); both
+  decode it through one :class:`~repro.db.recovery.LogReader`, which the
+  secondary keeps across ``x_pread`` rounds.
 """
 
 from repro.db.engine import Database, DatabaseStats

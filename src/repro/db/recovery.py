@@ -2,48 +2,103 @@
 
 The destaged stream on the conventional side carries the WAL as chunk
 payloads of the form ``(batch, cursor, step)`` — a byte slice of one
-:class:`~repro.db.wal.LogBatch`.  Recovery walks the pages in stream
-order, reassembles how many bytes of each batch made it to durable
-storage, takes the record prefix those bytes fully cover, and redoes
-every record belonging to a transaction whose COMMIT record survived.
+:class:`~repro.db.wal.LogBatch`.  :class:`LogReader`, the one decoder of
+that stream, walks the pages in stream order, reassembles how many bytes
+of each batch made it to durable storage, takes the record prefix those
+bytes fully cover (the torn-tail rule), and hands back every transaction
+whose COMMIT record survived, in commit-LSN order.
 
 This is redo-only (ARIES-lite) recovery, which suffices because the
 engine installs values into tables only after durability: there is never
 an un-undone dirty page to roll back.
 """
 
+from operator import attrgetter
+
 from repro.db.engine import Database
 from repro.db.log_record import RecordKind
 from repro.host.baselines import NoLogFile
 from repro.sim import Engine
 
+_LSN = attrgetter("lsn")
+
+
+class LogReader:
+    """Incremental decoder of one destaged WAL stream.
+
+    A batch can straddle pages and read rounds, so per-batch byte
+    coverage, the page cursor of :meth:`scan` (which needs ``device``)
+    and each open transaction's data records persist between calls.
+    """
+
+    def __init__(self, device=None):
+        self.device = device
+        self.pages_read = 0
+        self._next_sequence = None
+        self._coverage = {}  # batch -> [bytes seen not yet emitted, emitted]
+        self._held = {}  # txn_id -> data records awaiting a durable COMMIT
+
+    def feed(self, pages):
+        """The records ``pages`` newly make durable, in stream order."""
+        fresh = []
+        coverage = self._coverage
+        for page in pages:
+            for _offset, _nbytes, payload in page.chunks:
+                if payload is None:
+                    continue
+                batch, _cursor, step = payload
+                entry = coverage.setdefault(batch, [0, 0])
+                spare, emitted = entry[0] + step, entry[1]
+                records = batch.records
+                while (emitted < len(records)
+                       and records[emitted].nbytes <= spare):
+                    spare -= records[emitted].nbytes
+                    fresh.append(records[emitted])
+                    emitted += 1
+                entry[0], entry[1] = spare, emitted
+        return fresh
+
+    def scan(self):
+        """Feed the pages from the cursor (or the ring head, if later)
+        to the durable tail (sim body).  State moves only once the whole
+        round is read, so a failed page read loses no records."""
+        destage = self.device.destage
+        sequence = destage.head_sequence
+        if self._next_sequence is not None:
+            sequence = max(self._next_sequence, sequence)
+        pages = []
+        while sequence < destage.durable_tail:
+            pages.append((yield destage.read_page(sequence)))
+            sequence += 1
+        self._next_sequence = sequence
+        self.pages_read += len(pages)
+        return self.feed(pages)
+
+    def committed(self, records):
+        """``(commit, data records)`` per COMMIT in ``records``, both in
+        LSN order; data waits for its COMMIT across calls."""
+        held = self._held
+        commits = []
+        for record in records:
+            if record.kind is RecordKind.COMMIT:
+                commits.append(record)
+            elif record.is_data():
+                held.setdefault(record.txn_id, []).append(record)
+        commits.sort(key=_LSN)
+        return [
+            (commit, sorted(held.pop(commit.txn_id, ()), key=_LSN))
+            for commit in commits
+        ]
+
+
+def _committed(pages):
+    reader = LogReader()
+    return reader.committed(reader.feed(pages))
+
 
 def extract_records(pages):
-    """Reassemble the durable record stream from destaged pages.
-
-    ``pages`` are :class:`~repro.core.destage.DestagePage` objects in
-    stream order.  Returns the list of fully durable records, in LSN
-    order.  A batch whose tail bytes miss the durable prefix contributes
-    only the records its covered bytes span — the torn-tail rule.
-    """
-    covered_bytes = {}  # id(batch) -> (batch, bytes seen)
-    order = []  # batches in first-seen order
-    for page in pages:
-        for _offset, nbytes, payload in page.chunks:
-            if payload is None:
-                continue
-            batch, _cursor, step = payload
-            key = id(batch)
-            if key not in covered_bytes:
-                covered_bytes[key] = [batch, 0]
-                order.append(key)
-            covered_bytes[key][1] += step
-    records = []
-    for key in order:
-        batch, nbytes = covered_bytes[key]
-        records.extend(batch.records_covered_by(nbytes))
-    records.sort(key=lambda record: record.lsn)
-    return records
+    """The fully durable records in ``pages`` (stream order), LSN order."""
+    return sorted(LogReader().feed(pages), key=_LSN)
 
 
 def durable_commit_ids(pages):
@@ -53,12 +108,20 @@ def durable_commit_ids(pages):
     which is what differential checkers compare against a reference
     model's submission order.
     """
-    commits = [
-        record for record in extract_records(pages)
-        if record.kind is RecordKind.COMMIT
-    ]
-    commits.sort(key=lambda record: record.lsn)
-    return [record.txn_id for record in commits]
+    return [commit.txn_id for commit, _data in _committed(pages)]
+
+
+def apply_transactions(database, transactions):
+    """Install each ``(commit, data)`` pair's rows at its commit LSN;
+    returns how many transactions carried data."""
+    applied = 0
+    for commit, data in transactions:
+        for record in data:
+            value = None if record.kind is RecordKind.DELETE else record.value
+            database.table(record.table).install(record.key, value,
+                                                 commit.lsn)
+        applied += bool(data)
+    return applied
 
 
 def recover_from_pages(database, pages):
@@ -68,26 +131,7 @@ def recover_from_pages(database, pages):
     a torn tail cannot expose half a transaction).  Returns the number of
     transactions redone.
     """
-    records = extract_records(pages)
-    committed = {
-        record.txn_id
-        for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    commit_lsn_of = {
-        record.txn_id: record.lsn
-        for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    redone = set()
-    for record in records:
-        if not record.is_data() or record.txn_id not in committed:
-            continue
-        table = database.table(record.table)
-        value = None if record.kind is RecordKind.DELETE else record.value
-        table.install(record.key, value, commit_lsn_of[record.txn_id])
-        redone.add(record.txn_id)
-    return len(redone)
+    return apply_transactions(database, _committed(pages))
 
 
 def recover_pages(pages, tables):
@@ -102,27 +146,3 @@ def recover_pages(pages, tables):
     for table in tables:
         database.create_table(table)
     return database, recover_from_pages(database, pages)
-
-
-def apply_records(database, records):
-    """Apply already-extracted records (the secondary's hot-apply path)."""
-    committed = {
-        record.txn_id
-        for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    commit_lsn_of = {
-        record.txn_id: record.lsn
-        for record in records
-        if record.kind is RecordKind.COMMIT
-    }
-    applied = set()
-    for record in records:
-        if not record.is_data() or record.txn_id not in committed:
-            continue
-        value = None if record.kind is RecordKind.DELETE else record.value
-        database.table(record.table).install(
-            record.key, value, commit_lsn_of[record.txn_id]
-        )
-        applied.add(record.txn_id)
-    return len(applied)

@@ -33,8 +33,9 @@ class LogBatch:
     """Records flushed together; the unit the storage layer carries.
 
     The payload object handed to ``x_pwrite`` is the batch itself, so the
-    destaged stream lets recovery recover record boundaries (byte-accurate
-    prefixes of a batch yield the records fully covered).
+    destaged stream lets recovery recover record boundaries: a
+    byte-accurate prefix of a batch yields the records it fully covers
+    (:class:`~repro.db.recovery.LogReader`).
     """
 
     __slots__ = ("records", "nbytes", "first_lsn", "last_lsn", "sequence")
@@ -45,17 +46,6 @@ class LogBatch:
         self.first_lsn = records[0].lsn
         self.last_lsn = records[-1].lsn
         self.sequence = sequence
-
-    def records_covered_by(self, nbytes):
-        """The prefix of records whose bytes fit entirely in ``nbytes``."""
-        covered = []
-        total = 0
-        for record in self.records:
-            total += record.nbytes
-            if total > nbytes:
-                break
-            covered.append(record)
-        return covered
 
 
 class LogManager:

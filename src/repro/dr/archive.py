@@ -1,15 +1,18 @@
 """WAL archival: tail the committed log, seal segments, ship to the grid.
 
 One :class:`Archiver` per fleet node tails the node primary's destage
-ring through the same incremental readback scanner the rebalancer uses
-(:class:`~repro.cluster.rebalance.StreamScanner`) — the archival path is
-the traced pipeline itself, not a side channel, so the model checker
-reasons about it with the machinery it already has.  Durable records
-accumulate in a buffer; when the buffer crosses ``segment_bytes`` the
-archiver seals a :dfn:`WAL segment`, uploads it, reads it back to verify
-the landed checksum (catching torn uploads), and re-ships the manifest.
-A second loop takes periodic snapshots of the node database's committed
-tables so restores replay a bounded tail instead of the whole history.
+ring through the WAL decoder recovery and the rebalancer use
+(:meth:`repro.db.recovery.LogReader.scan`) — the archival path is the
+traced pipeline itself, not a side channel, so the model checker
+reasons about it with the machinery it already has.  A scan round that
+fails mid-read (the device died under it) advances nothing, so the
+next round re-reads it and no durable record misses its segment.
+Durable records accumulate in a buffer; when the buffer crosses
+``segment_bytes`` the archiver seals a :dfn:`WAL segment`, uploads it,
+reads it back to verify the landed checksum (catching torn uploads),
+and re-ships the manifest.  A second loop takes periodic snapshots of
+the node database's committed tables so restores replay a bounded tail
+instead of the whole history.
 
 Everything that crosses the wire is a plain JSON-able dict serialized by
 :func:`canonical_json` — sorted keys, compact separators — so manifests
@@ -21,6 +24,7 @@ import hashlib
 import json
 
 from repro.db.log_record import LogRecord, RecordKind
+from repro.db.recovery import LogReader
 from repro.dr.grid import GridUnavailable
 
 MANIFEST_VERSION = 1
@@ -199,8 +203,6 @@ class Archiver:
                  snapshot_every_ns=0.0, retry_ns=60_000.0,
                  retention=False, keep_segments=0,
                  drop_segment_seqs=()):
-        from repro.cluster.rebalance import StreamScanner
-
         self.engine = engine
         self.node = node
         self.device = device
@@ -217,7 +219,7 @@ class Archiver:
         self.drop_segment_seqs = frozenset(drop_segment_seqs)
         self.track = f"{node}.dr"
         self.running = False
-        self._scanner = StreamScanner(device)
+        self._reader = LogReader(device)
         self._buffer = []  # durable records awaiting a segment seal
         self._buffered_bytes = 0
         self._segment_entries = []  # manifest entries, seal order
@@ -259,6 +261,11 @@ class Archiver:
         return max(0, self.database.log_manager.durable_lsn
                    - self.archived_lsn)
 
+    @property
+    def segment_entries(self):
+        """The manifest's sealed-segment entries, in seal order."""
+        return tuple(self._segment_entries)
+
     def manifest_payload(self):
         return {
             "kind": "manifest",
@@ -276,7 +283,7 @@ class Archiver:
             if not self.running:
                 break
             try:
-                fresh = yield from self._scanner.scan()
+                fresh = yield from self._reader.scan()
             except Exception:  # noqa: BLE001 — device died under the scan
                 self.scan_errors += 1
                 if not self.running:
@@ -305,7 +312,7 @@ class Archiver:
         check family probes.
         """
         try:
-            fresh = yield from self._scanner.scan()
+            fresh = yield from self._reader.scan()
         except Exception:  # noqa: BLE001
             self.scan_errors += 1
             fresh = []
@@ -482,5 +489,5 @@ class Archiver:
             "bytes_reclaimed": self.bytes_reclaimed,
             "prune_failures": self.prune_failures,
             "scan_errors": self.scan_errors,
-            "pages_read": self._scanner.pages_read,
+            "pages_read": self._reader.pages_read,
         }

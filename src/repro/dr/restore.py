@@ -24,6 +24,7 @@ re-installing a snapshot-covered transaction writes the same value.
 """
 
 from repro.db.log_record import RecordKind
+from repro.db.recovery import LogReader
 from repro.dr.archive import (
     decode_value,
     manifest_key,
@@ -209,25 +210,18 @@ def restore_state(archive, upto_lsn=None):
                 key = decode_value(encoded_key)
                 table_state[key] = decode_value(encoded_value)
                 versions[(table_name, key)] = version
-    records = archive.segment_records()
-    commit_lsn_of = {
-        record.txn_id: record.lsn
-        for record in records
-        if record.kind is RecordKind.COMMIT
-        and (upto_lsn is None or record.lsn <= upto_lsn)
-    }
-    for record in records:  # already LSN-ordered
-        if not record.is_data():
-            continue
-        commit_lsn = commit_lsn_of.get(record.txn_id)
-        if commit_lsn is None or commit_lsn <= base_lsn:
-            continue  # uncommitted (at this point in time) or in snapshot
-        table_state = state.setdefault(record.table, {})
-        if record.kind is RecordKind.DELETE:
-            table_state.pop(record.key, None)
-        else:
-            table_state[record.key] = record.value
-        versions[(record.table, record.key)] = commit_lsn
+    for commit, data in LogReader().committed(archive.segment_records()):
+        if upto_lsn is not None and commit.lsn > upto_lsn:
+            break  # not committed yet at this point in time
+        if commit.lsn <= base_lsn:
+            continue  # folded into the snapshot
+        for record in data:
+            table_state = state.setdefault(record.table, {})
+            if record.kind is RecordKind.DELETE:
+                table_state.pop(record.key, None)
+            else:
+                table_state[record.key] = record.value
+            versions[(record.table, record.key)] = commit.lsn
     return state, versions
 
 

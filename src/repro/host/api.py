@@ -270,6 +270,11 @@ class XssdLogFile:
     # -- diagnostics --------------------------------------------------------------------
 
     @property
+    def read_sequence(self):
+        """The next destage page ``x_pread`` will return."""
+        return self._read_sequence
+
+    @property
     def unacknowledged_bytes(self):
         """Bytes written but not yet covered by the last credit read."""
         return max(0, self.high_water - self.last_credit)

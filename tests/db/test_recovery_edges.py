@@ -7,7 +7,7 @@ from repro.db.log_record import (
     RecordKind,
     record_bytes,
 )
-from repro.db.recovery import apply_records, extract_records
+from repro.db.recovery import LogReader, apply_transactions, extract_records
 from repro.db.wal import LogBatch
 from repro.host.baselines import NoLogFile
 from repro.sim import Engine
@@ -72,6 +72,11 @@ class TestExtractRecords:
         assert extract_records(pages) == records
 
 
+def apply_committed(database, records):
+    """Commit-gate ``records`` and apply them (the secondary's hot path)."""
+    return apply_transactions(database, LogReader().committed(records))
+
+
 class TestApplyRecords:
     def test_delete_records_remove_rows(self):
         database = fresh_db()
@@ -80,7 +85,7 @@ class TestApplyRecords:
             LogRecord(10, 5, RecordKind.DELETE, "kv", "doomed", None),
             LogRecord(11, 5, RecordKind.COMMIT),
         ]
-        applied = apply_records(database, records)
+        applied = apply_committed(database, records)
         assert applied == 1
         assert database.table("kv").get("doomed") is None
 
@@ -90,7 +95,7 @@ class TestApplyRecords:
             LogRecord(10, 5, RecordKind.UPDATE, "kv", "a", "torn"),
             # no COMMIT for txn 5
         ]
-        assert apply_records(database, records) == 0
+        assert apply_committed(database, records) == 0
         assert database.table("kv").get("a") is None
 
     def test_last_writer_wins_across_transactions(self):
@@ -101,7 +106,7 @@ class TestApplyRecords:
             LogRecord(3, 2, RecordKind.UPDATE, "kv", "a", "second"),
             LogRecord(4, 2, RecordKind.COMMIT),
         ]
-        apply_records(database, records)
+        apply_committed(database, records)
         assert database.table("kv").get("a") == "second"
 
     def test_abort_records_are_inert(self):
@@ -110,7 +115,7 @@ class TestApplyRecords:
             LogRecord(1, 1, RecordKind.UPDATE, "kv", "a", "x"),
             LogRecord(2, 1, RecordKind.ABORT),
         ]
-        assert apply_records(database, records) == 0
+        assert apply_committed(database, records) == 0
 
 
 class TestRecordSizing:

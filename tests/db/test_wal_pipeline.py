@@ -1,10 +1,13 @@
 """Tests for pipelined group commit: inflight flushes, prefix durability,
 back-pressure, and async (early-lock-release) commits."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.db.engine import Database
 from repro.db.log_record import LogRecord, RecordKind
+from repro.db.recovery import LogReader
 from repro.db.wal import LogBatch, LogManager
 from repro.host.baselines import NvdimmLogFile, NvmeLogFile
 from repro.nand.geometry import Geometry
@@ -51,12 +54,17 @@ class SlowLogFile:
 
 
 class TestLogBatch:
-    def test_records_covered_by_partial_bytes(self):
+    def test_partial_bytes_yield_the_covered_record_prefix(self):
         records = records_of(500, 1)
         batch = LogBatch(records)
-        assert batch.records_covered_by(batch.nbytes) == records
-        assert batch.records_covered_by(records[0].nbytes) == [records[0]]
-        assert batch.records_covered_by(10) == []
+
+        def covered_by(nbytes):
+            page = SimpleNamespace(chunks=[(0, nbytes, (batch, 0, nbytes))])
+            return LogReader().feed([page])
+
+        assert covered_by(batch.nbytes) == records
+        assert covered_by(records[0].nbytes) == [records[0]]
+        assert covered_by(10) == []
 
 
 class TestPipelining:

@@ -261,14 +261,14 @@ class TestMigrationArchiveCatchup:
         source_state = fleet.shards["s0"].view.state()
 
         # The WAL ring is now "evicted": every scan comes back empty.
-        from repro.cluster import rebalance
+        from repro.db.recovery import LogReader
 
         def empty_scan(self):
             if False:
                 yield  # a generator, like the real scan
             return []
 
-        monkeypatch.setattr(rebalance.StreamScanner, "scan", empty_scan)
+        monkeypatch.setattr(LogReader, "scan", empty_scan)
         migration = fleet.migrate("s0", "node1", copy_rounds=1,
                                   round_wait_ns=20_000.0,
                                   max_stalled_rounds=1)
