@@ -85,7 +85,6 @@ def _build(cell, dr):
         replicas=cell["replicas"],
         group_commit_bytes=384,
         group_commit_timeout_ns=5_000.0,
-        max_inflight_flushes=1,
     )
     fleet.add_nodes(1)
     grid = None

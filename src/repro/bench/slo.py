@@ -36,7 +36,6 @@ def _slo_cell(**cell):
         engine, chaos_config_factory(cell["seed"]),
         group_commit_bytes=cell["group_commit_bytes"],
         group_commit_timeout_ns=cell["group_commit_timeout_ns"],
-        max_inflight_flushes=1,
         admission_bytes=cell["admission_bytes"],
     )
     fleet.add_nodes(cell["nodes"])

@@ -34,8 +34,8 @@ FLEET_HEAVY_STRIDE = 2
 def start_fleet(config, **node_kw):
     """A fresh engine and a ``config.nodes``-node fleet, not yet loaded.
 
-    ``max_inflight_flushes`` is pinned to 1 for the same prefix-oracle
-    soundness reason as the single-chain checker.
+    Fleet nodes run one WAL flush slot, which the prefix oracle needs for
+    the same soundness reason as the single-chain checker.
     """
     engine = Engine()
     fleet = Fleet(
@@ -43,7 +43,6 @@ def start_fleet(config, **node_kw):
         replicas=config.replicas,
         group_commit_bytes=config.group_commit_bytes,
         group_commit_timeout_ns=config.group_commit_timeout_ns,
-        max_inflight_flushes=1,
         **node_kw,
     )
     fleet.add_nodes(config.nodes)

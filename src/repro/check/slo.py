@@ -44,7 +44,11 @@ from repro.check.harness import (
 from repro.check.points import bracket_events
 from repro.check.schedules import family, interleave
 from repro.faults.plan import FaultKind
-from repro.slo.controller import MAX_LEVEL
+from repro.slo.controller import (
+    GROUP_COMMIT_MAX_FACTOR,
+    MAX_LEVEL,
+    MIN_CEILING_FRACTION,
+)
 
 SLO_FAMILIES = ("slo-overload", "slo-adaptation")
 
@@ -206,7 +210,7 @@ def _controller_violations(controller, config):
                 f"(must descend one rung at a time)"
             )
         levels[site] = level
-    cap = config.group_commit_bytes * controller.group_commit_max_factor
+    cap = config.group_commit_bytes * GROUP_COMMIT_MAX_FACTOR
     for name in sorted(controller.fleet.nodes):
         node = controller.fleet.nodes[name]
         log_manager = node.database.log_manager
@@ -219,7 +223,7 @@ def _controller_violations(controller, config):
             )
         admission = node.admission
         floor = int(admission.baseline_max_outstanding_bytes
-                    * controller.min_ceiling_fraction)
+                    * MIN_CEILING_FRACTION)
         if not (floor <= admission.max_outstanding_bytes
                 <= admission.baseline_max_outstanding_bytes):
             errors.append(

@@ -142,8 +142,13 @@ class Shard:
 
     # -- placement / migration plumbing -------------------------------------------
 
-    def attach(self, node, bootstrap_if_missing=True):
-        """Bind this shard to ``node`` (initial placement or cutover)."""
+    def attach(self, node):
+        """Bind this shard to ``node`` (initial placement or cutover).
+
+        A node that holds none of the shard's tables yet gets them from
+        ``bootstrap``; one that does (a migration destination, a restored
+        node) keeps its rows.
+        """
         if self.node is not None:
             self.node.admission.unregister_writer(self.writer_id)
             self.node.shards.pop(self.shard_id, None)
@@ -151,9 +156,8 @@ class Shard:
         self.view = ShardView(node.database, self.prefix)
         node.admission.register_writer(self.writer_id)
         node.shards[self.shard_id] = self
-        if bootstrap_if_missing and not self.view.tables():
-            if self.bootstrap is not None:
-                self.bootstrap(self.view)
+        if self.bootstrap is not None and not self.view.tables():
+            self.bootstrap(self.view)
         return self
 
     def gate(self):
@@ -221,15 +225,6 @@ class Shard:
         self.bytes_admitted += est
         return lsn
 
-    def commit_writes(self, writes, table="kv"):
-        """Commit a batch of ``(key, value)`` pairs (the checker's path)."""
-        def body(txn):
-            for key, value in writes:
-                txn.write(table, key, value)
-
-        lsn = yield from self.run_body(body)
-        return lsn
-
 
 def kv_bootstrap(view):
     """The minimal shard schema: one ``kv`` table (checker + tests)."""
@@ -239,11 +234,9 @@ def kv_bootstrap(view):
 class FleetNode:
     """One replication chain, its shared database, and its control plane."""
 
-    def __init__(self, fleet, name, config_factory, replicas=1,
-                 group_commit_bytes=2 * KIB, group_commit_timeout_ns=20_000.0,
-                 max_inflight_flushes=4, admission_bytes=None,
-                 supervise=False, supervisor_kw=None,
-                 ntb_bandwidth=7.0, ntb_hop_ns=700.0):
+    def __init__(self, fleet, name, config_factory, replicas,
+                 group_commit_bytes, group_commit_timeout_ns, admission_bytes,
+                 supervise):
         if replicas < 1:
             raise ValueError("a fleet node needs at least one secondary")
         self.fleet = fleet
@@ -252,15 +245,12 @@ class FleetNode:
         chain_names = [f"{name}.primary"] + [
             f"{name}.secondary-{i}" for i in range(1, replicas + 1)
         ]
-        self.cluster = replicated_chain(
-            self.engine, config_factory, names=chain_names,
-            ntb_bandwidth=ntb_bandwidth, ntb_hop_ns=ntb_hop_ns,
-        )
+        self.cluster = replicated_chain(self.engine, config_factory,
+                                        names=chain_names)
         self.database = self.cluster.primary.with_database(
             group_commit_bytes=group_commit_bytes,
             group_commit_timeout_ns=group_commit_timeout_ns,
         )
-        self.database.log_manager.max_inflight_flushes = max_inflight_flushes
         primary_device = self.cluster.primary.device
         self.admission = AdmissionController(
             primary_device,
@@ -273,7 +263,7 @@ class FleetNode:
 
             self.supervisor = ChainSupervisor(
                 self.engine, self.cluster, admission=self.admission,
-                name=f"{name}.supervisor", **(supervisor_kw or {}),
+                name=f"{name}.supervisor",
             )
             self.supervisor.start()
         self.shards = {}  # shard_id -> Shard currently owned here
@@ -307,13 +297,19 @@ class Fleet:
     """N nodes, a placement policy, and the shard directory."""
 
     def __init__(self, engine, config_factory, placement=None, replicas=1,
-                 name="fleet", **node_kw):
+                 name="fleet", group_commit_bytes=2 * KIB,
+                 group_commit_timeout_ns=20_000.0, admission_bytes=None,
+                 supervise=False):
         self.engine = engine
         self.config_factory = config_factory
         self.placement = placement or HashRingPlacement()
-        self.replicas = replicas
         self.name = name
-        self.node_kw = node_kw
+        # Every node is built with the same settings.
+        self.node_kw = dict(
+            replicas=replicas, group_commit_bytes=group_commit_bytes,
+            group_commit_timeout_ns=group_commit_timeout_ns,
+            admission_bytes=admission_bytes, supervise=supervise,
+        )
         self.nodes = {}  # name -> FleetNode
         self.shards = {}  # shard_id -> Shard
         self.moves = []  # completed migrations: plain dict records
@@ -322,13 +318,10 @@ class Fleet:
 
     # -- membership ----------------------------------------------------------------
 
-    def add_node(self, name, **overrides):
+    def add_node(self, name):
         if name in self.nodes:
             raise ValueError(f"node {name!r} already in the fleet")
-        kw = dict(self.node_kw)
-        kw.update(overrides)
-        node = FleetNode(self, name, self.config_factory,
-                         replicas=self.replicas, **kw)
+        node = FleetNode(self, name, self.config_factory, **self.node_kw)
         self.nodes[name] = node
         self.placement.add_device(name)
         self._instant("node-join", name)
@@ -383,7 +376,7 @@ class Fleet:
         Call after :meth:`add_nodes`: the controller builds one signal
         reader per existing node (nodes added later are not
         auto-covered).  ``controller_kw`` passes through — ``poll_ns``,
-        dwell polls, clamp factors, ``seed_shed_acked_bug`` (the
+        ``enter_polls``/``exit_polls``, ``seed_shed_acked_bug`` (the
         checker's mutation), ``fleet_supervisor`` for rebalance-stall
         signals.  Returns the controller, started.
         """
@@ -436,23 +429,18 @@ class Fleet:
             tracer.instant(self.name, action, site=str(site), **detail)
 
 
-def run_shard_body(engine, shard, body, retries=None):
+def run_shard_body(engine, shard, body):
     """Drive one body to commit with DeviceBusy backoff (a sim process).
 
     The standard tenant idiom: retry ``DeviceBusy`` after the device's
-    suggested delay and aborted transactions immediately, up to
-    ``retries`` attempts (unbounded by default).  Returns the commit LSN.
+    suggested delay and aborted transactions immediately, as often as it
+    takes.  Returns the commit LSN.
     """
-    attempt = 0
     while True:
-        attempt += 1
         try:
             lsn = yield from shard.run_body(body)
             return lsn
         except DeviceBusy as busy:
-            if retries is not None and attempt > retries:
-                raise
             yield engine.timeout(busy.retry_after_ns)
         except TransactionAborted:
-            if retries is not None and attempt > retries:
-                raise
+            pass  # retry at once

@@ -234,7 +234,7 @@ class ShardMigration:
         (partition, missing object) just returns — the caller falls back
         to the top-up.  Returns the number of transactions replayed.
         """
-        archiver = getattr(self.source, "archiver", None)
+        archiver = self.source.archiver
         if archiver is None:
             return 0
         from repro.dr.archive import record_from_dict
@@ -288,13 +288,20 @@ class ShardMigration:
             self.topped_up_keys += len(chunk)
 
 
+# Weight of the newest poll in the per-node and per-shard load EWMAs.
+EWMA_ALPHA = 0.4
+
+
 class FleetSupervisor:
-    """The rebalancer: watches node load, moves shards off hot nodes."""
+    """The rebalancer: watches node load, moves shards off hot nodes.
+
+    When tracing is on it also samples every node's device gauges each
+    poll, on a ``<node>.gauges`` track.
+    """
 
     def __init__(self, fleet, poll_ns=400_000.0, hot_ratio=2.0,
                  dwell_polls=3, cooldown_ns=2_000_000.0,
-                 converge_ratio=1.5, ewma_alpha=0.4, sample_gauges=True,
-                 migration_kw=None, name=None):
+                 converge_ratio=1.5, migration_kw=None, name=None):
         if hot_ratio <= 1.0:
             raise ValueError("hot ratio must exceed 1.0")
         self.fleet = fleet
@@ -304,8 +311,6 @@ class FleetSupervisor:
         self.dwell_polls = dwell_polls
         self.cooldown_ns = cooldown_ns
         self.converge_ratio = converge_ratio
-        self.ewma_alpha = ewma_alpha
-        self.sample_gauges = sample_gauges
         self.migration_kw = dict(migration_kw or {})
         self.name = name or f"{fleet.name}.supervisor"
         self.rates = {}  # node -> EWMA bytes/poll
@@ -327,7 +332,7 @@ class FleetSupervisor:
         if self._running:
             raise RuntimeError("fleet supervisor already running")
         self._running = True
-        if self.sample_gauges and self.engine.tracer.enabled:
+        if self.engine.tracer.enabled:
             from repro.obs import GaugeSampler
 
             for name, node in self.fleet.nodes.items():
@@ -361,7 +366,7 @@ class FleetSupervisor:
             self._maybe_rebalance()
 
     def _observe(self):
-        alpha = self.ewma_alpha
+        alpha = EWMA_ALPHA
         for name, node in self.fleet.nodes.items():
             delta = node.load_delta()
             previous = self.rates.get(name, float(delta))

@@ -31,9 +31,6 @@ class Cluster:
             if name != self.primary_name
         ]
 
-    def alive_secondaries(self):
-        return [s for s in self.secondaries() if not s.device.halted]
-
     def _membership(self, action, site, **detail):
         """Emit a supervisor-track instant for a membership change.
 
@@ -42,8 +39,8 @@ class Cluster:
         made directly (tests, fleet migrations, manual ops) left no
         mark.  Now the cluster itself records every order/role change.
         """
-        tracer = getattr(self.engine, "tracer", None)
-        if tracer is not None and tracer.enabled:
+        tracer = self.engine.tracer
+        if tracer.enabled:
             tracer.instant("supervisor", "membership", action=action,
                            site=site, order=",".join(self.order), **detail)
 
@@ -246,26 +243,20 @@ class SecondaryApplyLoop:
                 yield self.engine.timeout(self.poll_ns)
 
 
-def _wire(engine, names, config_factory, ntb_bandwidth, ntb_hop_ns):
+def _wire(engine, names, config_factory):
     servers = [Server(engine, name, config_factory()) for name in names]
-    bridges = []
-    for left, right in zip(servers, servers[1:]):
-        bridges.append(
-            NtbBridge(engine, left.ntb_port, right.ntb_port,
-                      bandwidth=ntb_bandwidth, hop_latency=ntb_hop_ns)
-        )
+    bridges = [
+        NtbBridge(engine, left.ntb_port, right.ntb_port)
+        for left, right in zip(servers, servers[1:])
+    ]
     for server in servers:
         server.start()
     return servers, bridges
 
 
-def replicated_pair(engine, config_factory, ntb_bandwidth=7.0,
-                    ntb_hop_ns=700.0, policy="eager"):
+def replicated_pair(engine, config_factory, policy="eager"):
     """Primary + one secondary over one NTB bridge (the Fig. 13 setup)."""
-    servers, bridges = _wire(
-        engine, ["primary", "secondary"], config_factory,
-        ntb_bandwidth, ntb_hop_ns,
-    )
+    servers, bridges = _wire(engine, ["primary", "secondary"], config_factory)
     cluster = Cluster(engine, servers, bridges, primary_name="primary",
                       order=["primary", "secondary"])
     primary, secondary = servers
@@ -277,8 +268,7 @@ def replicated_pair(engine, config_factory, ntb_bandwidth=7.0,
     return cluster
 
 
-def replicated_chain(engine, config_factory, secondaries=2,
-                     ntb_bandwidth=7.0, ntb_hop_ns=700.0, names=None):
+def replicated_chain(engine, config_factory, secondaries=2, names=None):
     """Primary + N daisy-chained secondaries (chain replication layout).
 
     Each server mirrors to its right-hand neighbor; acknowledgements (the
@@ -307,10 +297,7 @@ def replicated_chain(engine, config_factory, secondaries=2,
         else:
             left_port = NtbPort(engine, f"{left.name}.right")
             left.device.transport.attach_extra_port(left_port)
-        bridges.append(
-            NtbBridge(engine, left_port, right.ntb_port,
-                      bandwidth=ntb_bandwidth, hop_latency=ntb_hop_ns)
-        )
+        bridges.append(NtbBridge(engine, left_port, right.ntb_port))
         left.right_port = left_port
     for server in servers:
         server.start()

@@ -3,9 +3,8 @@
 Two presets mirror the prototype's CMB backing options (Section 6):
 
 * :func:`villars_sram` — 128 KiB of FPGA BlockRAM at 4 GB/s;
-* :func:`villars_dram` — 128 MiB carved out of the DDR3 data-buffer pool
-  at 2 GB/s, optionally *sharing the buffer's port* so fast-side intake
-  contends with regular buffering.
+* :func:`villars_dram` — 128 MiB carved out of the DDR3 data-buffer pool,
+  whose 2 GB/s port leaves the CMB about 0.7 GB/s of its own.
 
 Both constrain the PCIe interface to x4 Gen2 (2 GB/s) as the paper does
 for CMB experiments.
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.sim.units import KIB, MIB
 from repro.ssd.device import SsdConfig
-from repro.ssd.scheduler import SchedulingMode
 
 
 @dataclass
@@ -26,7 +24,6 @@ class VillarsConfig:
     backing_kind: str = "sram"  # "sram" or "dram"
     cmb_capacity: int = 128 * KIB
     cmb_queue_bytes: int = 32 * KIB  # the best-performing size (Fig. 11)
-    dram_shares_buffer_port: bool = True
     destage_latency_threshold_ns: float = 50_000.0
     destage_ring_blocks: int = 4096
     transport_update_period_ns: float = 400.0  # Fig. 13's best frequency
@@ -62,10 +59,3 @@ def villars_dram(**overrides):
     """The Villars-DRAM configuration (data-buffer-pool-backed CMB)."""
     config = VillarsConfig(backing_kind="dram", cmb_capacity=128 * MIB)
     return replace(config, **overrides) if overrides else config
-
-
-def with_scheduling_mode(config, mode):
-    """A copy of ``config`` whose conventional side uses ``mode``."""
-    if not isinstance(mode, SchedulingMode):
-        raise TypeError("mode must be a SchedulingMode")
-    return replace(config, ssd=replace(config.ssd, scheduling_mode=mode))

@@ -141,8 +141,7 @@ class XssdDevice:
         self._halted = False
         self.conventional.hic.start(pumps=self.config.ssd.hic_pumps)
         self.conventional.scheduler.start()
-        if self.config.ssd.gc_enabled:
-            self.conventional.gc.start()
+        self.conventional.gc.start()
         self.cmb.start()
         self.destage.start()
         self.transport.restart_flows()

@@ -341,9 +341,6 @@ class TransportModule:
             name=f"{self.name}-staleness",
         )
 
-    def stop_staleness_monitor(self):
-        self._monitor_running = False
-
     def _staleness_monitor(self, check_period_ns):
         while self._monitor_running:
             yield self.engine.timeout(check_period_ns)
@@ -402,23 +399,21 @@ class TransportModule:
         self._kick_reporter()
         return flow
 
-    def resync_peer(self, peer_name, from_offset=0, skip_offsets=()):
+    def resync_peer(self, peer_name, from_offset=0):
         """Re-ship retained history chunks at/after ``from_offset``.
 
-        ``skip_offsets`` names chunk starts the peer already holds parked
-        beyond its gap (duplicates would be discarded at the peer anyway;
-        skipping them saves wire bandwidth).  Chunks straddling
+        Chunks the peer already holds parked beyond its gap are re-shipped
+        too (the peer discards the duplicates).  Chunks straddling
         ``from_offset`` are re-shipped from the missing byte onward.
         Returns the number of bytes offered.
         """
         flow = self._flows.get(peer_name)
         if flow is None:
             raise KeyError(f"no mirror flow toward {peer_name!r}")
-        skip = set(skip_offsets)
         offered = 0
         for offset, nbytes, payload in self.history:
             end = offset + nbytes
-            if end <= from_offset or offset in skip:
+            if end <= from_offset:
                 continue
             if offset < from_offset:
                 # Re-ship only the missing tail of a partially received

@@ -117,14 +117,6 @@ class SegmentedCmb:
         issue.then(_through_port)
         return done
 
-    def release_segment_space(self, segment, up_to):
-        """Tenant-side destage acknowledgment: frees its private window."""
-        consumed = segment.ring.consume(up_to)
-        if consumed:
-            end = consumed[-1][0] + consumed[-1][1]
-            segment.ring.release(end)
-        return consumed
-
     # -- accounting ------------------------------------------------------------------
 
     def usage_report(self):

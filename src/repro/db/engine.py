@@ -107,13 +107,14 @@ class Database:
     # -- workers ----------------------------------------------------------------------------
 
     def run_worker(self, workload, transactions=None, duration_ns=None,
-                   retry_aborted=True, txn_cpu_ns=0.0, async_commit=False):
+                   txn_cpu_ns=0.0, async_commit=False):
         """Start one worker process; returns its completion event.
 
         ``workload`` is an iterator of transaction bodies — callables
         ``body(txn)`` that perform reads/writes on the open transaction.
         The worker stops after ``transactions`` commits or when the
-        engine clock passes ``duration_ns``, whichever comes first.
+        engine clock passes ``duration_ns``, whichever comes first.  A
+        body whose transaction aborts is retried in a fresh transaction.
 
         ``txn_cpu_ns`` charges simulated CPU time per transaction (an
         in-memory engine spends a handful of microseconds of compute per
@@ -129,13 +130,13 @@ class Database:
         if transactions is None and duration_ns is None:
             raise ValueError("bound the worker by count or duration")
         return self.engine.process(
-            self._worker(workload, transactions, duration_ns, retry_aborted,
-                         txn_cpu_ns, async_commit),
+            self._worker(workload, transactions, duration_ns, txn_cpu_ns,
+                         async_commit),
             name=f"{self.name}-worker",
         )
 
-    def _worker(self, workload, transactions, duration_ns, retry_aborted,
-                txn_cpu_ns, async_commit):
+    def _worker(self, workload, transactions, duration_ns, txn_cpu_ns,
+                async_commit):
         deadline = (
             self.engine.now + duration_ns if duration_ns is not None else None
         )
@@ -159,8 +160,7 @@ class Database:
                     else:
                         yield txn.commit()
                 except TransactionAborted:
-                    if retry_aborted:
-                        continue
+                    continue
                 issued += 1
                 break
         if last_durable is not None and not last_durable.triggered:

@@ -79,7 +79,6 @@ class LogManager:
         self.durable_lsn = 0
         self.flushes = 0
         self.bytes_flushed = 0
-        self.batches = []  # every flushed batch, oldest first
         # Pipelined flush state.
         self._flush_slots = Resource(engine, capacity=max_inflight_flushes)
         self._next_batch_sequence = 0
@@ -244,7 +243,6 @@ class LogManager:
                 tracer.end(token)
         self.flushes += 1
         self.bytes_flushed += batch.nbytes
-        self.batches.append(batch)
         self._completed_sequences.add(batch.sequence)
         self._advance_durable()
 

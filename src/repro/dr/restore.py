@@ -143,13 +143,6 @@ class Archive:
             pairs.append((entry, payload))
         return pairs
 
-    def archived_frontier_lsn(self):
-        """Highest LSN the manifest claims archived (0 when empty)."""
-        if self.manifest is None:
-            return 0
-        segments = self.manifest.get("segments", [])
-        return segments[-1]["last_lsn"] if segments else 0
-
 
 def _manifest_entries(manifest):
     if manifest is None:

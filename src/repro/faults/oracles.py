@@ -197,7 +197,7 @@ def check_ftl_integrity(device):
     geometry = ftl.geometry
     bad = ftl.allocator.bad_blocks
     reverse_seen = {}
-    for lba, address in table._forward.items():
+    for lba, address in table.forward_items():
         key = (address.channel, address.way, address.block, address.page)
         if key in reverse_seen:
             violations.append(
@@ -205,7 +205,7 @@ def check_ftl_integrity(device):
                 f"lba {reverse_seen[key]} and lba {lba}"
             )
         reverse_seen[key] = lba
-        if table._reverse.get(key) != lba:
+        if table.lba_of(address) != lba:
             violations.append(
                 f"ftl-integrity: forward map lba {lba} -> {key} not "
                 f"mirrored in the reverse map"
@@ -218,8 +218,8 @@ def check_ftl_integrity(device):
                 f"ftl-integrity: lba {lba} mapped outside the geometry "
                 f"at {key}"
             )
-    for key, lba in table._reverse.items():
-        if table._forward.get(lba) is None:
+    for key, lba in table.reverse_items():
+        if table.lookup(lba) is None:
             violations.append(
                 f"ftl-integrity: reverse map entry {key} -> {lba} has no "
                 f"forward mapping"
@@ -227,20 +227,20 @@ def check_ftl_integrity(device):
     # Retired blocks must never be offered for new placement.  (Pages
     # programmed there *before* retirement legitimately stay mapped —
     # grown bad blocks remain readable; the device only stops writing.)
-    for (channel, way), blocks in ftl.allocator._free.items():
-        for block in blocks:
-            if (channel, way, block) in bad:
-                violations.append(
-                    f"ftl-integrity: retired block "
-                    f"{(channel, way, block)} still in the free pool"
-                )
-    for die, cursor in ftl.allocator._cursors.items():
-        for block in cursor.blocks:
-            if (die[0], die[1], block) in bad:
-                violations.append(
-                    f"ftl-integrity: open placement cursor on retired block "
-                    f"{(die[0], die[1], block)}"
-                )
+    for channel in range(geometry.channels):
+        for way in range(geometry.ways_per_channel):
+            for block in ftl.allocator.free_list(channel, way):
+                if (channel, way, block) in bad:
+                    violations.append(
+                        f"ftl-integrity: retired block "
+                        f"{(channel, way, block)} still in the free pool"
+                    )
+    for key in ftl.allocator.open_blocks():
+        if key in bad:
+            violations.append(
+                f"ftl-integrity: open placement cursor on retired block "
+                f"{key}"
+            )
     return violations
 
 

@@ -34,6 +34,10 @@ from repro.sim import Engine
 from repro.sim.rng import derive
 from repro.ssd.device import SsdConfig
 
+# The chaos workload writes keys k0..k7, so most keys are overwritten
+# several times across a run.
+CHAOS_KEY_SPACE = 8
+
 
 def chaos_config_factory(seed):
     """Per-server Villars configs with armed (but quiet) fault models.
@@ -53,8 +57,7 @@ def chaos_config_factory(seed):
                                   page_bytes=4096),
                 timing=NandTiming(t_program=50_000.0, t_read=5_000.0,
                                   t_erase=200_000.0, bus_bandwidth=1.0),
-                program_fault_model=ProgramFaultModel(
-                    seed=(seed * 1000003 + 2 * index) & 0x7FFFFFFF),
+                program_fault_model=ProgramFaultModel(),
                 read_fault_model=EccFaultModel(
                     seed=(seed * 1000003 + 2 * index + 1) & 0x7FFFFFFF),
             ),
@@ -102,7 +105,7 @@ def chaos_realistic_nand_config_factory(seed):
 
 def run_chaos(seed, secondaries=2, duration_ns=8_000_000.0, plan=None,
               fault_events=6, transactions=160, group_commit_bytes=2048,
-              key_space=8, collect_snapshots=False, config_factory=None):
+              collect_snapshots=False, config_factory=None):
     """Run one seeded chaos scenario; returns a JSON-able result dict.
 
     ``plan`` overrides the seed-derived schedule (e.g. loaded from a
@@ -143,7 +146,7 @@ def run_chaos(seed, secondaries=2, duration_ns=8_000_000.0, plan=None,
     def workload():
         for index in range(transactions):
             txn = database.begin()
-            key = f"k{workload_rng.randrange(key_space)}"
+            key = f"k{workload_rng.randrange(CHAOS_KEY_SPACE)}"
             value = f"v{index}"
             txn.write("kv", key, value)
             written.setdefault(key, set()).add(value)

@@ -240,6 +240,25 @@ class BlockAllocator:
 
     # -- introspection ---------------------------------------------------------------
 
+    def free_list(self, channel, way):
+        """One die's free blocks, in the order they will be handed out."""
+        return tuple(self._free[(channel, way)])
+
+    def move_free_block(self, channel, way, block, index):
+        """Move free ``block`` to position ``index`` of its die's free list
+        (counted without the block itself) — the wear leveler's reorder."""
+        free = self._free[(channel, way)]
+        free.remove(block)
+        free.insert(index, block)
+
+    def open_blocks(self):
+        """``(channel, way, block)`` of every block an open cursor holds."""
+        return [
+            (channel, way, block)
+            for (channel, way), cursor in self._cursors.items()
+            for block in cursor.blocks
+        ]
+
     def free_blocks(self, channel=None, way=None):
         """Count of free (erased, not bad) blocks, optionally for one die."""
         if channel is not None and way is not None:

@@ -71,11 +71,7 @@ class GarbageCollector:
         best = None
         best_live = None
         best_wear = None
-        open_blocks = {
-            (cursor.channel, cursor.way, block)
-            for cursor in self.ftl.allocator._cursors.values()
-            for block in cursor.blocks
-        }
+        open_blocks = set(self.ftl.allocator.open_blocks())
         for channel_id in range(geometry.channels):
             channel = self.ftl.channels[channel_id]
             for way in range(geometry.ways_per_channel):

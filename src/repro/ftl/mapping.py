@@ -71,6 +71,14 @@ class MappingTable:
             (address.channel, address.way, address.block, address.page)
         )
 
+    def forward_items(self):
+        """Read-only view of ``(lba, PhysicalPageAddress)`` mappings."""
+        return self._forward.items()
+
+    def reverse_items(self):
+        """Read-only view of ``((channel, way, block, page), lba)`` entries."""
+        return self._reverse.items()
+
     def live_pages_in(self, channel, way, block):
         return self._live_per_block.get((channel, way, block), 0)
 

@@ -71,17 +71,16 @@ class WearLeveler:
             # (the allocator's own, or another hook such as a fault
             # injector's): run it first, then reorder the free list.
             previous(channel, way, block)
-            free = allocator._free[(channel, way)]
+            free = allocator.free_list(channel, way)
             if block not in free:
                 # The inner release dropped the block (bad block, or a
                 # hook swallowed it) — nothing to reorder.
                 return
-            free.remove(block)
             die_blocks = channels[channel].die(way).blocks
             erases = die_blocks[block].erase_count
-            keyed = [die_blocks[b].erase_count for b in free]
-            index = bisect.bisect_right(keyed, erases)
-            free.insert(index, block)
+            keyed = [die_blocks[b].erase_count for b in free if b != block]
+            allocator.move_free_block(channel, way, block,
+                                      bisect.bisect_right(keyed, erases))
 
         allocator.release = wear_aware_release
         return self

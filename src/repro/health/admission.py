@@ -34,8 +34,7 @@ from repro.health.errors import DeviceBusy
 class AdmissionController:
     """Admission decisions for every writer sharing one device."""
 
-    def __init__(self, device, max_outstanding_bytes=None, fair_share=True,
-                 name=None):
+    def __init__(self, device, max_outstanding_bytes=None, name=None):
         self.device = device
         self.engine = device.engine
         if max_outstanding_bytes is None:
@@ -44,7 +43,6 @@ class AdmissionController:
             raise ValueError("outstanding ceiling must be positive")
         self.max_outstanding_bytes = max_outstanding_bytes
         self.baseline_max_outstanding_bytes = max_outstanding_bytes
-        self.fair_share = fair_share
         self.name = name or f"{device.name}.admission"
         self._inflight = {}  # writer id -> bytes in active pwrite calls
         self.lane_weights = {}  # writer id -> fair-share weight (default 1.0)
@@ -148,7 +146,7 @@ class AdmissionController:
         if outstanding + nbytes > self.max_outstanding_bytes:
             self._reject(writer_id, nbytes, "device-saturated",
                          outstanding=outstanding)
-        if self.fair_share and len(self._inflight) > 1:
+        if len(self._inflight) > 1:
             share = self.lane_share(writer_id)
             held = self._inflight[writer_id]
             # A writer always gets at least one call in flight; beyond

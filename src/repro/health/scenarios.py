@@ -31,13 +31,36 @@ from repro.faults.oracles import (
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.health.admission import AdmissionController
 from repro.health.errors import DeviceBusy
-from repro.health.supervisor import ChainSupervisor
+from repro.health.supervisor import (
+    DEAD_MISSES,
+    POLL_NS,
+    PROBE_TIMEOUT_NS,
+    REBOOT_DELAY_NS,
+    ChainSupervisor,
+)
 from repro.host.api import XssdLogFile
 from repro.sim import Engine
 from repro.sim.rng import derive
 
+# Failover: a two-secondary chain loses its middle replica 0.6 ms in,
+# while one committer writes 24 transactions 50 us apart over 12 ms.
+FAILOVER_VICTIM = "secondary-1"
+FAILOVER_KILL_AT_NS = 600_000.0
+FAILOVER_TRANSACTIONS = 24
+FAILOVER_DURATION_NS = 12_000_000.0
 
-def build_supervised_chain(engine, seed, secondaries=2, **supervisor_kw):
+# Overload: four writers offer 2 KiB chunks for 3 ms into a pair whose
+# admission ceiling (6 KiB outstanding) and CMB intake bound (16 KiB)
+# sit far below the offered load; the run lasts 10 ms.
+OVERLOAD_WRITERS = 4
+OVERLOAD_CHUNK_BYTES = 2048
+OVERLOAD_LOAD_UNTIL_NS = 3_000_000.0
+OVERLOAD_DURATION_NS = 10_000_000.0
+OVERLOAD_MAX_OUTSTANDING_BYTES = 6 * 1024
+OVERLOAD_INTAKE_BOUND_BYTES = 16 * 1024
+
+
+def build_supervised_chain(engine, seed, **supervisor_kw):
     """A replicated chain plus a started supervisor and stream recorders.
 
     Shared by the failover scenario, the check layer's supervised
@@ -48,8 +71,7 @@ def build_supervised_chain(engine, seed, secondaries=2, **supervisor_kw):
     from repro.faults.scenario import chaos_config_factory
     from repro.cluster.topology import replicated_chain
 
-    cluster = replicated_chain(engine, chaos_config_factory(seed),
-                               secondaries=secondaries)
+    cluster = replicated_chain(engine, chaos_config_factory(seed))
     recorders = {
         name: StreamRecorder(server.device, name=name)
         for name, server in cluster.servers.items()
@@ -59,10 +81,7 @@ def build_supervised_chain(engine, seed, secondaries=2, **supervisor_kw):
     return cluster, supervisor, recorders
 
 
-def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
-                          kill_at_ns=600_000.0, transactions=24,
-                          duration_ns=12_000_000.0, poll_ns=100_000.0,
-                          dead_misses=3, reboot_delay_ns=400_000.0):
+def run_failover_scenario(seed=7):
     """Kill a chain replica; the supervisor alone must heal everything.
 
     Returns a JSON-able dict: the supervisor's event timeline, the
@@ -72,10 +91,7 @@ def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
     the run converges, the control plane did it.
     """
     engine = Engine()
-    cluster, supervisor, recorders = build_supervised_chain(
-        engine, seed, secondaries=secondaries, poll_ns=poll_ns,
-        dead_misses=dead_misses, reboot_delay_ns=reboot_delay_ns,
-    )
+    cluster, supervisor, recorders = build_supervised_chain(engine, seed)
     database = cluster.primary.with_database(
         group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
     )
@@ -84,7 +100,7 @@ def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
     committed = []
 
     def committer():
-        for index in range(transactions):
+        for index in range(FAILOVER_TRANSACTIONS):
             txn = database.begin()
             txn.write("kv", f"k{index % 4}", f"v{index}")
             yield txn.commit()
@@ -93,23 +109,24 @@ def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
 
     done = engine.process(committer(), name="health-committer")
 
-    plan = FaultPlan().add(kill_at_ns, victim, FaultKind.REPLICA_CRASH)
+    plan = FaultPlan().add(FAILOVER_KILL_AT_NS, FAILOVER_VICTIM,
+                           FaultKind.REPLICA_CRASH)
     injector = ChaosInjector(engine, cluster, plan, auto_reconfigure=False)
     injector.start()
-    engine.run(until=duration_ns)
+    engine.run(until=FAILOVER_DURATION_NS)
     supervisor.stop()
 
     # Bounds: one supervisor round is the poll period plus the probe
     # timeout (the loop waits out the probes before judging them).
-    # Detection must land within (dead_misses + 1) rounds of the kill;
+    # Detection must land within (DEAD_MISSES + 1) rounds of the kill;
     # the full kill -> rejoin+resync loop within that plus the reboot
     # delay and two more rounds of slack.
-    round_ns = poll_ns + supervisor.probe_timeout_ns
-    detect_within_ns = (dead_misses + 1) * round_ns
-    resync_within_ns = detect_within_ns + reboot_delay_ns + 2 * round_ns
+    round_ns = POLL_NS + PROBE_TIMEOUT_NS
+    detect_within_ns = (DEAD_MISSES + 1) * round_ns
+    resync_within_ns = detect_within_ns + REBOOT_DELAY_NS + 2 * round_ns
     oracles = {
         "failover-convergence": check_failover_convergence(
-            supervisor.events, victim, kill_at_ns,
+            supervisor.events, FAILOVER_VICTIM, FAILOVER_KILL_AT_NS,
             detect_within_ns=detect_within_ns,
             resync_within_ns=resync_within_ns,
         ),
@@ -122,25 +139,26 @@ def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
         )
     if not done.triggered:
         oracles["commits-drained"] = [
-            f"failover: only {len(committed)} of {transactions} commits "
-            f"completed — the healed chain never unparked the committer"
+            f"failover: only {len(committed)} of {FAILOVER_TRANSACTIONS} "
+            f"commits completed — the healed chain never unparked the "
+            f"committer"
         ]
     else:
         oracles["commits-drained"] = []
 
-    detected = supervisor.events_for(victim, "dead-detected")
-    rejoined = supervisor.events_for(victim, "rejoin")
+    detected = supervisor.events_for(FAILOVER_VICTIM, "dead-detected")
+    rejoined = supervisor.events_for(FAILOVER_VICTIM, "rejoin")
     return {
         "seed": seed,
-        "victim": victim,
-        "kill_at_ns": kill_at_ns,
+        "victim": FAILOVER_VICTIM,
+        "kill_at_ns": FAILOVER_KILL_AT_NS,
         "events": supervisor.events,
         "fault_log": injector.fault_log,
         "chain_order": list(cluster.order),
         "commits_acknowledged": len(committed),
-        "detection_ns": (detected[0]["time_ns"] - kill_at_ns
+        "detection_ns": (detected[0]["time_ns"] - FAILOVER_KILL_AT_NS
                          if detected else None),
-        "kill_to_resync_ns": (rejoined[0]["time_ns"] - kill_at_ns
+        "kill_to_resync_ns": (rejoined[0]["time_ns"] - FAILOVER_KILL_AT_NS
                               if rejoined else None),
         "detect_within_ns": detect_within_ns,
         "resync_within_ns": resync_within_ns,
@@ -151,12 +169,7 @@ def run_failover_scenario(seed=7, secondaries=2, victim="secondary-1",
     }
 
 
-def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
-                          load_until_ns=3_000_000.0,
-                          duration_ns=10_000_000.0,
-                          max_outstanding_bytes=6 * 1024,
-                          intake_bound_bytes=16 * 1024,
-                          poll_ns=100_000.0):
+def run_overload_scenario(seed=7):
     """Saturate an admission-controlled pair; shed load, brown out, recover.
 
     The writers offer far more than destage bandwidth.  The run is
@@ -183,19 +196,16 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
             ),
             cmb_capacity=64 * 1024,
             cmb_queue_bytes=8 * 1024,
-            cmb_intake_bound_bytes=intake_bound_bytes,
+            cmb_intake_bound_bytes=OVERLOAD_INTAKE_BOUND_BYTES,
             transport_seed=seed,
         )
 
     cluster = replicated_pair(engine, factory, policy="eager")
     primary = cluster.primary.device
     admission = AdmissionController(
-        primary, max_outstanding_bytes=max_outstanding_bytes,
+        primary, max_outstanding_bytes=OVERLOAD_MAX_OUTSTANDING_BYTES,
     )
-    supervisor = ChainSupervisor(
-        engine, cluster, poll_ns=poll_ns, admission=admission,
-        brownout_policy="lazy",
-    )
+    supervisor = ChainSupervisor(engine, cluster, admission=admission)
     supervisor.start()
 
     rng = derive(seed, "overload-writers")
@@ -208,9 +218,9 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
     def writer(writer_id):
         handle = XssdLogFile(primary, copy_chunk=1024, admission=admission,
                              writer_id=writer_id)
-        while engine.now < load_until_ns:
+        while engine.now < OVERLOAD_LOAD_UNTIL_NS:
             try:
-                yield handle.x_pwrite(f"{writer_id}", chunk_bytes)
+                yield handle.x_pwrite(f"{writer_id}", OVERLOAD_CHUNK_BYTES)
             except DeviceBusy as busy:
                 stats["rejections_seen"] += 1
                 backoff = busy.retry_after_ns or 2_000.0
@@ -219,7 +229,7 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
             stats["writes_completed"] += 1
         stats["writers_finished"] += 1
 
-    for index in range(writers):
+    for index in range(OVERLOAD_WRITERS):
         engine.process(writer(f"w{index}"), name=f"overload-w{index}")
 
     # Sample both devices' intake backlogs on a fixed cadence; the
@@ -227,15 +237,15 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
     samples = {name: [] for name in cluster.servers}
 
     def sampler():
-        while engine.now < duration_ns - poll_ns:
-            yield engine.timeout(poll_ns / 2)
+        while engine.now < OVERLOAD_DURATION_NS - POLL_NS:
+            yield engine.timeout(POLL_NS / 2)
             for name, server in cluster.servers.items():
                 samples[name].append(
                     (engine.now, server.device.cmb.intake_backlog_bytes)
                 )
 
     engine.process(sampler(), name="backlog-sampler")
-    engine.run(until=duration_ns)
+    engine.run(until=OVERLOAD_DURATION_NS)
     supervisor.stop()
 
     entered = supervisor.events_for(cluster.primary_name, "brownout-enter")
@@ -267,9 +277,10 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
             f"to 'eager'"
         )
     oracles["no-deadlock"] = []
-    if stats["writers_finished"] != writers:
+    if stats["writers_finished"] != OVERLOAD_WRITERS:
+        unfinished = OVERLOAD_WRITERS - stats["writers_finished"]
         oracles["no-deadlock"].append(
-            f"overload: {writers - stats['writers_finished']} writer(s) "
+            f"overload: {unfinished} writer(s) "
             f"never returned from the load loop"
         )
     unpersisted = primary.stream_claimed - primary.cmb.credit.value
@@ -281,8 +292,8 @@ def run_overload_scenario(seed=7, writers=4, chunk_bytes=2048,
 
     return {
         "seed": seed,
-        "writers": writers,
-        "load_until_ns": load_until_ns,
+        "writers": OVERLOAD_WRITERS,
+        "load_until_ns": OVERLOAD_LOAD_UNTIL_NS,
         "writes_completed": stats["writes_completed"],
         "rejections": admission.rejections,
         "rejections_by_reason": dict(admission.rejections_by_reason),

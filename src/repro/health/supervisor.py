@@ -19,7 +19,7 @@ cluster and runs a single polling process that
    cooldown so a slow link is not hammered;
 5. **browns out** under sustained overload: when admission pressure
    stays above the enter threshold for a dwell period, the replication
-   policy downgrades (eager -> lazy by default) so commits stop waiting
+   policy downgrades (eager -> lazy) so commits stop waiting
    on remote acks; sustained recovery upgrades it back.  Both directions
    are dwell-gated — classic hysteresis, no flapping at the boundary.
 
@@ -39,6 +39,25 @@ from repro.health.detector import (
 from repro.ssd.nvme import AdminOpcode
 
 
+# One supervisor round: probe every member, wait out the probe deadline
+# (which must fit inside the poll period), then judge the answers.
+POLL_NS = 100_000.0
+PROBE_TIMEOUT_NS = 50_000.0
+SUSPECT_MISSES = 1  # consecutive missed probes before SUSPECT
+DEAD_MISSES = 3  # ... and before DEAD (eviction)
+LINK_QUIET_AFTER_NS = 300_000.0  # a silent mirror link is stalled after this
+RESYNC_COOLDOWN_NS = 500_000.0  # minimum gap between resyncs of one link
+REBOOT_DELAY_NS = 400_000.0  # eviction -> rejoin when auto_reboot is on
+# Brownout hysteresis: admission pressure at or above ENTER for
+# ENTER_AFTER_NS downgrades the policy to BROWNOUT_POLICY; pressure at or
+# below EXIT for EXIT_AFTER_NS restores it.
+BROWNOUT_POLICY = "lazy"
+BROWNOUT_ENTER_PRESSURE = 0.85
+BROWNOUT_EXIT_PRESSURE = 0.4
+BROWNOUT_ENTER_AFTER_NS = 250_000.0
+BROWNOUT_EXIT_AFTER_NS = 400_000.0
+
+
 class BrownoutState(enum.Enum):
     NORMAL = "normal"
     BROWNOUT = "brownout"
@@ -47,32 +66,12 @@ class BrownoutState(enum.Enum):
 class ChainSupervisor:
     """Watches one cluster and drives its recovery primitives."""
 
-    def __init__(self, engine, cluster, poll_ns=100_000.0,
-                 probe_timeout_ns=50_000.0, suspect_misses=1, dead_misses=3,
-                 link_quiet_after_ns=300_000.0, resync_cooldown_ns=500_000.0,
-                 auto_reboot=True, reboot_delay_ns=400_000.0,
-                 admission=None, brownout_policy="lazy",
-                 brownout_enter_pressure=0.85, brownout_exit_pressure=0.4,
-                 brownout_enter_after_ns=250_000.0,
-                 brownout_exit_after_ns=400_000.0, name="supervisor"):
-        if probe_timeout_ns >= poll_ns:
-            raise ValueError("probe timeout must fit inside the poll period")
+    def __init__(self, engine, cluster, auto_reboot=True, admission=None,
+                 name="supervisor"):
         self.engine = engine
         self.cluster = cluster
-        self.poll_ns = poll_ns
-        self.probe_timeout_ns = probe_timeout_ns
-        self.suspect_misses = suspect_misses
-        self.dead_misses = dead_misses
-        self.link_quiet_after_ns = link_quiet_after_ns
-        self.resync_cooldown_ns = resync_cooldown_ns
         self.auto_reboot = auto_reboot
-        self.reboot_delay_ns = reboot_delay_ns
         self.admission = admission
-        self.brownout_policy = brownout_policy
-        self.brownout_enter_pressure = brownout_enter_pressure
-        self.brownout_exit_pressure = brownout_exit_pressure
-        self.brownout_enter_after_ns = brownout_enter_after_ns
-        self.brownout_exit_after_ns = brownout_exit_after_ns
         self.name = name
         self.detectors = {}  # site -> HeartbeatDetector
         self.events = []  # chronological health transitions (plain dicts)
@@ -128,7 +127,7 @@ class ChainSupervisor:
 
     def _loop(self):
         while self._running:
-            yield self.engine.timeout(self.poll_ns)
+            yield self.engine.timeout(POLL_NS)
             if not self._running:
                 return
             yield from self._probe_round()
@@ -138,10 +137,8 @@ class ChainSupervisor:
     def _detector_for(self, site):
         detector = self.detectors.get(site)
         if detector is None:
-            detector = HeartbeatDetector(
-                site, suspect_misses=self.suspect_misses,
-                dead_misses=self.dead_misses,
-            )
+            detector = HeartbeatDetector(site, suspect_misses=SUSPECT_MISSES,
+                                         dead_misses=DEAD_MISSES)
             self.detectors[site] = detector
         return detector
 
@@ -160,7 +157,7 @@ class ChainSupervisor:
                 AdminOpcode.XSSD_QUERY_STATUS)
             for name in members
         }
-        yield self.engine.timeout(self.probe_timeout_ns)
+        yield self.engine.timeout(PROBE_TIMEOUT_NS)
         for name, probe in probes.items():
             answered = probe.triggered
             if answered:
@@ -198,7 +195,7 @@ class ChainSupervisor:
                 continue
             upstream = self.cluster.servers[upstream_name]
             stalled = link_stalled(upstream.device, peer_name, now,
-                                   self.link_quiet_after_ns)
+                                   LINK_QUIET_AFTER_NS)
             detector = self._detector_for(peer_name)
             before = detector.last_level
             detector.note_link(stalled)
@@ -206,7 +203,7 @@ class ChainSupervisor:
             if not stalled or detector.consecutive_misses:
                 continue  # dead/dying servers are the probe path's job
             last = self._last_resync.get(peer_name)
-            if last is not None and now - last < self.resync_cooldown_ns:
+            if last is not None and now - last < RESYNC_COOLDOWN_NS:
                 continue
             self._last_resync[peer_name] = now
             offered = self.cluster.resync(peer_name)
@@ -231,7 +228,7 @@ class ChainSupervisor:
                                 name=f"{self.name}-reboot-{site}")
 
     def _reboot_later(self, site):
-        yield self.engine.timeout(self.reboot_delay_ns)
+        yield self.engine.timeout(REBOOT_DELAY_NS)
         server = self.cluster.servers[site]
         if not server.device.halted or not self._running:
             self._evicting.discard(site)
@@ -257,21 +254,21 @@ class ChainSupervisor:
         if tracer.enabled:
             tracer.counter(self.name, "admission_pressure_pct",
                            int(pressure * 100))
-        if pressure >= self.brownout_enter_pressure:
+        if pressure >= BROWNOUT_ENTER_PRESSURE:
             self._healthy_since = None
             if self._overloaded_since is None:
                 self._overloaded_since = now
             dwell = now - self._overloaded_since
             if (self.brownout_state is BrownoutState.NORMAL
-                    and dwell >= self.brownout_enter_after_ns):
+                    and dwell >= BROWNOUT_ENTER_AFTER_NS):
                 self._enter_brownout(pressure)
-        elif pressure <= self.brownout_exit_pressure:
+        elif pressure <= BROWNOUT_EXIT_PRESSURE:
             self._overloaded_since = None
             if self._healthy_since is None:
                 self._healthy_since = now
             dwell = now - self._healthy_since
             if (self.brownout_state is BrownoutState.BROWNOUT
-                    and dwell >= self.brownout_exit_after_ns):
+                    and dwell >= BROWNOUT_EXIT_AFTER_NS):
                 self._exit_brownout(pressure)
         else:
             # Inside the hysteresis band: neither dwell clock runs.
@@ -281,16 +278,16 @@ class ChainSupervisor:
     def _enter_brownout(self, pressure):
         transport = self.cluster.primary.device.transport
         self._original_policy = transport.policy.name
-        if self._original_policy == self.brownout_policy:
+        if self._original_policy == BROWNOUT_POLICY:
             return
         self.brownout_state = BrownoutState.BROWNOUT
         self.brownout_enters += 1
         self._mirror_brownout()
-        self.cluster.set_replication_policy(self.brownout_policy)
+        self.cluster.set_replication_policy(BROWNOUT_POLICY)
         self._record(
             "brownout-enter", self.cluster.primary_name,
             f"pressure {pressure:.2f}; policy {self._original_policy} -> "
-            f"{self.brownout_policy}",
+            f"{BROWNOUT_POLICY}",
         )
         tracer = self.engine.tracer
         if tracer.enabled:

@@ -18,6 +18,9 @@ All classes share the :class:`XssdLogFile`-compatible surface
 
 # Cost of entering/leaving the kernel for one syscall (pwrite or fsync).
 SYSCALL_NS = 1_500.0
+# First LBA of each baseline's log: far apart, so the two never overlap.
+NVME_LOG_START_LBA = 1_000_000
+HOST_PM_LOG_START_LBA = 2_000_000
 
 
 class NoLogFile:
@@ -70,11 +73,11 @@ class NvmeLogFile:
     WAL-on-SSD discipline.
     """
 
-    def __init__(self, engine, ssd, start_lba=1_000_000):
+    def __init__(self, engine, ssd):
         self.engine = engine
         self.ssd = ssd
         self.block_bytes = ssd.block_bytes
-        self._next_lba = start_lba
+        self._next_lba = NVME_LOG_START_LBA
         self._buffered = 0
         self._buffered_payloads = []
         self.written = 0
@@ -125,14 +128,13 @@ class HostPmRdmaLogFile:
     once a block's worth accumulates, stealing host memory bandwidth.
     """
 
-    def __init__(self, engine, nvdimm, qp, ssd, start_lba=2_000_000,
-                 destage_block_bytes=None):
+    def __init__(self, engine, nvdimm, qp, ssd, destage_block_bytes=None):
         self.engine = engine
         self.nvdimm = nvdimm
         self.qp = qp
         self.ssd = ssd
         self.block_bytes = destage_block_bytes or ssd.block_bytes
-        self._next_lba = start_lba
+        self._next_lba = HOST_PM_LOG_START_LBA
         self._undestaged = 0
         self.written = 0
         self.persisted = 0

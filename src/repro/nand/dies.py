@@ -25,7 +25,7 @@ protocol, the FTL/scheduler pick operation classes, and :class:`DieQos`
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.resources import Resource
 
@@ -286,11 +286,6 @@ class DieResourceManager:
             )
 
     # -- introspection -------------------------------------------------------
-
-    def suspended_erases(self):
-        """Ways whose erase is currently parked serving reads."""
-        return [way for way, state in enumerate(self._states)
-                if state.window]
 
     def snapshot(self):
         """Counter snapshot for benches and gauges."""

@@ -10,6 +10,10 @@ from repro.nand.errors import UncorrectableError
 from repro.sim.rng import derive
 
 
+# Wear enters the raw bit error rate as (erases / endurance) ** WEAR_EXPONENT.
+WEAR_EXPONENT = 2.0
+
+
 class WearCurve:
     """Raw bit error rate as a function of block wear and read disturb.
 
@@ -30,8 +34,7 @@ class WearCurve:
     """
 
     def __init__(self, base_ber=1e-7, max_ber=1e-4, endurance=3_000,
-                 disturb_reads=100_000, exponent=2.0,
-                 uncorrectable_scale=300.0):
+                 disturb_reads=100_000, uncorrectable_scale=300.0):
         if not 0 < base_ber <= max_ber:
             raise ValueError("need 0 < base_ber <= max_ber")
         if endurance < 1 or disturb_reads < 1:
@@ -40,12 +43,11 @@ class WearCurve:
         self.max_ber = max_ber
         self.endurance = endurance
         self.disturb_reads = disturb_reads
-        self.exponent = exponent
         self.uncorrectable_scale = uncorrectable_scale
 
     def ber(self, erase_count, read_count):
         """Raw bit error rate for a block with this wear state."""
-        wear = min(1.0, erase_count / self.endurance) ** self.exponent
+        wear = min(1.0, erase_count / self.endurance) ** WEAR_EXPONENT
         disturb = min(1.0, read_count / self.disturb_reads)
         degraded = min(1.0, wear + disturb)
         return self.base_ber + (self.max_ber - self.base_ber) * degraded
@@ -136,14 +138,11 @@ class ProgramFaultModel:
 
     The firmware consults :meth:`should_fail` before committing a program;
     a failure marks the block bad and the firmware must re-place the data —
-    the destage-failure scenario of Section 7.1.
+    the destage-failure scenario of Section 7.1.  Programs fail only where
+    a test or the chaos injector forces them to.
     """
 
-    def __init__(self, seed=0, failure_probability=0.0):
-        if not 0.0 <= failure_probability <= 1.0:
-            raise ValueError("probability outside [0, 1]")
-        self.probability = failure_probability
-        self._rng = derive(seed, "program-fault")
+    def __init__(self):
         self._forced = set()
         self._forced_next = 0
         self.failures = 0
@@ -165,9 +164,6 @@ class ProgramFaultModel:
             return True
         if key in self._forced:
             self._forced.discard(key)
-            self.failures += 1
-            return True
-        if self.probability and self._rng.random() < self.probability:
             self.failures += 1
             return True
         return False

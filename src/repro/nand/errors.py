@@ -24,7 +24,3 @@ class ProgramOrderError(NandError):
 
 class UncorrectableError(NandError):
     """Read hit more bit errors than the ECC can correct."""
-
-
-class ProgramFailedError(NandError):
-    """A page program did not verify; the block must be retired."""

@@ -181,15 +181,6 @@ class Tracer:
             and (name is None or event.name == name)
         ]
 
-    def counter_samples(self, track=None, name=None):
-        """Counter samples, optionally filtered by track and/or name."""
-        return [
-            event for event in self.events
-            if isinstance(event, CounterSample)
-            and (track is None or event.track == track)
-            and (name is None or event.name == name)
-        ]
-
     def tail(self, limit=20):
         """The last ``limit`` events, rendered as text lines (debug dumps)."""
         return [repr(event) for event in self.events[-limit:]]

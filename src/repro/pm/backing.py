@@ -7,8 +7,9 @@ variants differ in:
   4 GB/s; DRAM (the DDR3 data-buffer pool, accessed over a 64-bit bus at
   250 MHz) delivers 2 GB/s;
 * **sharing** — the DRAM port is shared with the device's regular data
-  buffering, so conventional-side traffic steals fast-side bandwidth (the
-  effect behind Fig. 9's DRAM back-pressure at 8 workers);
+  buffering (the effect behind Fig. 9's DRAM back-pressure at 8 workers);
+  the model folds that into a private port at about a third of the
+  pool's bandwidth rather than contending on the data buffer's port;
 * **capacity** — 128 KiB of SRAM versus 128 MiB of DRAM in the prototype.
 """
 
@@ -68,25 +69,14 @@ def sram_backing(engine, capacity=128 * KIB):
     )
 
 
-def dram_backing(engine, capacity=128 * MIB, shared_port=None):
+def dram_backing(engine, capacity=128 * MIB):
     """The Villars-DRAM configuration.
 
     The DDR3 pool's port peaks at 2 GB/s over the 64-bit bus, but the CMB
     is a *guest* in that pool: refresh, the controller's regular
     buffering activity, and read/write turnarounds leave roughly a third
-    of it to the fast side.  Pass the data buffer's port as
-    ``shared_port`` to additionally model direct contention with
-    conventional-side traffic.
+    of it to the fast side.
     """
-    if shared_port is not None:
-        return BackingMemory(
-            engine,
-            name="cmb-dram",
-            capacity=capacity,
-            bandwidth=0.7,
-            access_latency_ns=80.0,
-            shared_port=shared_port,
-        )
     return BackingMemory(
         engine,
         name="cmb-dram",

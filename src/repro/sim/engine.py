@@ -694,9 +694,6 @@ class Engine:
         else:
             heappush(self._overflow, entry)
 
-    def _push_triggered(self, event):
-        self._immediate.append(event)
-
     def _place(self, entry, cur, due):
         """Re-file an existing entry relative to wheel position ``cur``.
 

@@ -196,30 +196,17 @@ class BandwidthPipe:
         self.bytes_transferred = 0
         self.busy_time = 0.0
 
-    def transfer(self, size, priority_delay=0.0):
-        """Schedule a ``size``-byte transfer; returns its completion event.
-
-        ``priority_delay`` adds an artificial wait before the transfer starts
-        (used by schedulers to model deferral without re-queueing).
-        """
+    def transfer(self, size):
+        """Schedule a ``size``-byte transfer; returns its completion event."""
         if size < 0:
             raise SimulationError("cannot transfer a negative size")
-        start = max(self.engine.now + priority_delay, self._busy_until)
+        start = max(self.engine.now, self._busy_until)
         duration = size / self.bandwidth
         self._busy_until = start + duration
         self.bytes_transferred += size
         self.busy_time += duration
         done_at = self._busy_until + self.latency
         return self.engine.timeout(done_at - self.engine.now, value=size)
-
-    def time_to_transfer(self, size):
-        """Pure service time for ``size`` bytes, ignoring queueing."""
-        return size / self.bandwidth + self.latency
-
-    @property
-    def backlog_ns(self):
-        """How far in the future the pipe is already committed."""
-        return max(0.0, self._busy_until - self.engine.now)
 
     def utilization(self, elapsed_ns):
         """Fraction of ``elapsed_ns`` the pipe spent transferring bytes."""

@@ -10,14 +10,14 @@ cheaper service is available:
 rung actuation (and its exact inverse on de-escalation)
 ==== ===========================================================
 1    group-commit ``bytes``/``timeout`` doubled (amortize flushes;
-     clamped to ``group_commit_max_factor`` x the original)
+     clamped to ``GROUP_COMMIT_MAX_FACTOR`` x the original)
 2    write scheduler to destage priority (drain the CMB ring
      faster, freeing credit at the cost of reads)
 3    admission ceiling halved (floored at
-     ``min_ceiling_fraction`` x baseline) and the most-rejected
+     ``MIN_CEILING_FRACTION`` x baseline) and the most-rejected
      lane's fair-share weight lowered — shed *new* work, never
      admitted work
-4    replication policy to ``degraded_policy`` (skipped when the
+4    replication policy to ``DEGRADED_POLICY`` (skipped when the
      chain supervisor's brownout already moved it)
 ==== ===========================================================
 
@@ -50,6 +50,22 @@ from repro.ssd.scheduler import SchedulingMode
 
 MAX_LEVEL = 4
 
+# A node is overloaded when its window p99 exceeds the target or its
+# admission pressure reaches PRESSURE_HIGH; healthy when p99 is at most
+# HEALTHY_FRACTION x target, pressure at most PRESSURE_LOW and nothing
+# was shed.  Between the two, both dwell clocks reset.
+PRESSURE_HIGH = 0.9
+PRESSURE_LOW = 0.5
+HEALTHY_FRACTION = 0.7
+# Rung limits: group commit grows to at most this many times its
+# original size/timeout, the admission ceiling shrinks to no less than
+# this fraction of its baseline, and the most-rejected lane drops to
+# this fair-share weight.
+GROUP_COMMIT_MAX_FACTOR = 4.0
+MIN_CEILING_FRACTION = 0.25
+SHED_LANE_WEIGHT = 0.5
+DEGRADED_POLICY = "lazy"
+
 
 class _NodeState:
     """One node's position on the ladder and the values to restore."""
@@ -76,11 +92,7 @@ class SloController:
     """Per-node escalation ladders over one fleet's knobs."""
 
     def __init__(self, fleet, target_p99_ns, poll_ns=100_000.0,
-                 enter_polls=2, exit_polls=4,
-                 pressure_high=0.9, pressure_low=0.5,
-                 healthy_fraction=0.7, group_commit_max_factor=4.0,
-                 min_ceiling_fraction=0.25, shed_lane_weight=0.5,
-                 degraded_policy="lazy", fleet_supervisor=None,
+                 enter_polls=2, exit_polls=4, fleet_supervisor=None,
                  name="slo-controller", seed_shed_acked_bug=False):
         if target_p99_ns <= 0:
             raise ValueError("the p99 target must be positive")
@@ -88,21 +100,12 @@ class SloController:
             raise ValueError("the poll period must be positive")
         if enter_polls < 1 or exit_polls < 1:
             raise ValueError("dwell polls must be at least 1")
-        if not 0 < min_ceiling_fraction <= 1:
-            raise ValueError("min ceiling fraction must be in (0, 1]")
         self.fleet = fleet
         self.engine = fleet.engine
         self.target_p99_ns = float(target_p99_ns)
         self.poll_ns = poll_ns
         self.enter_polls = enter_polls
         self.exit_polls = exit_polls
-        self.pressure_high = pressure_high
-        self.pressure_low = pressure_low
-        self.healthy_fraction = healthy_fraction
-        self.group_commit_max_factor = group_commit_max_factor
-        self.min_ceiling_fraction = min_ceiling_fraction
-        self.shed_lane_weight = shed_lane_weight
-        self.degraded_policy = degraded_policy
         self.fleet_supervisor = fleet_supervisor
         self.name = name
         self.seed_shed_acked_bug = seed_shed_acked_bug
@@ -222,14 +225,14 @@ class SloController:
                    and signals["wal_waiters"] > 0)
         overloaded = (
             (p99 is not None and p99 > self.target_p99_ns)
-            or signals["pressure"] >= self.pressure_high
+            or signals["pressure"] >= PRESSURE_HIGH
             or stalled
         )
         healthy = (
             not stalled
             and (p99 is None
-                 or p99 <= self.healthy_fraction * self.target_p99_ns)
-            and signals["pressure"] <= self.pressure_low
+                 or p99 <= HEALTHY_FRACTION * self.target_p99_ns)
+            and signals["pressure"] <= PRESSURE_LOW
             and signals["shed_in_window"] == 0
         )
         if overloaded:
@@ -273,7 +276,7 @@ class SloController:
         lm = node.database.log_manager
         state.orig_group_bytes = lm.group_commit_bytes
         state.orig_group_timeout = lm.group_commit_timeout_ns
-        cap = self.group_commit_max_factor
+        cap = GROUP_COMMIT_MAX_FACTOR
         (old_bytes, new_bytes), (old_timeout, new_timeout) = (
             lm.set_group_commit(
                 group_commit_bytes=min(lm.group_commit_bytes * 2,
@@ -297,7 +300,7 @@ class SloController:
     def _shed_admission(self, node, state, signals):
         admission = node.admission
         floor = int(admission.baseline_max_outstanding_bytes
-                    * self.min_ceiling_fraction)
+                    * MIN_CEILING_FRACTION)
         target = max(admission.max_outstanding_bytes // 2, floor, 1)
         old, new = admission.set_ceiling(target)
         state.orig_ceiling = old
@@ -307,7 +310,7 @@ class SloController:
         if lane is not None:
             state.weighted_lane = lane
             old_weight, new_weight = admission.set_lane_weight(
-                lane, self.shed_lane_weight)
+                lane, SHED_LANE_WEIGHT)
             state.orig_lane_weight = old_weight
             self._audit("escalate", node.name, f"lane-weight:{lane}",
                         old_weight, new_weight, 3, signals)
@@ -322,7 +325,7 @@ class SloController:
     def _degrade_replication(self, node, state, signals):
         transport = node.cluster.primary.device.transport
         current = transport.policy.name
-        if current == self.degraded_policy:
+        if current == DEGRADED_POLICY:
             # The chain supervisor's brownout beat us to it; nothing to
             # do, and nothing to restore on the way down.
             state.orig_policy = None
@@ -330,9 +333,9 @@ class SloController:
                         current, current, 4, signals)
             return
         state.orig_policy = current
-        node.cluster.set_replication_policy(self.degraded_policy)
+        node.cluster.set_replication_policy(DEGRADED_POLICY)
         self._audit("escalate", node.name, "replication-policy",
-                    current, self.degraded_policy, 4, signals)
+                    current, DEGRADED_POLICY, 4, signals)
 
     # -- de-escalation (one rung down, exact inverse) --------------------------------
 
@@ -355,12 +358,11 @@ class SloController:
     def _restore_replication(self, node, state, signals):
         if state.orig_policy is None:
             self._audit("deescalate", node.name, "replication-policy",
-                        self.degraded_policy, self.degraded_policy, 3,
-                        signals)
+                        DEGRADED_POLICY, DEGRADED_POLICY, 3, signals)
             return
         node.cluster.set_replication_policy(state.orig_policy)
         self._audit("deescalate", node.name, "replication-policy",
-                    self.degraded_policy, state.orig_policy, 3, signals)
+                    DEGRADED_POLICY, state.orig_policy, 3, signals)
         state.orig_policy = None
 
     def _restore_admission(self, node, state, signals):

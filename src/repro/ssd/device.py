@@ -24,11 +24,17 @@ from repro.ssd.hic import HostInterfaceController
 from repro.ssd.nvme import (
     CompletionQueue,
     NvmeCommand,
-    NvmeStatus,
     Opcode,
     SubmissionQueue,
 )
 from repro.ssd.scheduler import SchedulingMode, WriteScheduler
+
+
+# The paper constrains the PCIe interface to x4 Gen2 (2 GB/s) for its
+# CMB experiments; the data buffer is DDR3 over a 64-bit bus.
+PCIE_LANES = 4
+PCIE_GEN = 2
+DATA_BUFFER_BANDWIDTH = 2.0  # GB/s
 
 
 @dataclass
@@ -37,14 +43,10 @@ class SsdConfig:
 
     geometry: Geometry = field(default_factory=Geometry)
     timing: NandTiming = field(default_factory=NandTiming)
-    pcie_lanes: int = 4
-    pcie_gen: int = 2
     data_buffer_bytes: int = 64 * MIB
-    data_buffer_bandwidth: float = 2.0  # GB/s (DDR3 over 64-bit bus)
     queue_depth: int = 64
     scheduling_mode: SchedulingMode = SchedulingMode.NEUTRAL
     hic_pumps: int = 8
-    gc_enabled: bool = True
     program_fault_model: object = None
     read_fault_model: object = None
     # Die QoS policy (erase suspend/resume, cache program, multi-plane
@@ -62,7 +64,7 @@ class ConventionalSsd:
         self.name = name
         cfg = self.config
 
-        self.link = PcieLink(engine, lanes=cfg.pcie_lanes, gen=cfg.pcie_gen,
+        self.link = PcieLink(engine, lanes=PCIE_LANES, gen=PCIE_GEN,
                              name=f"{name}.pcie")
         self.dma = DmaEngine(engine, self.link)
         self.qos = cfg.qos if cfg.qos is not None else DieQos()
@@ -80,7 +82,7 @@ class ConventionalSsd:
         )
         self.data_buffer = DataBuffer(
             engine, cfg.data_buffer_bytes,
-            bandwidth=cfg.data_buffer_bandwidth,
+            bandwidth=DATA_BUFFER_BANDWIDTH,
         )
         self.scheduler = WriteScheduler(engine, self.ftl,
                                         mode=cfg.scheduling_mode,
@@ -110,8 +112,7 @@ class ConventionalSsd:
         self._started = True
         self.hic.start(pumps=self.config.hic_pumps)
         self.scheduler.start()
-        if self.config.gc_enabled:
-            self.gc.start()
+        self.gc.start()
         return self
 
     # -- driver-level interface ---------------------------------------------------

@@ -53,21 +53,19 @@ class WriteScheduler:
     """Arbitrates flash writes between the conventional and destage pools.
 
     The scheduler runs ``parallelism`` dispatch workers (one per concurrent
-    flash program the array can absorb, typically channels x ways) that
-    pull requests according to the active mode and drive them through the
-    FTL.  Mode can be changed at runtime via an admin command.
+    flash program the array can absorb: channels x ways) that pull
+    requests according to the active mode and drive them through the FTL.
+    Mode can be changed at runtime via an admin command.
     """
 
     def __init__(self, engine, ftl, mode=SchedulingMode.NEUTRAL,
-                 parallelism=None, name="scheduler"):
+                 name="scheduler"):
         self.engine = engine
         self.ftl = ftl
         self.mode = mode
         self.name = name
-        if parallelism is None:
-            geometry = ftl.geometry
-            parallelism = geometry.channels * geometry.ways_per_channel
-        self.parallelism = parallelism
+        geometry = ftl.geometry
+        self.parallelism = geometry.channels * geometry.ways_per_channel
         self._pools = {
             Source.CONVENTIONAL: deque(),
             Source.DESTAGE: deque(),

@@ -30,6 +30,14 @@ from repro.sim.rng import derive
 
 TWO_PI = 2.0 * math.pi
 
+# Tenants are spread round-robin over REGIONS evenly phase-shifted
+# sinusoids of depth DIURNAL_DEPTH (0 = flat, 1 = full day/night swing).
+REGIONS = 3
+DIURNAL_DEPTH = 0.6
+ZIPF_ALPHA = 1.1  # tenant base-rate skew
+CROWD_DECAY_FRACTION = 0.04  # mean flash-crowd decay, as a share of the day
+MIN_RATE_FRACTION = 0.05  # a tenant never drops below this share of its base
+
 
 def zipf_weights(count, alpha=1.1):
     """Normalized Zipf(alpha) weights for ``count`` tenants, largest first.
@@ -64,22 +72,13 @@ class FlashCrowd:
             return 1.0
         return 1.0 + self.amplitude * math.exp(-age / self.decay_ns)
 
-    def as_dict(self):
-        return {
-            "tenant_index": self.tenant_index,
-            "at_ns": self.at_ns,
-            "amplitude": self.amplitude,
-            "decay_ns": self.decay_ns,
-        }
-
 
 class DiurnalTrafficModel:
     """Deterministic per-tenant offered rate over one compressed day.
 
     ``base_rate_per_ns`` is the fleet-wide mean transaction rate; each
-    tenant's share of it is Zipf-weighted.  ``regions`` spreads tenants
-    round-robin over evenly phase-shifted sinusoids of depth
-    ``diurnal_depth`` (0 = flat, 1 = full day/night swing).  Flash
+    tenant's share of it is Zipf-weighted, and its region's sinusoid
+    (``REGIONS``, ``DIURNAL_DEPTH``) modulates it over the day.  Flash
     crowds arrive Poisson at ``crowd_rate_per_day`` per tenant-day,
     each with amplitude and decay drawn from the crowd stream.
 
@@ -88,9 +87,7 @@ class DiurnalTrafficModel:
     """
 
     def __init__(self, seed, tenants, day_ns, base_rate_per_ns,
-                 regions=3, diurnal_depth=0.6, zipf_alpha=1.1,
-                 crowd_rate_per_day=1.0, crowd_amplitude=6.0,
-                 crowd_decay_fraction=0.04, min_rate_fraction=0.05):
+                 crowd_rate_per_day=1.0, crowd_amplitude=6.0):
         if tenants < 1:
             raise ValueError("need at least one tenant")
         if day_ns <= 0:
@@ -101,15 +98,10 @@ class DiurnalTrafficModel:
         self.tenants = tenants
         self.day_ns = float(day_ns)
         self.base_rate_per_ns = float(base_rate_per_ns)
-        self.regions = max(1, int(regions))
-        self.diurnal_depth = float(diurnal_depth)
-        self.min_rate_fraction = float(min_rate_fraction)
-        self.weights = zipf_weights(tenants, zipf_alpha)
-        self.crowds = self._spawn_crowds(
-            crowd_rate_per_day, crowd_amplitude, crowd_decay_fraction,
-        )
+        self.weights = zipf_weights(tenants, ZIPF_ALPHA)
+        self.crowds = self._spawn_crowds(crowd_rate_per_day, crowd_amplitude)
 
-    def _spawn_crowds(self, rate_per_day, amplitude, decay_fraction):
+    def _spawn_crowds(self, rate_per_day, amplitude):
         """Poisson crowd arrivals per tenant, exponentially spaced."""
         crowds = []
         for tenant in range(self.tenants):
@@ -122,7 +114,7 @@ class DiurnalTrafficModel:
                 crowds.append(FlashCrowd(
                     tenant, at,
                     amplitude=amplitude * (0.5 + rng.random()),
-                    decay_ns=self.day_ns * decay_fraction
+                    decay_ns=self.day_ns * CROWD_DECAY_FRACTION
                     * (0.5 + rng.random()),
                 ))
                 at += rng.exponential_ns(mean_gap)
@@ -130,14 +122,14 @@ class DiurnalTrafficModel:
         return crowds
 
     def region_of(self, tenant_index):
-        return tenant_index % self.regions
+        return tenant_index % REGIONS
 
     def diurnal_factor(self, tenant_index, now_ns):
         """The tenant's region sinusoid at ``now_ns``, in (0, 1+depth]."""
-        phase = TWO_PI * self.region_of(tenant_index) / self.regions
+        phase = TWO_PI * self.region_of(tenant_index) / REGIONS
         wave = math.sin(TWO_PI * (now_ns % self.day_ns) / self.day_ns
                         + phase)
-        return 1.0 + self.diurnal_depth * wave
+        return 1.0 + DIURNAL_DEPTH * wave
 
     def crowd_factor(self, tenant_index, now_ns):
         factor = 1.0
@@ -151,30 +143,11 @@ class DiurnalTrafficModel:
         base = self.base_rate_per_ns * self.weights[tenant_index]
         rate = (base * self.diurnal_factor(tenant_index, now_ns)
                 * self.crowd_factor(tenant_index, now_ns))
-        floor = base * self.min_rate_fraction
+        floor = base * MIN_RATE_FRACTION
         return max(rate, floor)
 
-    def fleet_rate_at(self, now_ns):
-        return sum(self.rate_at(tenant, now_ns)
-                   for tenant in range(self.tenants))
 
-    def peak_tenant(self, now_ns):
-        """The hottest tenant right now (the lane-weight actuator's cue)."""
-        return max(range(self.tenants),
-                   key=lambda tenant: self.rate_at(tenant, now_ns))
-
-    def describe(self):
-        return {
-            "tenants": self.tenants,
-            "day_ns": self.day_ns,
-            "regions": self.regions,
-            "weights": list(self.weights),
-            "crowds": [crowd.as_dict() for crowd in self.crowds],
-        }
-
-
-def bursty_tenant_stream(engine, submit, model, tenant_index, duration_ns,
-                         stop=None):
+def bursty_tenant_stream(engine, submit, model, tenant_index, duration_ns):
     """Drive one tenant's load through ``submit`` (a sim process).
 
     ``submit()`` must be a generator function executing one transaction
@@ -187,7 +160,6 @@ def bursty_tenant_stream(engine, submit, model, tenant_index, duration_ns,
     is how a flash crowd raises pressure mid-stream.
 
     Returns the completion event; its value is the tenant's stats dict.
-    ``stop`` (a dict with a ``"now"`` flag) allows early shutdown.
     """
     rng = derive(model.seed, "bursty-stream", tenant_index)
     stats = {"offered": 0, "completed": 0, "tenant": tenant_index}
@@ -195,8 +167,6 @@ def bursty_tenant_stream(engine, submit, model, tenant_index, duration_ns,
     def _proc():
         deadline = engine.now + duration_ns
         while engine.now < deadline:
-            if stop is not None and stop.get("now"):
-                break
             rate = model.rate_at(tenant_index, engine.now)
             gap = rng.exponential_ns(1.0 / rate)
             yield engine.timeout(min(gap, max(deadline - engine.now, 1.0)))

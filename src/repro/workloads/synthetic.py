@@ -12,12 +12,13 @@ from repro.sim.rng import derive
 class AppendStream:
     """A writer pushing fixed-size appends through an x_pwrite-style file.
 
-    ``think_time_ns`` spaces the writes (0 = closed loop at full speed).
-    Statistics: per-write latency samples and total bytes pushed.
+    Closed loop at full speed: each write starts when the previous one
+    (and its fsync, every ``fsync_every`` writes) completes.  Statistics:
+    per-write latency samples and total bytes pushed.
     """
 
     def __init__(self, engine, log_file, write_bytes, count=None,
-                 think_time_ns=0.0, fsync_every=1):
+                 fsync_every=1):
         if write_bytes <= 0:
             raise ValueError("write size must be positive")
         if fsync_every < 1:
@@ -26,7 +27,6 @@ class AppendStream:
         self.log_file = log_file
         self.write_bytes = write_bytes
         self.count = count
-        self.think_time_ns = think_time_ns
         self.fsync_every = fsync_every
         self.latencies = []
         self.bytes_written = 0
@@ -50,15 +50,8 @@ class AppendStream:
             self.latencies.append(self.engine.now - start)
             self.bytes_written += self.write_bytes
             self.writes_done += 1
-            if self.think_time_ns:
-                yield self.engine.timeout(self.think_time_ns)
             index += 1
         return self.writes_done
-
-    def throughput_bytes_per_s(self, elapsed_ns):
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.bytes_written * 1e9 / elapsed_ns
 
 
 def paced_append_stream(engine, submit, target_bytes_per_ns, write_bytes,

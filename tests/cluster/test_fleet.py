@@ -15,8 +15,7 @@ from repro.sim import Engine
 
 def build_fleet(seed=5, nodes=2, **node_kw):
     engine = Engine()
-    kw = dict(group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
-              max_inflight_flushes=1)
+    kw = dict(group_commit_bytes=384, group_commit_timeout_ns=5_000.0)
     kw.update(node_kw)
     fleet = Fleet(engine, chaos_config_factory(seed), **kw)
     fleet.add_nodes(nodes)
@@ -180,3 +179,14 @@ def test_fleet_stop_halts_every_node():
     fleet.stop()
     for node in fleet.nodes.values():
         assert not node.database.log_manager._running
+
+
+def test_fleet_nodes_run_one_flush_slot():
+    """A node's WAL has exactly the one flush slot it reports, and the
+    fleet accepts no option that would claim otherwise."""
+    engine, fleet = build_fleet(nodes=1)
+    log_manager = fleet.nodes["node0"].database.log_manager
+    assert log_manager.max_inflight_flushes == 1
+    assert log_manager._flush_slots.capacity == 1
+    with pytest.raises(TypeError):
+        Fleet(engine, chaos_config_factory(5), max_inflight_flushes=4)

@@ -30,8 +30,7 @@ HORIZON_NS = 3_000_000.0
 def build_fleet(seed=11, nodes=2):
     engine = Engine()
     fleet = Fleet(engine, chaos_config_factory(seed),
-                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
-                  max_inflight_flushes=1)
+                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0)
     fleet.add_nodes(nodes)
     return engine, fleet
 

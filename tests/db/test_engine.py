@@ -198,6 +198,7 @@ class TestDatabaseStats:
 LATENCY_STATE_FILES = (
     "*/repro/sim/stats.py",
     "*/repro/db/engine.py",
+    "*/repro/db/wal.py",
     "*/repro/slo/signals.py",
 )
 
@@ -218,10 +219,6 @@ def _latency_state_bytes(commits):
 
         engine.process(worker())
         engine.run()
-        # The WAL's flushed-batch history is kept on purpose (migration
-        # replay reads it) and holds every LSN; drop it so only latency
-        # state is left to measure.
-        database.log_manager.batches.clear()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -37,8 +37,7 @@ def fault_plan():
 def run_chaotic_archival(seed):
     engine = Engine()
     fleet = Fleet(engine, chaos_config_factory(seed),
-                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
-                  max_inflight_flushes=1)
+                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0)
     fleet.add_nodes(1)
     grid = RemoteGrid(engine)
     fleet.enable_dr(grid, poll_ns=30_000.0, segment_bytes=512,

@@ -40,8 +40,7 @@ HORIZON_NS = 3_000_000.0
 def build_dr_fleet(seed=5, nodes=1, shards=1, **archiver_kw):
     engine = Engine()
     fleet = Fleet(engine, chaos_config_factory(seed),
-                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
-                  max_inflight_flushes=1)
+                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0)
     fleet.add_nodes(nodes)
     grid = RemoteGrid(engine)
     kw = dict(poll_ns=30_000.0, segment_bytes=512,

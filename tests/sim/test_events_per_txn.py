@@ -124,8 +124,7 @@ def fleet_commits(seed, deadline_ns=2_000_000.0):
     """Two replicated nodes, four kv shards, paced open-loop tenants."""
     engine = Engine()
     fleet = Fleet(engine, chaos_config_factory(seed),
-                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0,
-                  max_inflight_flushes=1)
+                  group_commit_bytes=384, group_commit_timeout_ns=5_000.0)
     fleet.add_nodes(2)
     rng = random.Random(seed)
     committed = []
