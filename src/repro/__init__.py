@@ -32,7 +32,7 @@ Package map — see DESIGN.md for the full inventory:
 ``repro.sim``             discrete-event kernel (engine, resources, stats)
 ``repro.pcie``            TLPs, links, MMIO/write-combining, DMA, NTB, RDMA
 ``repro.nand``            flash geometry, timings, dies, channels, faults
-``repro.ftl``             page mapping, GC, wear leveling, bad blocks
+``repro.ftl``             page mapping, GC, bad blocks
 ``repro.ssd``             NVMe front end, buffer, scheduler, firmware, device
 ``repro.pm``              CMB backing memories and host NVDIMM
 ``repro.core``            the paper's contribution: CMB / Destage / Transport

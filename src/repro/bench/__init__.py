@@ -9,7 +9,7 @@ them directly.
 
 from repro.bench.reporting import format_series, format_table
 from repro.bench.parallel import run_cells
-from repro.bench.chaos import load_plan, run_chaos_bench
+from repro.bench.chaos import run_chaos_bench
 from repro.bench.dr import run_dr_bench
 from repro.bench.fleet import run_fleet_bench
 from repro.bench.kernel import run_kernel_bench
@@ -25,7 +25,6 @@ __all__ = [
     "format_table",
     "format_series",
     "run_cells",
-    "load_plan",
     "run_chaos_bench",
     "run_dr_bench",
     "run_fleet_bench",

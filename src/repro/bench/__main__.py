@@ -43,7 +43,6 @@ from functools import partial
 from repro.bench import (
     format_series,
     format_table,
-    load_plan,
     run_chaos_bench,
     run_fig09,
     run_fig10,
@@ -57,6 +56,7 @@ from repro.bench import (
     run_slo_bench,
 )
 from repro.bench.trace_cmd import SCENARIOS as TRACE_SCENARIOS, run_trace
+from repro.faults.plan import FaultPlan
 from repro.health.scenarios import run_failover_scenario, run_overload_scenario
 from repro.sim.units import KIB
 
@@ -485,7 +485,7 @@ COMMANDS = {
             _flag("--seed", "master seed (workload, plan, fault models)",
                   type=int),
             _flag("--faults", "JSON fault plan overriding the seed-derived "
-                  "one", type=load_plan, metavar="PLAN_JSON", dest="plan"),
+                  "one", type=FaultPlan.load, metavar="PLAN_JSON", dest="plan"),
             _flag("--secondaries", "chain length behind the primary",
                   type=int),
             _flag("--duration-ms", "simulated milliseconds before the final "

@@ -12,21 +12,7 @@ Usage::
     python -m repro.bench chaos --seed 7 --faults plan.json --json out.json
 """
 
-import json
-
-from repro.faults.plan import FaultPlan
 from repro.faults.scenario import run_chaos
-
-
-def load_plan(path):
-    """Load a :class:`FaultPlan` from a JSON file written by ``to_json``
-    (or hand-written: a list of ``{"time_ns", "site", "kind"}`` dicts,
-    optionally wrapped in ``{"faults": [...]}`` or ``{"plan": [...]}``)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict):
-        payload = payload.get("faults") or payload["plan"]
-    return FaultPlan.from_dicts(payload)
 
 
 def run_chaos_bench(seed=7, secondaries=2, duration_ns=8_000_000.0,

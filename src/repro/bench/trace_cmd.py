@@ -54,7 +54,7 @@ def _run_bounded(engine, done, deadline_ns, step_ns=1e6):
     return done.triggered
 
 
-def _sample_cluster(engine, cluster, session):
+def _sample_cluster(engine, cluster):
     """Attach one gauge sampler per server; returns the sampler list."""
     samplers = []
     for name in cluster.order:
@@ -88,7 +88,7 @@ def run_chain_scenario(seed=7, secondaries=2, transactions=60,
                       f"v{index}")
             yield txn.commit()
 
-    samplers = _sample_cluster(engine, cluster, None)
+    samplers = _sample_cluster(engine, cluster)
     done = engine.process(workload(), name="trace-workload")
     finished = _run_bounded(engine, done, duration_ns)
     for sampler in samplers:
@@ -168,24 +168,24 @@ def run_trace(scenario="chain", out_path="trace.json", summary_path=None,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown trace scenario {scenario!r}")
+    # Only the values the caller set reach the scenario: its defaults
+    # live once, in its own signature.
+    overrides = {}
+    if duration_ns is not None:
+        overrides["duration_ns"] = duration_ns
+    if transactions is not None:
+        overrides["transactions_per_worker" if scenario == "fig09"
+                  else "transactions"] = transactions
     with capture() as session:
         if scenario == "chain":
             metadata = run_chain_scenario(
-                seed=seed, secondaries=secondaries,
-                transactions=transactions or 60,
-                duration_ns=duration_ns or 8_000_000.0,
+                seed=seed, secondaries=secondaries, **overrides,
             )
         elif scenario == "fig09":
-            metadata = run_fig09_scenario(
-                seed=seed,
-                transactions_per_worker=transactions or 12,
-                duration_ns=duration_ns or 60_000_000.0,
-            )
+            metadata = run_fig09_scenario(seed=seed, **overrides)
         else:
             metadata = run_chaos_scenario(
-                seed=seed, secondaries=secondaries,
-                transactions=transactions or 160,
-                duration_ns=duration_ns or 8_000_000.0,
+                seed=seed, secondaries=secondaries, **overrides,
             )
     # Snapshots are for the summary sidecar, not the trace header.
     snapshots = metadata.pop("snapshots", None)

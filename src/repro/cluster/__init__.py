@@ -13,8 +13,8 @@ equivalents:
 
 The fleet tier (see CLUSTER.md) composes many chains under one engine:
 
-* :mod:`~repro.cluster.placement` — consistent-hash / range shard
-  placement with minimal-move membership changes;
+* :mod:`~repro.cluster.placement` — consistent-hash shard placement
+  with minimal-move joins;
 * :mod:`~repro.cluster.fleet` — :class:`Fleet` / :class:`FleetNode` /
   :class:`Shard`: multi-tenant log streams namespaced inside per-node
   shared databases, admission-gated per-shard write lanes;
@@ -34,7 +34,6 @@ from repro.cluster.fleet import (
 from repro.cluster.placement import (
     HashRingPlacement,
     PlacementError,
-    RangePlacement,
     stable_hash,
 )
 from repro.cluster.rebalance import FleetSupervisor, ShardMigration
@@ -53,7 +52,6 @@ __all__ = [
     "kv_bootstrap",
     "run_shard_body",
     "HashRingPlacement",
-    "RangePlacement",
     "PlacementError",
     "stable_hash",
     "FleetSupervisor",

@@ -17,7 +17,7 @@ admission controller under the shard's own fair-throttle lane, which is
 what keeps tenants isolated while a migration's replay traffic competes
 on its own lane (see :mod:`repro.cluster.rebalance`).
 
-:class:`Fleet` holds the nodes, a placement policy
+:class:`Fleet` holds the nodes, a consistent-hash placement
 (:mod:`repro.cluster.placement`), and the shard directory.  Placement
 decides where a shard *starts*; the directory records where it actually
 *is* (migrations move shards without consulting placement).
@@ -294,15 +294,15 @@ class FleetNode:
 
 
 class Fleet:
-    """N nodes, a placement policy, and the shard directory."""
+    """N nodes, a consistent-hash placement, and the shard directory."""
 
-    def __init__(self, engine, config_factory, placement=None, replicas=1,
+    def __init__(self, engine, config_factory, replicas=1,
                  name="fleet", group_commit_bytes=2 * KIB,
                  group_commit_timeout_ns=20_000.0, admission_bytes=None,
                  supervise=False):
         self.engine = engine
         self.config_factory = config_factory
-        self.placement = placement or HashRingPlacement()
+        self.placement = HashRingPlacement()
         self.name = name
         # Every node is built with the same settings.
         self.node_kw = dict(
@@ -376,9 +376,9 @@ class Fleet:
         Call after :meth:`add_nodes`: the controller builds one signal
         reader per existing node (nodes added later are not
         auto-covered).  ``controller_kw`` passes through — ``poll_ns``,
-        ``enter_polls``/``exit_polls``, ``seed_shed_acked_bug`` (the
-        checker's mutation), ``fleet_supervisor`` for rebalance-stall
-        signals.  Returns the controller, started.
+        ``enter_polls``/``exit_polls``, ``name`` and
+        ``seed_shed_acked_bug`` (the checker's mutation).  Returns the
+        controller, started.
         """
         from repro.slo import SloController
 

@@ -1,30 +1,21 @@
 """Shard placement: deciding which fleet device owns which log stream.
 
-Two policies, both deterministic (the hash is keyed `blake2b`, never
-Python's salted ``hash``) and both *stable*: when a device joins, the
-only shards that move are the ones the new device takes over; when a
-device leaves, the only shards that move are the ones it owned.  That
-minimal-move property is what makes membership changes cheap — every
-move is a shard migration (see :mod:`repro.cluster.rebalance`), so the
-placement layer must never reshuffle bystanders.
-
-* :class:`HashRingPlacement` — classic consistent hashing with virtual
-  nodes: each device projects ``vnodes`` points onto a 64-bit ring and a
-  shard belongs to the first device point at or after its own hash.
-* :class:`RangePlacement` — contiguous key-range ownership in the
-  HBase/Bigtable style: the hash space is covered by one range per
-  device; a join splits the largest range in half and hands the upper
-  half to the newcomer, a leave merges each of the leaver's ranges into
-  its left neighbor.
-
-Both expose the same four-method surface (``place`` / ``add_device`` /
-``remove_device`` / ``devices``), so the fleet takes either.
+:class:`HashRingPlacement` is classic consistent hashing with virtual
+nodes: each device projects :data:`VNODES` points onto a 64-bit ring and
+a shard belongs to the first device point at or after its own hash.  It
+is deterministic (the hash is keyed `blake2b`, never Python's salted
+``hash``) and *stable*: when a device joins, the only shards that move
+are the ones the new device takes over.  That minimal-move property is
+what makes membership changes cheap — every move is a shard migration
+(see :mod:`repro.cluster.rebalance`), so the placement layer must never
+reshuffle bystanders.
 """
 
 import bisect
 import hashlib
 
 HASH_SPACE = 1 << 64
+VNODES = 128  # ring points per device
 
 
 def stable_hash(*parts):
@@ -42,16 +33,13 @@ def stable_hash(*parts):
 
 
 class PlacementError(ValueError):
-    """Raised for invalid membership operations (dup add, unknown remove)."""
+    """Raised for invalid membership operations (duplicate add)."""
 
 
 class HashRingPlacement:
     """Consistent hashing with virtual nodes over a 64-bit ring."""
 
-    def __init__(self, devices=(), vnodes=128):
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per device")
-        self.vnodes = vnodes
+    def __init__(self, devices=()):
         self._devices = []
         self._points = []  # sorted ring positions
         self._owner_at = {}  # ring position -> device
@@ -65,7 +53,7 @@ class HashRingPlacement:
         if device in self._devices:
             raise PlacementError(f"device {device!r} already placed")
         self._devices.append(device)
-        for replica in range(self.vnodes):
+        for replica in range(VNODES):
             point = stable_hash("ring", device, replica)
             # A collision would silently shadow another device's point;
             # nudge deterministically until the slot is free.
@@ -73,17 +61,6 @@ class HashRingPlacement:
                 point = (point + 1) % HASH_SPACE
             self._owner_at[point] = device
             bisect.insort(self._points, point)
-        return device
-
-    def remove_device(self, device):
-        if device not in self._devices:
-            raise PlacementError(f"device {device!r} is not placed")
-        self._devices.remove(device)
-        stale = [p for p, owner in self._owner_at.items() if owner == device]
-        for point in stale:
-            del self._owner_at[point]
-            index = bisect.bisect_left(self._points, point)
-            del self._points[index]
         return device
 
     def place(self, shard_id):
@@ -95,125 +72,3 @@ class HashRingPlacement:
         if index == len(self._points):
             index = 0  # wrap around the ring
         return self._owner_at[self._points[index]]
-
-    def assignment(self, shard_ids):
-        """Bulk mapping shard -> device (a convenience for tests/fleet)."""
-        return {shard_id: self.place(shard_id) for shard_id in shard_ids}
-
-
-class RangePlacement:
-    """Contiguous range ownership: one or more hash ranges per device.
-
-    Ranges are half-open ``[start, end)`` slices of the 64-bit hash
-    space, kept sorted and always covering the whole space.  Membership
-    changes touch exactly one boundary region:
-
-    * ``add_device`` splits the *largest* range in half, assigning the
-      upper half to the newcomer — only shards hashing into that upper
-      half move, and they all move to the new device;
-    * ``remove_device`` merges each of the leaver's ranges into the range
-      to its left (wrapping), so only the leaver's shards move.
-    """
-
-    def __init__(self, devices=()):
-        self._ranges = []  # sorted [(start, end, device)]
-        self._devices = []
-        for device in devices:
-            self.add_device(device)
-
-    def devices(self):
-        return list(self._devices)
-
-    def ranges(self):
-        return list(self._ranges)
-
-    def add_device(self, device):
-        if device in self._devices:
-            raise PlacementError(f"device {device!r} already placed")
-        self._devices.append(device)
-        if not self._ranges:
-            self._ranges = [(0, HASH_SPACE, device)]
-            return device
-        # Split the largest range; ties break on lowest start so the
-        # choice is deterministic.
-        largest = max(self._ranges, key=lambda r: (r[1] - r[0], -r[0]))
-        index = self._ranges.index(largest)
-        start, end, owner = largest
-        middle = start + (end - start) // 2
-        self._ranges[index:index + 1] = [
-            (start, middle, owner),
-            (middle, end, device),
-        ]
-        return device
-
-    def remove_device(self, device):
-        if device not in self._devices:
-            raise PlacementError(f"device {device!r} is not placed")
-        if len(self._devices) == 1:
-            raise PlacementError("cannot remove the last device")
-        self._devices.remove(device)
-        merged = []
-        for start, end, owner in self._ranges:
-            if owner != device and merged and merged[-1][2] != device:
-                previous = merged[-1]
-                if previous[1] == start and previous[2] == owner:
-                    merged[-1] = (previous[0], end, owner)
-                    continue
-            merged.append((start, end, owner))
-        # Fold each of the leaver's ranges into its left neighbor (the
-        # first range wraps onto the last surviving one).
-        result = []
-        for entry in merged:
-            start, end, owner = entry
-            if owner != device:
-                result.append(entry)
-            elif result:
-                p_start, _p_end, p_owner = result[-1]
-                result[-1] = (p_start, end, p_owner)
-            else:
-                # Leading range: extend the eventual last survivor
-                # leftward by queueing a wrap marker.
-                result.append((start, end, None))
-        if result and result[0][2] is None:
-            start, end, _none = result.pop(0)
-            if not result:
-                raise PlacementError("cannot remove the last device")
-            # Wrap: the last range absorbs the leading orphan.
-            l_start, l_end, l_owner = result[-1]
-            if l_end == HASH_SPACE and start == 0:
-                result[-1] = (l_start, l_end, l_owner)
-                result.insert(0, (start, end, l_owner))
-            else:
-                result.insert(0, (start, end, result[-1][2]))
-        self._ranges = self._normalize(result)
-        return device
-
-    @staticmethod
-    def _normalize(ranges):
-        """Coalesce adjacent ranges with one owner; keep sorted order."""
-        ranges = sorted(ranges)
-        out = []
-        for start, end, owner in ranges:
-            if out and out[-1][2] == owner and out[-1][1] == start:
-                out[-1] = (out[-1][0], end, owner)
-            else:
-                out.append((start, end, owner))
-        return out
-
-    def place(self, shard_id):
-        if not self._ranges:
-            raise PlacementError("no devices to place onto")
-        point = stable_hash("shard", shard_id) % HASH_SPACE
-        low, high = 0, len(self._ranges) - 1
-        while low < high:
-            mid = (low + high) // 2
-            if self._ranges[mid][1] <= point:
-                low = mid + 1
-            else:
-                high = mid
-        start, end, owner = self._ranges[low]
-        assert start <= point < end, "range table does not cover the space"
-        return owner
-
-    def assignment(self, shard_ids):
-        return {shard_id: self.place(shard_id) for shard_id in shard_ids}

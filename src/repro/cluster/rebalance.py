@@ -317,7 +317,6 @@ class FleetSupervisor:
         self._shard_totals = {}  # shard_id -> last seen bytes_admitted
         self.shard_rates = {}  # shard_id -> EWMA bytes/poll
         self.events = []
-        self.stalls = []  # typed hot-but-stuck records, chronological
         self.migrations = []
         self.converged_at_ns = None
         self._hot_streak = {}
@@ -433,10 +432,13 @@ class FleetSupervisor:
         movable = [s for s in hot_node.shards.values() if not s.gated]
         if len(movable) < 2:
             # A lone shard *is* the hotspot; moving it just moves the
-            # problem. Nothing to offload — record a typed stall so the
-            # SLO controller (and tests) can see that rebalancing is
-            # out of moves and shift to shedding instead.
-            self._record_stall(hot_name, movable, values, mean)
+            # problem. Nothing to offload — record that rebalancing is
+            # out of moves.
+            self._record("hot-but-stuck", hot_name,
+                         shards=len(movable),
+                         hot_rate=round(values[hot_name], 1),
+                         mean_rate=round(mean, 1),
+                         imbalance=round(self.imbalance(), 3))
             return
         # Offload the coldest colocated shard to the coldest node.
         victim = min(
@@ -456,33 +458,6 @@ class FleetSupervisor:
         self.converged_at_ns = None
         self.migrations.append(migration)
         self.engine.process(self._watch(migration), name=f"{self.name}-watch")
-
-    def _record_stall(self, hot_name, movable, rates, mean_rate):
-        """A node is hot but has no shard worth moving.
-
-        Beyond the shared event log, each stall is kept as a typed
-        record in ``stalls`` — plain data with the evidence a controller
-        needs (how hot, relative to what, with how many movable shards)
-        so observers never have to parse detail strings or the trace.
-        """
-        stall = {
-            "time_ns": self.engine.now,
-            "site": hot_name,
-            "movable_shards": len(movable),
-            "hot_rate": round(rates[hot_name], 1),
-            "mean_rate": round(mean_rate, 1),
-            "imbalance": round(self.imbalance(), 3),
-        }
-        self.stalls.append(stall)
-        self._record("hot-but-stuck", hot_name,
-                     shards=len(movable),
-                     hot_rate=stall["hot_rate"],
-                     mean_rate=stall["mean_rate"],
-                     imbalance=stall["imbalance"])
-        return stall
-
-    def stalls_for(self, site):
-        return [stall for stall in self.stalls if stall["site"] == site]
 
     def _watch(self, migration):
         try:

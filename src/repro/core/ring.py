@@ -155,18 +155,6 @@ class SequencedRing:
         """True when out-of-order chunks wait behind a hole."""
         return bool(self._pending)
 
-    def gap_ranges(self):
-        """The missing byte ranges blocking the frontier (for diagnostics)."""
-        if not self._pending:
-            return []
-        ranges = []
-        cursor = self.frontier
-        for offset in sorted(self._pending):
-            if offset > cursor:
-                ranges.append((cursor, offset))
-            cursor = max(cursor, offset + self._pending[offset][0])
-        return ranges
-
     def drop_pending(self):
         """Discard out-of-order chunks (crash: data beyond the gap is lost)."""
         dropped = len(self._pending)

@@ -29,6 +29,22 @@ class LogReader:
     A batch can straddle pages and read rounds, so per-batch byte
     coverage, the page cursor of :meth:`scan` (which needs ``device``)
     and each open transaction's data records persist between calls.
+
+    Pipelined flushes (``max_inflight_flushes > 1``) interleave several
+    batches' chunks in the stream, and one transaction's records may be
+    split across two batches, so a later batch's COMMIT can land below
+    an earlier batch's tail.  The reader therefore holds each COMMIT of
+    batch *b* until it has seen the last byte of every batch with a
+    lower ``LogBatch.sequence``.  One ``x_pwrite`` claims a batch's
+    chunks in cursor order, so seeing a batch's last byte means all of
+    it is in the prefix.  With one flush slot a batch's bytes all
+    precede the next batch's, and nothing is ever held.
+
+    The count starts at the first batch sequence this reader sees.  A
+    reader that starts mid-stream (at the ring head, say) never waits
+    for batches below that sequence: their commits, if any of their
+    chunks come later, are released as soon as they are covered, and
+    they gate nothing.
     """
 
     def __init__(self, device=None):
@@ -37,26 +53,52 @@ class LogReader:
         self._next_sequence = None
         self._coverage = {}  # batch -> [bytes seen not yet emitted, emitted]
         self._held = {}  # txn_id -> data records awaiting a durable COMMIT
+        self._gate = None  # lowest batch sequence not yet seen whole
+        self._whole = set()  # sequences above the gate seen whole
+        self._gated_commits = {}  # sequence -> COMMITs awaiting the gate
 
     def feed(self, pages):
-        """The records ``pages`` newly make durable, in stream order."""
+        """The records ``pages`` newly make durable, in stream order
+        (a held COMMIT follows the chunk that releases it)."""
         fresh = []
         coverage = self._coverage
         for page in pages:
             for _offset, _nbytes, payload in page.chunks:
                 if payload is None:
                     continue
-                batch, _cursor, step = payload
+                batch, cursor, step = payload
+                sequence = batch.sequence
+                if self._gate is None:
+                    self._gate = sequence
                 entry = coverage.setdefault(batch, [0, 0])
                 spare, emitted = entry[0] + step, entry[1]
                 records = batch.records
+                gated = sequence > self._gate
                 while (emitted < len(records)
                        and records[emitted].nbytes <= spare):
-                    spare -= records[emitted].nbytes
-                    fresh.append(records[emitted])
+                    record = records[emitted]
+                    spare -= record.nbytes
+                    if gated and record.kind is RecordKind.COMMIT:
+                        self._gated_commits.setdefault(sequence, []).append(
+                            record)
+                    else:
+                        fresh.append(record)
                     emitted += 1
                 entry[0], entry[1] = spare, emitted
+                if cursor + step == batch.nbytes and sequence >= self._gate:
+                    self._seen_whole(sequence, fresh)
         return fresh
+
+    def _seen_whole(self, sequence, fresh):
+        """Advance the gate over whole batches; release what it passes."""
+        whole = self._whole
+        whole.add(sequence)
+        gate = self._gate
+        while gate in whole:
+            whole.discard(gate)
+            gate += 1
+            fresh.extend(self._gated_commits.pop(gate, ()))
+        self._gate = gate
 
     def scan(self):
         """Feed the pages from the cursor (or the ring head, if later)

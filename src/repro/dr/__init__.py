@@ -11,9 +11,9 @@ alive through *total fleet loss*.  Three pieces:
   committed WAL off the destage ring (the same traced readback path the
   rebalancer uses — no side channel), seal byte-bounded segments, take
   periodic snapshots, and ship both with byte-stable manifests;
-* :mod:`repro.dr.restore` — rebuild a node (or a whole fleet) from
-  snapshot + segment replay, including point-in-time recovery to any
-  committed transaction boundary.
+* :mod:`repro.dr.restore` — rebuild a node from snapshot + segment
+  replay, including point-in-time recovery to any committed
+  transaction boundary.
 
 Verified by ``python -m repro.check --scenario dr``
 (restore-after-total-loss and archive-lag schedule families with a PITR
@@ -36,7 +36,6 @@ from repro.dr.restore import (
     Archive,
     RestoreError,
     fetch_archive,
-    rebuild_fleet,
     restore_state,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "encode_value",
     "fetch_archive",
     "payload_checksum",
-    "rebuild_fleet",
     "record_from_dict",
     "record_to_dict",
     "restore_state",

@@ -234,37 +234,6 @@ def apply_to_database(database, archive, upto_lsn=None):
     return installed
 
 
-def rebuild_fleet(grid, config_factory, node_names, shard_owners=None,
-                  **fleet_kw):
-    """Stand up a fresh fleet from the archive after total loss.
-
-    Builds a new engine and :class:`~repro.cluster.fleet.Fleet` with one
-    node per entry of ``node_names``, restores each node's database from
-    its archive (snapshot + full segment replay), and re-places shards
-    per ``shard_owners`` (``{shard_id: node_name}``).  Restored tables
-    already exist, so shard re-attachment never re-runs bootstrap over
-    recovered rows.  Returns ``(engine, fleet, restored_rows)``.
-    """
-    from repro.cluster.fleet import Fleet
-    from repro.sim import Engine
-
-    engine = Engine()
-    fleet = Fleet(engine, config_factory, **fleet_kw)
-    restored = 0
-    for name in node_names:
-        node = fleet.add_node(name)
-        archive = Archive.load_sync(grid, name)
-        problems = archive.verify()
-        if problems:
-            raise RestoreError(
-                f"archive for {name} failed verification: {problems[:3]}"
-            )
-        restored += apply_to_database(node.database, archive)
-    for shard_id, owner in sorted((shard_owners or {}).items()):
-        fleet.create_shard(shard_id, node=owner)
-    return engine, fleet, restored
-
-
 def reseed_node_from_archive(engine, grid, node, database):
     """Timed single-node restore: fetch, verify, apply.  A sim process.
 
@@ -289,7 +258,6 @@ __all__ = [
     "RestoreError",
     "apply_to_database",
     "fetch_archive",
-    "rebuild_fleet",
     "reseed_node_from_archive",
     "restore_state",
 ]

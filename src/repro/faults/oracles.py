@@ -301,21 +301,21 @@ def check_failover_convergence(events, site, killed_at_ns,
     return violations
 
 
-def check_bounded_backlog(samples, bound, name="device"):
+def check_bounded_backlog(cmb, name="device"):
     """The CMB intake backlog never exceeded its configured bound.
 
-    ``samples`` are ``(time_ns, backlog_bytes)`` pairs taken on a fixed
-    cadence during the run.  With shedding active the bound is a hard
-    invariant; ``bound`` of None means the device was unbounded and any
-    sample is accepted (vacuously true, reported as such).
+    Judges ``cmb.intake_backlog_peak``, which the CMB raises on every
+    accepted chunk, so the check is exact at every chunk.  With shedding
+    active the bound is a hard invariant; an unbounded CMB (``None``)
+    passes vacuously.
     """
-    if bound is None:
+    bound = cmb.intake_bound_bytes
+    peak = cmb.intake_backlog_peak
+    if bound is None or peak <= bound:
         return []
     return [
-        f"bounded-backlog: {name} intake backlog {depth} bytes at "
-        f"{time_ns:.0f}ns exceeds the {bound}-byte bound"
-        for time_ns, depth in samples
-        if depth > bound
+        f"bounded-backlog: {name} intake backlog peaked at {peak} bytes, "
+        f"over the {bound}-byte bound"
     ]
 
 

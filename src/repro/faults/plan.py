@@ -20,6 +20,7 @@ Sites are symbolic names resolved by the injector at apply time:
 
 import enum
 import json
+import os
 
 from repro.sim.rng import derive
 
@@ -199,14 +200,25 @@ class FaultPlan:
         )
 
     @classmethod
-    def from_json(cls, text_or_path):
-        """Load a plan from a JSON string or a path to a JSON file."""
-        text = text_or_path
-        if not text.lstrip().startswith("{"):
-            with open(text_or_path, "r", encoding="utf-8") as handle:
+    def load(cls, source):
+        """Load a plan from a JSON string or the path of a JSON file.
+
+        Accepts what :meth:`to_json` writes (``{"faults": [...]}`` with an
+        optional ``"excluded"`` list), ``{"plan": [...]}``, or a bare list
+        of hand-written ``{"time_ns", "site", "kind"}`` dicts.  The
+        ``--faults`` flag of ``python -m repro.bench chaos`` reads its
+        file through here.
+        """
+        text = os.fspath(source)
+        if not text.lstrip().startswith(("{", "[")):
+            with open(text, "r", encoding="utf-8") as handle:
                 text = handle.read()
         data = json.loads(text)
-        return cls.from_dicts(data["faults"], data.get("excluded", ()))
+        if isinstance(data, list):
+            return cls.from_dicts(data)
+        if "faults" in data:
+            return cls.from_dicts(data["faults"], data.get("excluded", ()))
+        return cls.from_dicts(data["plan"])
 
     # -- seeded generation ----------------------------------------------------------
 

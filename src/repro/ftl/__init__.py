@@ -1,8 +1,8 @@
-"""Flash Translation Layer: logical-to-physical mapping, GC, wear, bad blocks.
+"""Flash Translation Layer: logical-to-physical mapping, GC, bad blocks.
 
 The FTL is the heart of the Firmware subsystem (Section 2.2): it picks the
 physical flash page for every logical write, reclaims space with garbage
-collection, retires bad blocks, and levels wear.  The Villars device reuses
+collection, and retires bad blocks.  The Villars device reuses
 the conventional FTL unchanged — its fast side only adds the destage ring
 as one more *client* of the FTL — so this implementation serves both sides.
 """
@@ -10,7 +10,6 @@ as one more *client* of the FTL — so this implementation serves both sides.
 from repro.ftl.allocator import BlockAllocator, OutOfSpaceError
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import MappingTable, PageMappingFtl
-from repro.ftl.wear import WearLeveler, WearStats
 
 __all__ = [
     "MappingTable",
@@ -18,6 +17,4 @@ __all__ = [
     "BlockAllocator",
     "OutOfSpaceError",
     "GarbageCollector",
-    "WearLeveler",
-    "WearStats",
 ]

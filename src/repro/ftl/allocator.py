@@ -244,13 +244,6 @@ class BlockAllocator:
         """One die's free blocks, in the order they will be handed out."""
         return tuple(self._free[(channel, way)])
 
-    def move_free_block(self, channel, way, block, index):
-        """Move free ``block`` to position ``index`` of its die's free list
-        (counted without the block itself) — the wear leveler's reorder."""
-        free = self._free[(channel, way)]
-        free.remove(block)
-        free.insert(index, block)
-
     def open_blocks(self):
         """``(channel, way, block)`` of every block an open cursor holds."""
         return [

@@ -63,10 +63,11 @@ OVERLOAD_INTAKE_BOUND_BYTES = 16 * 1024
 def build_supervised_chain(engine, seed, **supervisor_kw):
     """A replicated chain plus a started supervisor and stream recorders.
 
-    Shared by the failover scenario, the check layer's supervised
-    schedules and the tests; the chaos config factory keeps the device
-    fault models and transport jitter on the same seed streams as the
-    plain chaos runs.
+    Shared by the failover scenario and the health tests (the checker's
+    supervised chain schedules build their own cluster in
+    :mod:`repro.check.chain`); the chaos config factory keeps the
+    device fault models and transport jitter on the same seed streams
+    as the plain chaos runs.
     """
     from repro.faults.scenario import chaos_config_factory
     from repro.cluster.topology import replicated_chain
@@ -232,19 +233,6 @@ def run_overload_scenario(seed=7):
     for index in range(OVERLOAD_WRITERS):
         engine.process(writer(f"w{index}"), name=f"overload-w{index}")
 
-    # Sample both devices' intake backlogs on a fixed cadence; the
-    # bounded-backlog oracle consumes the samples afterwards.
-    samples = {name: [] for name in cluster.servers}
-
-    def sampler():
-        while engine.now < OVERLOAD_DURATION_NS - POLL_NS:
-            yield engine.timeout(POLL_NS / 2)
-            for name, server in cluster.servers.items():
-                samples[name].append(
-                    (engine.now, server.device.cmb.intake_backlog_bytes)
-                )
-
-    engine.process(sampler(), name="backlog-sampler")
     engine.run(until=OVERLOAD_DURATION_NS)
     supervisor.stop()
 
@@ -254,9 +242,8 @@ def run_overload_scenario(seed=7):
 
     oracles = {}
     for name, server in cluster.servers.items():
-        bound = server.device.cmb.intake_bound_bytes
         oracles[f"bounded-backlog:{name}"] = check_bounded_backlog(
-            samples[name], bound, name=name,
+            server.device.cmb, name=name,
         )
     oracles["load-shed"] = [] if admission.rejections else [
         "overload: sustained saturation produced zero DeviceBusy "

@@ -34,9 +34,9 @@ from repro.sim.resources import Resource
 class DieQos:
     """Shared QoS policy for die-level operation sequencing.
 
-    One instance is shared by every channel's resource manager and the
-    write scheduler (see :meth:`repro.ssd.scheduler.WriteScheduler.set_qos`),
-    so a single admin update changes behavior device-wide.  The defaults
+    One instance, set once through ``SsdConfig.qos`` when the device is
+    built, is shared by every channel's resource manager and the write
+    scheduler, so the policy is device-wide.  The defaults
     are all *off*: an untouched device behaves exactly like the idealized
     backend (one op per die, no preemption), which keeps the existing
     figures and replay determinism intact.

@@ -16,7 +16,7 @@ reproduces the mechanism, not a curve fit.
 
 import enum
 
-from repro.pcie.tlp import Tlp, TlpType
+from repro.pcie.tlp import Tlp, TlpType, split_into_tlps
 
 # x86 WC buffer (fill buffer) size in bytes.
 WC_BUFFER_BYTES = 64
@@ -155,7 +155,8 @@ class MmioRegion:
         if self.policy is CachePolicy.WRITE_COMBINING:
             tlps = self._wc_buffer.add(address, size)
         else:
-            tlps = self._uncached_tlps(address, size)
+            tlps = split_into_tlps(address, size,
+                                   max_payload=MAX_UC_STORE_BYTES)
         self._attach_contributions(tlps)
         register_stores = -(-size // MAX_UC_STORE_BYTES)
         return self._emit(tlps, issue_cost=STORE_ISSUE_NS * register_stores)
@@ -194,19 +195,6 @@ class MmioRegion:
         return self.link.read_roundtrip(size)
 
     # -- internals ---------------------------------------------------------------
-
-    @staticmethod
-    def _uncached_tlps(address, size):
-        tlps = []
-        offset = 0
-        while offset < size:
-            chunk = min(MAX_UC_STORE_BYTES, size - offset)
-            tlps.append(
-                Tlp(TlpType.MEMORY_WRITE, address=address + offset,
-                    payload=chunk)
-            )
-            offset += chunk
-        return tlps
 
     def _emit(self, tlps, issue_cost):
         """Issue ``tlps`` as posted writes; event fires when the CPU is free.

@@ -9,7 +9,9 @@ TLPs, so bridging costs only address translation plus the cable.
 The model: an :class:`NtbBridge` joins two :class:`NtbPort` endpoints.  Each
 direction is a finite-bandwidth pipe with a per-hop translation latency.
 Daisy-chaining (the Dolphin PXH830 setup of the experiments) composes
-bridges; a forwarded packet pays each hop it crosses.
+bridges, one per adjacent pair of servers (see
+:mod:`repro.cluster.topology`); a forwarded packet pays each hop it
+crosses.
 """
 
 from repro.sim.resources import BandwidthPipe
@@ -190,31 +192,3 @@ class NtbBridge:
 
         done.then(_maybe_delayed)
         return delivery
-
-    def pipe_from(self, port):
-        """The directional pipe carrying traffic *out of* ``port``.
-
-        Exposed so experiments can measure bandwidth consumed by counter
-        updates (Fig. 13's right axis).
-        """
-        return self._pipes[id(port)]
-
-
-def daisy_chain(engine, ports, bandwidth=DEFAULT_NTB_BANDWIDTH,
-                hop_latency=DEFAULT_NTB_HOP_NS):
-    """Wire ``ports`` pairwise into a chain of bridges; returns the bridges.
-
-    The paper's three-server testbed daisy-chains its Dolphin adapters; a
-    packet from server 0 to server 2 pays two hops.  Routing across hops is
-    the caller's job (the cluster layer resends at each hop), matching how
-    the Transport module creates one mirror flow per secondary.
-    """
-    if len(ports) < 2:
-        raise ValueError("a chain needs at least two ports")
-    bridges = []
-    for left, right in zip(ports, ports[1:]):
-        bridges.append(
-            NtbBridge(engine, left, right, bandwidth=bandwidth,
-                      hop_latency=hop_latency)
-        )
-    return bridges

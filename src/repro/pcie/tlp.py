@@ -36,9 +36,8 @@ class Tlp:
 
     ``payload`` is a byte count, not actual bytes: the simulator tracks data
     identity separately (in the rings) and the fabric only needs sizes.
-    ``tag`` carries an opaque reference for completion matching and for the
-    Transport module's mirroring (the mirrored TLP shares the original's
-    tag so secondaries can relate streams).
+    ``tag`` carries an opaque sender reference, e.g. for completion
+    matching.
     """
 
     kind: TlpType
@@ -57,16 +56,6 @@ class Tlp:
     def wire_size(self):
         """Bytes this packet occupies on the link, overhead included."""
         return self.payload + TLP_OVERHEAD_BYTES
-
-    def mirrored(self, new_address):
-        """A copy redirected at ``new_address`` (NTB forwarding, mirroring)."""
-        return Tlp(
-            kind=self.kind,
-            address=new_address,
-            payload=self.payload,
-            tag=self.tag,
-            metadata=dict(self.metadata),
-        )
 
 
 def split_into_tlps(address, size, max_payload=DEFAULT_MAX_PAYLOAD, tag=None):
@@ -91,12 +80,3 @@ def split_into_tlps(address, size, max_payload=DEFAULT_MAX_PAYLOAD, tag=None):
         )
         offset += chunk
     return tlps
-
-
-def wire_bytes_for_write(size, max_payload=DEFAULT_MAX_PAYLOAD):
-    """Total wire bytes (payload + overhead) for a ``size``-byte write."""
-    if size <= 0:
-        return 0
-    full, rest = divmod(size, max_payload)
-    packets = full + (1 if rest else 0)
-    return size + packets * TLP_OVERHEAD_BYTES

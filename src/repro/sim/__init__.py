@@ -24,7 +24,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
     set_tracer_factory,
-    tracer_factory,
 )
 from repro.sim.resources import (
     BandwidthPipe,
@@ -48,15 +47,12 @@ from repro.sim.units import (
     MILLIS,
     NANOS,
     SECONDS,
-    gb_per_s,
-    per_second,
 )
 
 __all__ = [
     "Engine",
     "NULL_TRACER",
     "set_tracer_factory",
-    "tracer_factory",
     "Event",
     "Process",
     "Timeout",
@@ -78,6 +74,4 @@ __all__ = [
     "MICROS",
     "MILLIS",
     "SECONDS",
-    "gb_per_s",
-    "per_second",
 ]

@@ -129,10 +129,6 @@ def set_tracer_factory(factory):
     _tracer_factory = factory
 
 
-def tracer_factory():
-    return _tracer_factory
-
-
 # Wheel geometry: 4 levels x 256 slots, 1 ns per level-0 tick.  The level
 # thresholds compare ``tick ^ cur_tick`` (block-aligned selection); ticks
 # outside the wheel's 2**32-tick block go to the overflow heap.

@@ -25,16 +25,6 @@ class SimRandom(random.Random):
         """Exponential inter-arrival time, clamped away from zero."""
         return max(1.0, self.expovariate(1.0 / mean_ns))
 
-    def lognormal_bytes(self, median, sigma=0.5, minimum=1, maximum=None):
-        """Log-normal size distribution for log-record sizing."""
-        import math
-
-        value = int(round(self.lognormvariate(math.log(median), sigma)))
-        value = max(minimum, value)
-        if maximum is not None:
-            value = min(maximum, value)
-        return value
-
 
 def derive(seed, *labels):
     """Derive a child RNG deterministically from a seed and string labels.

@@ -1,4 +1,4 @@
-"""Unit constants and conversion helpers.
+"""Unit constants.
 
 Simulated time is measured in **nanoseconds** (floats), sizes in **bytes**
 (ints), and bandwidths in **bytes per nanosecond** (floats; 1 B/ns == 1 GB/s).
@@ -6,7 +6,7 @@ Keeping a single convention across the codebase avoids an entire class of
 unit bugs; these names make call sites read naturally::
 
     yield engine.timeout(5 * MICROS)
-    link = PcieLink(engine, bandwidth=gb_per_s(2.0))
+    ring = SequencedRing(capacity=64 * KIB)
 """
 
 # --- sizes (bytes) -----------------------------------------------------------
@@ -26,18 +26,3 @@ MICROS = 1_000.0
 MILLIS = 1_000_000.0
 SECONDS = 1_000_000_000.0
 
-
-def gb_per_s(value):
-    """Convert a bandwidth in GB/s into bytes per nanosecond.
-
-    The two units happen to be numerically identical (1 GB/s = 1e9 B /
-    1e9 ns); the function exists so call sites document their intent.
-    """
-    return float(value)
-
-
-def per_second(count, elapsed_ns):
-    """Convert an event count over ``elapsed_ns`` nanoseconds into a rate/s."""
-    if elapsed_ns <= 0:
-        return 0.0
-    return count * SECONDS / elapsed_ns

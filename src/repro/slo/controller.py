@@ -92,8 +92,8 @@ class SloController:
     """Per-node escalation ladders over one fleet's knobs."""
 
     def __init__(self, fleet, target_p99_ns, poll_ns=100_000.0,
-                 enter_polls=2, exit_polls=4, fleet_supervisor=None,
-                 name="slo-controller", seed_shed_acked_bug=False):
+                 enter_polls=2, exit_polls=4, name="slo-controller",
+                 seed_shed_acked_bug=False):
         if target_p99_ns <= 0:
             raise ValueError("the p99 target must be positive")
         if poll_ns <= 0:
@@ -106,7 +106,6 @@ class SloController:
         self.poll_ns = poll_ns
         self.enter_polls = enter_polls
         self.exit_polls = exit_polls
-        self.fleet_supervisor = fleet_supervisor
         self.name = name
         self.seed_shed_acked_bug = seed_shed_acked_bug
         self.readers = {}  # node name -> SignalReader
@@ -133,10 +132,7 @@ class SloController:
 
                 sampler = GaugeSampler(self.engine.tracer, node.device,
                                        track=f"{name}.slo-gauges")
-            self.readers[name] = SignalReader(
-                node, sampler=sampler,
-                fleet_supervisor=self.fleet_supervisor,
-            )
+            self.readers[name] = SignalReader(node, sampler=sampler)
             self.states[name] = _NodeState()
         self._process = self.engine.process(self._loop(), name=self.name)
         return self._process

@@ -16,9 +16,7 @@ dict of numbers once per poll:
   the controller acted on is also on the counter tracks);
 * **admission shed rate** — the rejection-count delta over the window;
 * **brownout counters** — the ``health`` snapshot section, read from the
-  device's brownout fields the chain supervisor keeps current;
-* **rebalance stalls** — the fleet supervisor's typed hot-but-stuck
-  records, counted for this node.
+  device's brownout fields the chain supervisor keeps current.
 
 Readers are pure observers: taking a reading never advances simulation
 time and never mutates the observed structures (a reader's latency
@@ -32,10 +30,9 @@ from repro.sim.stats import percentile
 class SignalReader:
     """Windowed health signals for one :class:`~repro.cluster.fleet.FleetNode`."""
 
-    def __init__(self, node, sampler=None, fleet_supervisor=None):
+    def __init__(self, node, sampler=None):
         self.node = node
         self.sampler = sampler  # GaugeSampler when tracing is on
-        self.fleet_supervisor = fleet_supervisor
         self._windows = node.database.stats.latency_windows
         self._windows[self] = []
         self._last_rejections = 0
@@ -59,9 +56,6 @@ class SignalReader:
 
         ring = snapshot["fast_side"]["ring"]
         log_manager = node.database.log_manager
-        stalls = 0
-        if self.fleet_supervisor is not None:
-            stalls = len(self.fleet_supervisor.stalls_for(node.name))
 
         self.readings += 1
         return {
@@ -77,5 +71,4 @@ class SignalReader:
             "pressure": node.admission.pressure(),
             "brownout_active": snapshot["health"]["brownout_active"],
             "brownout_enters": snapshot["health"]["brownout_enters"],
-            "rebalance_stalls": stalls,
         }

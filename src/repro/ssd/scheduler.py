@@ -18,10 +18,9 @@ the mode matters most under saturation (Fig. 12).
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import count
 
-from repro.nand.dies import DieQos
 
 _request_ids = count(1)
 
@@ -82,20 +81,6 @@ class WriteScheduler:
     def qos(self):
         """The :class:`~repro.nand.dies.DieQos` shared with the channels."""
         return self.ftl.qos
-
-    def set_qos(self, **changes):
-        """Mutate the shared die QoS policy in place (admin knob).
-
-        The object is shared with every channel's resource manager, so
-        changes take effect for operations issued after this call.
-        """
-        valid = {f.name for f in fields(DieQos)}
-        qos = self.qos
-        for key, value in changes.items():
-            if key not in valid:
-                raise ValueError(f"unknown QoS knob {key!r}")
-            setattr(qos, key, value)
-        return qos
 
     # -- intake -------------------------------------------------------------------
 

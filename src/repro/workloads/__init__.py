@@ -18,7 +18,7 @@ from repro.workloads.diurnal import (
     bursty_tenant_stream,
     zipf_weights,
 )
-from repro.workloads.synthetic import AppendStream, paced_append_stream
+from repro.workloads.synthetic import paced_append_stream
 from repro.workloads.tpcc import TpccConfig, TpccWorkload
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -27,7 +27,6 @@ __all__ = [
     "TpccWorkload",
     "YcsbConfig",
     "YcsbWorkload",
-    "AppendStream",
     "paced_append_stream",
     "DiurnalTrafficModel",
     "FlashCrowd",

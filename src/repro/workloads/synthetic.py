@@ -1,57 +1,12 @@
-"""Synthetic append streams for the microbenchmarks.
+"""A synthetic append stream for the microbenchmarks.
 
 The Figs. 10-13 experiments do not need a database: they drive the fast
 side (or the conventional side) with controlled byte streams — fixed
-write sizes, fixed offered rates, optional group-commit-style batching.
-These helpers produce such streams as simulation processes.
+write sizes at a fixed offered rate.  :func:`paced_append_stream`
+produces such a stream as a simulation process.
 """
 
 from repro.sim.rng import derive
-
-
-class AppendStream:
-    """A writer pushing fixed-size appends through an x_pwrite-style file.
-
-    Closed loop at full speed: each write starts when the previous one
-    (and its fsync, every ``fsync_every`` writes) completes.  Statistics:
-    per-write latency samples and total bytes pushed.
-    """
-
-    def __init__(self, engine, log_file, write_bytes, count=None,
-                 fsync_every=1):
-        if write_bytes <= 0:
-            raise ValueError("write size must be positive")
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
-        self.engine = engine
-        self.log_file = log_file
-        self.write_bytes = write_bytes
-        self.count = count
-        self.fsync_every = fsync_every
-        self.latencies = []
-        self.bytes_written = 0
-        self.writes_done = 0
-        self._stop = False
-
-    def stop(self):
-        self._stop = True
-
-    def run(self):
-        """Start the writer; returns its completion event."""
-        return self.engine.process(self._run(), name="append-stream")
-
-    def _run(self):
-        index = 0
-        while not self._stop and (self.count is None or index < self.count):
-            start = self.engine.now
-            yield self.log_file.x_pwrite(f"append-{index}", self.write_bytes)
-            if (index + 1) % self.fsync_every == 0:
-                yield self.log_file.x_fsync()
-            self.latencies.append(self.engine.now - start)
-            self.bytes_written += self.write_bytes
-            self.writes_done += 1
-            index += 1
-        return self.writes_done
 
 
 def paced_append_stream(engine, submit, target_bytes_per_ns, write_bytes,

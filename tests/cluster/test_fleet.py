@@ -8,7 +8,12 @@ from hot-shard detection through migration to convergence.
 
 import pytest
 
-from repro.cluster import Fleet, FleetSupervisor, run_shard_body
+from repro.cluster import (
+    Fleet,
+    FleetSupervisor,
+    HashRingPlacement,
+    run_shard_body,
+)
 from repro.faults.scenario import chaos_config_factory
 from repro.sim import Engine
 
@@ -190,3 +195,10 @@ def test_fleet_nodes_run_one_flush_slot():
     assert log_manager._flush_slots.capacity == 1
     with pytest.raises(TypeError):
         Fleet(engine, chaos_config_factory(5), max_inflight_flushes=4)
+
+
+def test_fleet_always_places_on_the_hash_ring():
+    engine, fleet = build_fleet(nodes=2)
+    assert isinstance(fleet.placement, HashRingPlacement)
+    with pytest.raises(TypeError):
+        Fleet(engine, chaos_config_factory(5), placement=HashRingPlacement())

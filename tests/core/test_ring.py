@@ -23,11 +23,18 @@ class TestBasics:
         assert ring.frontier == 150
         assert not ring.has_gap
 
-    def test_gap_ranges_reported(self):
+    def test_frontier_stops_at_each_gap(self):
         ring = SequencedRing(capacity=1024)
         ring.write(100, 50, "x")
         ring.write(300, 10, "y")
-        assert ring.gap_ranges() == [(0, 100), (150, 300)]
+        assert ring.frontier == 0
+        # Filling the first hole advances only up to the second one.
+        ring.write(0, 100, "a")
+        assert ring.frontier == 150
+        assert ring.has_gap
+        ring.write(150, 150, "b")
+        assert ring.frontier == 310
+        assert not ring.has_gap
 
     def test_zero_byte_write_is_noop(self):
         ring = SequencedRing(capacity=16)

@@ -1,6 +1,7 @@
 """The one WAL decoder: incremental feeds, commit gating, failed scans,
 and a hot standby that keeps one reader across ``x_pread`` rounds."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 from repro.cluster.topology import SecondaryApplyLoop
@@ -18,12 +19,14 @@ from repro.workloads.tpcc import TABLES, TpccWorkload
 from tests.conftest import make_xssd_device
 
 
-def tpcc_log(workers, transactions, group_commit_bytes):
+def tpcc_log(workers, transactions, group_commit_bytes,
+             group_commit_timeout_ns=20_000.0, max_inflight_flushes=1):
     """Run TPC-C on a device, cut power, and read its durable pages."""
     engine, device = make_xssd_device(blocks_per_die=64)
     database = Database(engine, XssdLogFile(device),
                         group_commit_bytes=group_commit_bytes,
-                        group_commit_timeout_ns=20_000.0)
+                        group_commit_timeout_ns=group_commit_timeout_ns,
+                        max_inflight_flushes=max_inflight_flushes)
     TpccWorkload.create_schema(database)
     TpccWorkload().populate(database)
     done = [
@@ -79,6 +82,42 @@ class TestFeed:
             (commit, [data]),
             (later_commit, [later]),
         ]
+
+
+def test_pipelined_flushes_never_release_half_a_transaction():
+    """Eight flush slots interleave concurrent batches' chunks, and the
+    log manager may split one transaction across two batches, so a
+    later batch's COMMIT can land below an earlier batch's tail.  On
+    every page-aligned prefix of the durable log, each COMMIT the reader
+    releases must come with all of its transaction's data records."""
+    _engine, _device, pages = tpcc_log(
+        workers=8, transactions=800, group_commit_bytes=16 * KIB,
+        group_commit_timeout_ns=100_000.0, max_inflight_flushes=8,
+    )
+    data_records = Counter()
+    batches = {}
+    for page in pages:
+        for _offset, _nbytes, payload in page.chunks:
+            if payload is not None and id(payload[0]) not in batches:
+                batches[id(payload[0])] = payload[0]
+                data_records.update(record.txn_id
+                                    for record in payload[0].records
+                                    if record.is_data())
+    torn = []
+    for end in range(len(pages) + 1):
+        reader = LogReader()
+        for commit, data in reader.committed(reader.feed(pages[:end])):
+            if len(data) != data_records[commit.txn_id]:
+                torn.append((end, commit.txn_id))
+    assert not torn, f"half-installed transactions (prefix, txn): {torn}"
+    # Every worker finished before the cut, so every batch is whole and
+    # the full log releases every COMMIT it carries: nothing stays held.
+    reader = LogReader()
+    released = reader.committed(reader.feed(pages))
+    assert len(released) == sum(
+        record.kind is RecordKind.COMMIT
+        for batch in batches.values() for record in batch.records
+    )
 
 
 def test_failed_page_read_loses_no_records():

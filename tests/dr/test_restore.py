@@ -3,10 +3,11 @@
 The full loop the DR tier promises (RECOVERY.md): run a fleet with
 archivers shipping to the grid, drain, and then (a) the archive
 verifies clean and restores the live state exactly, (b) every commit
-boundary is reachable by PITR, (c) a whole fleet rebuilds from nothing
-but the grid, (d) every corruption class an upload can suffer is named
-by ``verify()``, and (e) a stalled shard migration catches up from the
-archive instead of falling back to a state top-up.
+boundary is reachable by PITR, (c) a node reseeds from the grid and
+refuses an archive that fails verification, (d) every corruption class
+an upload can suffer is named by ``verify()``, and (e) a stalled shard
+migration catches up from the archive instead of falling back to a
+state top-up.
 """
 
 import copy
@@ -22,7 +23,6 @@ from repro.dr.grid import RemoteGrid
 from repro.dr.restore import (
     Archive,
     RestoreError,
-    rebuild_fleet,
     reseed_node_from_archive,
     restore_state,
 )
@@ -143,6 +143,25 @@ class TestCleanRestore:
         state, _versions = restore_state(archive, upto_lsn=0)
         assert state.get("s0.kv", {}) == {}
 
+    def test_reseed_refuses_a_broken_archive(self):
+        engine, fleet, grid, _models = run_archived_workload()
+        del grid.objects[segment_key("node0", 0)]
+        restored_db = Database(engine, NoLogFile(engine))
+        box = {}
+
+        def reseed():
+            try:
+                yield from reseed_node_from_archive(
+                    engine, grid, "node0", restored_db,
+                )
+            except RestoreError as error:
+                box["error"] = error
+
+        engine.process(reseed(), name="reseed")
+        engine.run(until=engine.now + 50_000_000.0)
+        assert "error" in box
+        assert restored_db.tables() == {}
+
     def test_reseed_node_is_timed_and_faithful(self):
         engine, fleet, grid, _models = run_archived_workload()
         expected = node_tables(fleet.nodes["node0"])
@@ -163,35 +182,6 @@ class TestCleanRestore:
         assert box["elapsed"] > 0, "restore paid no grid latency"
         assert {name: dict(restored_db.table(name).scan())
                 for name in restored_db.tables()} == expected
-
-
-class TestTotalLoss:
-    def test_rebuild_fleet_from_nothing_but_the_grid(self):
-        engine, fleet, grid, _models = run_archived_workload(
-            seed=6, nodes=2, shards=2,
-        )
-        owners = {shard_id: shard.node.name
-                  for shard_id, shard in fleet.shards.items()}
-        expected = {shard_id: shard.view.state()
-                    for shard_id, shard in fleet.shards.items()}
-        for node in fleet.nodes.values():
-            node.cluster.primary.crash()
-
-        _engine2, fleet2, restored = rebuild_fleet(
-            grid, chaos_config_factory(6), sorted(fleet.nodes),
-            shard_owners=owners,
-        )
-        assert restored > 0
-        for shard_id, state in expected.items():
-            rebuilt = fleet2.shards[shard_id]
-            assert rebuilt.node.name == owners[shard_id]
-            assert rebuilt.view.state() == state
-
-    def test_rebuild_refuses_a_broken_archive(self):
-        engine, fleet, grid, _models = run_archived_workload()
-        del grid.objects[segment_key("node0", 0)]
-        with pytest.raises(RestoreError):
-            rebuild_fleet(grid, chaos_config_factory(5), ["node0"])
 
 
 class TestVerifyCorruptionClasses:

@@ -1,5 +1,7 @@
 """Fault-plan data model: ordering, round-trips, seeded generation."""
 
+import json
+
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, SERVER_SITED_KINDS
@@ -50,10 +52,28 @@ def test_json_round_trip_via_string_and_file(tmp_path):
         FaultSpec(123.0, "bridge-0", FaultKind.LINK_DOWN),
         FaultSpec(456.0, "bridge-0", FaultKind.LINK_UP),
     ])
-    assert FaultPlan.from_json(plan.to_json()).as_dicts() == plan.as_dicts()
+    assert FaultPlan.load(plan.to_json()).as_dicts() == plan.as_dicts()
     path = tmp_path / "plan.json"
     plan.to_json(str(path))
-    assert FaultPlan.from_json(str(path)).as_dicts() == plan.as_dicts()
+    assert FaultPlan.load(str(path)).as_dicts() == plan.as_dicts()
+
+
+@pytest.mark.parametrize("layout", ["bare-list", "faults", "plan"])
+def test_load_accepts_every_plan_file_layout(tmp_path, layout):
+    """The ``--faults`` flag reads hand-written plan files in three
+    layouts; each loads the same plan as the canonical form."""
+    entries = [
+        {"time_ns": 456.0, "site": "bridge-0", "kind": "link-up"},
+        {"time_ns": 123.0, "site": "bridge-0", "kind": "link-down"},
+    ]
+    payload = {"bare-list": entries, "faults": {"faults": entries},
+               "plan": {"plan": entries}}[layout]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(payload))
+    expected = FaultPlan.from_dicts(entries).as_dicts()
+    assert FaultPlan.load(str(path)).as_dicts() == expected
+    assert FaultPlan.load(path).as_dicts() == expected
+    assert FaultPlan.load(json.dumps(payload)).as_dicts() == expected
 
 
 def test_later_specs_filters():
@@ -131,7 +151,7 @@ def test_excluded_round_trips_through_json():
         excluded=[FaultSpec(50.0, "bridge-0", FaultKind.LINK_CORRUPT,
                             {"count": 2})],
     )
-    restored = FaultPlan.from_json(plan.to_json())
+    restored = FaultPlan.load(plan.to_json())
     assert restored.as_dicts() == plan.as_dicts()
     assert [s.as_dict() for s in restored.excluded] == [
         s.as_dict() for s in plan.excluded]

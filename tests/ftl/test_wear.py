@@ -1,11 +1,9 @@
-"""Tests for wear accounting and the wear-aware release policy."""
+"""Tests for the GC victim policy's wear tie-break."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMappingFtl
-from repro.ftl.wear import WearLeveler, WearStats
 from repro.nand.channel import Channel
 from repro.nand.geometry import Geometry
 from repro.nand.timing import NandTiming
@@ -24,135 +22,6 @@ def make_system(blocks_per_die=6, pages_per_block=2):
                          reserved_blocks_per_die=1)
     gc = GarbageCollector(engine, ftl)
     return engine, ftl, gc
-
-
-class TestWearStats:
-    def test_empty_array(self):
-        stats = WearStats([])
-        assert stats.blocks == 0
-        assert stats.spread == 0
-
-    def test_aggregates(self):
-        stats = WearStats([0, 2, 4])
-        assert stats.total_erases == 6
-        assert stats.spread == 4
-        assert stats.mean_erases == pytest.approx(2.0)
-
-
-class TestWearLeveler:
-    def test_stats_cover_all_blocks(self):
-        engine, ftl, gc = make_system(blocks_per_die=6)
-        leveler = WearLeveler(ftl)
-        stats = leveler.stats()
-        assert stats.blocks == 6
-        assert stats.total_erases == 0
-
-    def test_bad_blocks_excluded_from_stats(self):
-        engine, ftl, gc = make_system(blocks_per_die=6)
-        ftl.allocator.mark_bad(0, 0, 0)
-        stats = WearLeveler(ftl).stats()
-        assert stats.blocks == 5
-
-    def test_double_install_rejected(self):
-        engine, ftl, gc = make_system()
-        leveler = WearLeveler(ftl).install()
-        with pytest.raises(RuntimeError):
-            leveler.install()
-
-    def test_wear_aware_release_prefers_young_blocks(self):
-        engine, ftl, gc = make_system(blocks_per_die=4, pages_per_block=2)
-        leveler = WearLeveler(ftl).install()
-        die = ftl.channels[0].die(0)
-        # Age block 0 artificially.
-        die.blocks[0].erase_count = 10
-        # Release block 0 (old) then block... free list order should put
-        # young blocks ahead of it on subsequent releases.
-        # Use fresh state: drain the free list first.
-        allocator = ftl.allocator
-        allocator._free[(0, 0)].clear()
-        allocator.release(0, 0, 0)  # erase_count 10
-        allocator.release(0, 0, 1)  # erase_count 0 -> goes first
-        assert allocator._free[(0, 0)] == [1, 0]
-
-    def test_leveling_no_worse_than_fifo_under_churn(self):
-        """Wear-aware release keeps the erase spread at or below FIFO's."""
-
-        def run(with_leveler):
-            engine, ftl, gc = make_system(blocks_per_die=5,
-                                          pages_per_block=2)
-            leveler = WearLeveler(ftl)
-            if with_leveler:
-                leveler.install()
-            gc.start()
-
-            def churn():
-                for round_number in range(40):
-                    for lba in range(2):
-                        yield ftl.write(lba, f"{round_number}:{lba}")
-
-            done = engine.process(churn())
-            engine.run(until=1e9)
-            assert done.triggered
-            stats = leveler.stats()
-            assert stats.total_erases > 5  # GC actually cycled blocks
-            return stats.spread
-
-        assert run(with_leveler=True) <= run(with_leveler=False) + 1
-
-    def test_uninstall_restores_fifo_release(self):
-        engine, ftl, gc = make_system()
-        leveler = WearLeveler(ftl).install()
-        leveler.uninstall()
-        allocator = ftl.allocator
-        allocator._free[(0, 0)].clear()
-        die = ftl.channels[0].die(0)
-        die.blocks[0].erase_count = 10
-        allocator.release(0, 0, 0)
-        allocator.release(0, 0, 1)
-        assert allocator._free[(0, 0)] == [0, 1]  # FIFO again
-
-    def test_install_composes_with_existing_release_hook(self):
-        """Another party already wrapped ``release``: install must chain
-        through it, not clobber it (the fault injector does exactly this)."""
-        engine, ftl, gc = make_system(blocks_per_die=4, pages_per_block=2)
-        allocator = ftl.allocator
-        calls = []
-        inner = allocator.release
-
-        def counting_release(channel, way, block):
-            calls.append((channel, way, block))
-            inner(channel, way, block)
-
-        allocator.release = counting_release
-        leveler = WearLeveler(ftl).install()
-        die = ftl.channels[0].die(0)
-        die.blocks[0].erase_count = 10
-        allocator._free[(0, 0)].clear()
-        allocator.release(0, 0, 0)
-        allocator.release(0, 0, 1)
-        # The pre-existing hook still fires for every release...
-        assert calls == [(0, 0, 0), (0, 0, 1)]
-        # ...and the wear ordering applies on top of its effect.
-        assert allocator._free[(0, 0)] == [1, 0]
-        # Uninstall peels off only the leveler's layer.
-        leveler.uninstall()
-        assert allocator.release is counting_release
-
-    def test_release_of_bad_block_stays_dropped(self):
-        engine, ftl, gc = make_system()
-        WearLeveler(ftl).install()
-        allocator = ftl.allocator
-        allocator.mark_bad(0, 0, 2)
-        before = list(allocator._free[(0, 0)])
-        allocator.release(0, 0, 2)
-        assert allocator._free[(0, 0)] == before
-
-    def test_hottest_blocks_reporting(self):
-        engine, ftl, gc = make_system(blocks_per_die=3)
-        die = ftl.channels[0].die(0)
-        die.blocks[2].erase_count = 7
-        hottest = WearLeveler(ftl).hottest_blocks(limit=1)
-        assert hottest == [(7, 0, 0, 2)]
 
 
 class TestGcVictimWearTieBreak:
@@ -245,66 +114,3 @@ class TestGcVictimWearTieBreak:
                   if not block.is_bad]
         initial_spread = max(ages) - min(ages)
         assert max(counts) - min(counts) <= max(initial_spread, 2)
-
-
-class TestWearSpreadProperties:
-    """Hypothesis churn: the leveler bounds the erase spread."""
-
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7)),
-                    min_size=10, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_spread_stays_bounded_under_random_alloc_release_churn(self, ops):
-        """Arbitrary interleavings of head-pop allocations and releases
-        (each release is an erase, bumping the block's count; holds are
-        bounded, as the FTL's cursors and GC bound them) keep the erase
-        spread at a small constant — the leveler's contract.  Without the
-        sorted pool the same churn skews wear toward whichever blocks the
-        release order favors."""
-        engine, ftl, gc = make_system(blocks_per_die=8, pages_per_block=2)
-        leveler = WearLeveler(ftl).install()
-        allocator = ftl.allocator
-        die = ftl.channels[0].die(0)
-        free = allocator._free[(0, 0)]
-        held = []
-        hold_limit = 8
-
-        def release(block):
-            die.blocks[block].erase_count += 1
-            allocator.release(0, 0, block)
-
-        for step, (allocate, index) in enumerate(ops):
-            if allocate and free:
-                held.append((free.pop(0), step))
-            elif held:
-                block, _started = held.pop(index % len(held))
-                release(block)
-            # No block is held forever: cursors fill and GC erases in
-            # bounded time, so the model force-releases stale holds.
-            while held and step - held[0][1] > hold_limit:
-                release(held.pop(0)[0])
-        while held:
-            release(held.pop(0)[0])
-        assert leveler.stats().spread <= 3
-
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7)),
-                    min_size=10, max_size=80))
-    @settings(max_examples=50, deadline=None)
-    def test_free_list_stays_sorted_under_random_alloc_release(self, ops):
-        """Invariant behind the bound: whatever interleaving of head-pop
-        allocations and releases (each erase bumping the block's count),
-        the free list stays ascending by erase count."""
-        engine, ftl, gc = make_system(blocks_per_die=8, pages_per_block=2)
-        WearLeveler(ftl).install()
-        allocator = ftl.allocator
-        die = ftl.channels[0].die(0)
-        free = allocator._free[(0, 0)]
-        held = []
-        for allocate, index in ops:
-            if allocate and free:
-                held.append(free.pop(0))
-            elif held:
-                block = held.pop(index % len(held))
-                die.blocks[block].erase_count += 1
-                allocator.release(0, 0, block)
-            counts = [die.blocks[b].erase_count for b in free]
-            assert counts == sorted(counts)

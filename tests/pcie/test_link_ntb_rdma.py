@@ -4,7 +4,7 @@ import pytest
 
 from repro.pcie.dma import DmaEngine
 from repro.pcie.link import PcieLink, link_bandwidth
-from repro.pcie.ntb import NtbBridge, NtbPort, daisy_chain
+from repro.pcie.ntb import NtbBridge, NtbPort
 from repro.pcie.rdma import RdmaNic
 from repro.pcie.tlp import Tlp, TlpType
 from repro.sim import Engine
@@ -166,42 +166,6 @@ class TestNtb:
         port = NtbPort(engine, "lonely")
         with pytest.raises(RuntimeError):
             port.send(Tlp(TlpType.MEMORY_WRITE, 0, 8))
-
-    def test_daisy_chain_wires_adjacent_pairs(self):
-        engine = Engine()
-        ports = [NtbPort(engine, f"s{i}") for i in range(3)]
-        bridges = daisy_chain(engine, ports)
-        assert len(bridges) == 2
-        # middle port must be reachable from both ends... it belongs to one
-        # bridge per side; sending from port 0 reaches port 1 only.
-        arrived = []
-        ports[1].attach_sink(lambda tlp: arrived.append(tlp.payload))
-
-        def proc():
-            yield ports[0].send(Tlp(TlpType.MEMORY_WRITE, 0, 32))
-
-        engine.process(proc())
-        engine.run()
-        assert arrived == [32]
-
-    def test_chain_needs_two_ports(self):
-        engine = Engine()
-        with pytest.raises(ValueError):
-            daisy_chain(engine, [NtbPort(engine, "only")])
-
-    def test_counter_update_bandwidth_measurable(self):
-        engine = Engine()
-        a, b = NtbPort(engine, "a"), NtbPort(engine, "b")
-        bridge = NtbBridge(engine, a, b)
-
-        def proc():
-            for _ in range(10):
-                yield b.send(Tlp(TlpType.MEMORY_WRITE, 0, 8))
-
-        engine.process(proc())
-        engine.run()
-        pipe = bridge.pipe_from(b)
-        assert pipe.bytes_transferred == 10 * (8 + 24)
 
 
 class TestRdma:

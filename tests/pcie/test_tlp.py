@@ -8,8 +8,12 @@ from repro.pcie.tlp import (
     Tlp,
     TlpType,
     split_into_tlps,
-    wire_bytes_for_write,
 )
+
+
+def wire_bytes(size):
+    """Bytes a ``size``-byte write occupies on the link, overhead included."""
+    return sum(tlp.wire_size for tlp in split_into_tlps(0, size))
 
 
 def test_wire_size_includes_overhead():
@@ -44,25 +48,16 @@ def test_split_respects_custom_max_payload():
 
 def test_wire_bytes_small_write_dominated_by_overhead():
     # A 4-byte UC-style write pays the full header.
-    assert wire_bytes_for_write(4) == 4 + TLP_OVERHEAD_BYTES
+    assert wire_bytes(4) == 4 + TLP_OVERHEAD_BYTES
 
 
 def test_wire_bytes_large_write_amortizes_overhead():
     size = 10 * DEFAULT_MAX_PAYLOAD
-    assert wire_bytes_for_write(size) == size + 10 * TLP_OVERHEAD_BYTES
+    assert wire_bytes(size) == size + 10 * TLP_OVERHEAD_BYTES
 
 
 def test_wire_bytes_efficiency_improves_with_size():
     def efficiency(size):
-        return size / wire_bytes_for_write(size)
+        return size / wire_bytes(size)
 
     assert efficiency(1) < efficiency(16) < efficiency(64) < efficiency(256)
-
-
-def test_mirrored_copy_redirects_address_but_keeps_tag():
-    original = Tlp(TlpType.MEMORY_WRITE, address=10, payload=32, tag="t1")
-    mirror = original.mirrored(new_address=900)
-    assert mirror.address == 900
-    assert mirror.payload == 32
-    assert mirror.tag == "t1"
-    assert original.address == 10

@@ -37,7 +37,7 @@ def test_explicit_plan_replays_from_serialized_form():
     ])
     first = run_chaos(seed=3, transactions=120, plan=plan)
     # Round-trip the plan through JSON, as `--faults plan.json` would.
-    replayed_plan = FaultPlan.from_json(
+    replayed_plan = FaultPlan.load(
         FaultPlan.from_dicts(first["plan"]).to_json())
     again = run_chaos(seed=3, transactions=120, plan=replayed_plan)
     assert canonical(first) == canonical(again)

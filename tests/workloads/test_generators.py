@@ -6,7 +6,7 @@ from repro.db.engine import Database
 from repro.host.baselines import NoLogFile, NvdimmLogFile
 from repro.pm.nvdimm import Nvdimm
 from repro.sim import Engine
-from repro.workloads.synthetic import AppendStream, paced_append_stream
+from repro.workloads.synthetic import paced_append_stream
 from repro.workloads.tpcc import MIX, TpccConfig, TpccWorkload
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
@@ -125,16 +125,6 @@ class TestYcsb:
 
 
 class TestSynthetic:
-    def test_append_stream_counts_bytes(self):
-        engine = Engine()
-        log = NvdimmLogFile(engine, Nvdimm(engine, capacity=1 << 30))
-        stream = AppendStream(engine, log, write_bytes=256, count=10)
-        done = stream.run()
-        engine.run(until=100_000_000.0)
-        assert done.value == 10
-        assert stream.bytes_written == 2560
-        assert len(stream.latencies) == 10
-
     def test_paced_stream_offers_at_target_rate(self):
         engine = Engine()
         completed = []
@@ -155,8 +145,8 @@ class TestSynthetic:
 
     def test_invalid_parameters_rejected(self):
         engine = Engine()
-        log = NoLogFile(engine)
         with pytest.raises(ValueError):
-            AppendStream(engine, log, write_bytes=0)
-        with pytest.raises(ValueError):
-            AppendStream(engine, log, write_bytes=10, fsync_every=0)
+            paced_append_stream(
+                engine, engine.timeout, target_bytes_per_ns=0,
+                write_bytes=1000, duration_ns=100_000.0,
+            )
