@@ -193,10 +193,11 @@ class _Nap:
         entry = engine.firing_timer()
         if entry is None:
             return False
-        armed_at = engine.now - entry[2].delay
+        seq, timer = entry
+        armed_at = engine.now - timer.delay
         if armed_at != self.prev_tick:
             return armed_at < self.prev_tick
-        return self.mark is not None and entry[1] < self.mark
+        return self.mark is not None and seq < self.mark
 
 
 class TransportModule:
@@ -603,7 +604,7 @@ class TransportModule:
                 tick = tick + self._update_period_ns
                 # Shared-instant wakeup: secondaries configured with the
                 # same update period tick on the same instants, so a fleet
-                # of reporters shares one wheel entry per instant.
+                # of reporters shares one timer entry per instant.
                 yield engine.at(tick)
                 value = self._report_value()
             # A stopped reporter still evaluates the tick it had pending,

@@ -28,7 +28,9 @@ class LogReader:
 
     A batch can straddle pages and read rounds, so per-batch byte
     coverage, the page cursor of :meth:`scan` (which needs ``device``)
-    and each open transaction's data records persist between calls.
+    and each open transaction's data records persist between calls.  A
+    batch's coverage goes once its last byte is fed: its chunks come in
+    cursor order, so nothing more of it can follow.
 
     Pipelined flushes (``max_inflight_flushes > 1``) interleave several
     batches' chunks in the stream, and one transaction's records may be
@@ -51,7 +53,10 @@ class LogReader:
         self.device = device
         self.pages_read = 0
         self._next_sequence = None
-        self._coverage = {}  # batch -> [bytes seen not yet emitted, emitted]
+        # batch -> [bytes seen not yet emitted, emitted], kept only until
+        # the batch's last byte is seen, so memory follows the batches in
+        # flight rather than the length of the log.
+        self._coverage = {}
         self._held = {}  # txn_id -> data records awaiting a durable COMMIT
         self._gate = None  # lowest batch sequence not yet seen whole
         self._whole = set()  # sequences above the gate seen whole
@@ -84,8 +89,11 @@ class LogReader:
                     else:
                         fresh.append(record)
                     emitted += 1
-                entry[0], entry[1] = spare, emitted
-                if cursor + step == batch.nbytes and sequence >= self._gate:
+                if cursor + step < batch.nbytes:
+                    entry[0], entry[1] = spare, emitted
+                    continue
+                del coverage[batch]  # its last byte: forget the batch
+                if sequence >= self._gate:
                     self._seen_whole(sequence, fresh)
         return fresh
 
@@ -103,17 +111,25 @@ class LogReader:
     def scan(self):
         """Feed the pages from the cursor (or the ring head, if later)
         to the durable tail (sim body).  State moves only once the whole
-        round is read, so a failed page read loses no records."""
+        round is read, so a failed page read loses no records.  Rounds
+        may overlap (the DR archiver drains beside its segment loop); a
+        page that an overlapping round fed while this one read is not
+        fed again, since :meth:`feed` forgets a batch at its last byte."""
         destage = self.device.destage
-        sequence = destage.head_sequence
+        start = destage.head_sequence
         if self._next_sequence is not None:
-            sequence = max(self._next_sequence, sequence)
+            start = max(self._next_sequence, start)
+        sequence = start
         pages = []
         while sequence < destage.durable_tail:
             pages.append((yield destage.read_page(sequence)))
             sequence += 1
-        self._next_sequence = sequence
         self.pages_read += len(pages)
+        fed = self._next_sequence
+        if fed is not None and fed > start:
+            pages = pages[fed - start:]
+            sequence = max(sequence, fed)
+        self._next_sequence = sequence
         return self.feed(pages)
 
     def committed(self, records):

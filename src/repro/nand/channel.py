@@ -146,7 +146,7 @@ class Channel:
             yield self.bus.transfer(nbytes)
             die.program_page(block, page, payload, nbytes)
             # Cell time via the shared-instant event: programs on other
-            # dies finishing at the same tick ride the same wheel entry
+            # dies finishing at the same instant ride the same timer entry
             # and complete in one callback sweep.
             engine = self.engine
             yield engine.at(engine.now + self.timing.t_program)

@@ -1,4 +1,4 @@
-"""The discrete-event engine: clock, timing-wheel event queue, processes.
+"""The discrete-event engine: clock, instant-keyed timer queue, processes.
 
 The programming model follows the classic process-interaction style.  A
 *process* is a generator that yields :class:`Event` objects; the engine
@@ -22,59 +22,42 @@ structures; only future-dated timeouts pay for time ordering.  Same-instant
 triggers dominate real workloads (every device completion fans out through
 chains of them), so this keeps the hot path at deque-append/popleft cost.
 
-Future timeouts live in a **hashed hierarchical timing wheel** instead of a
-binary heap.  Time is bucketed into 1 ns ticks; four levels of 256 slots
-cover a 2**32-tick block (~4.29 s of simulated time) and a small overflow
-heap catches anything farther out.  Level selection is block-aligned — an
-entry goes to the first level whose slot span contains both the target
-tick and the wheel's current position (``tick ^ cur_tick`` picks it in one
-branch ladder):
-
-* level 0 — one slot per tick, the remainder of the current 256-tick
-  block (the common device / retry / heartbeat range): insert is an O(1)
-  list append + bitmask OR.
-* levels 1–3 — each slot spans 2**8 / 2**16 / 2**24 ticks; entries cascade
-  down one level when the wheel advances into their slot's span.
-* overflow — a conventional ``(when, seq, event)`` min-heap for ticks
-  outside the wheel's 2**32-tick block; entries migrate into the wheel as
-  it approaches (every refill migrates first, so an overflow timer can
-  never be outrun by a wheel timer at an earlier time).
-
-Each level keeps a 256-bit occupancy bitmask (a Python int) so the wheel
-skips empty slots in one ``(mask & -mask).bit_length()`` step rather than
-ticking through them.  Draining a slot moves its entries — already a single
-tick's worth at level 0 — into a sorted *batch* that the run loop sweeps in
-one pass: one wheel slot drain, one callback sweep, which is what amortizes
-per-event scheduling for NAND-channel and transport completions that land
-on the same tick.  :meth:`Engine.at` goes one step further: completions
-targeting the same *instant* share one event — one wheel entry and one
-dispatch, however many waiters pile on — which is how the NAND channel's
-cell timers and the transport's aligned reporter periods batch.
+Future timeouts live in an **instant-keyed timer queue**: a ``heapq`` of
+distinct float instants plus a dict mapping each instant to the FIFO list
+of ``(seq, event)`` entries due then.  A timer for an instant that already
+has entries is one dict lookup and a list append; only the first timer of
+an instant pushes onto the heap, and the heap compares bare floats.  The
+run loop pops one instant, takes its list out of the dict and fires the
+whole list in one sweep — which is what amortizes per-event scheduling for
+NAND-channel and transport completions that land on the same instant.
+:meth:`Engine.at` goes one step further: completions targeting the same
+instant share one event — one entry and one dispatch, however many waiters
+pile on — which is how the NAND channel's cell timers and the transport's
+aligned reporter periods batch.
 
 Determinism contract (chaos and checker replays depend on it, byte for
 byte):
 
 * Same-instant events fire in strict FIFO trigger order.  The immediate
   deque preserves it directly; timer entries carry a monotonically
-  increasing sequence number and every slot/batch is ordered by
-  ``(when, seq)``, so ties break on schedule order exactly as the seed
-  engine's global heap did.
+  increasing sequence number and join their instant's list in sequence
+  order, so ties break on schedule order exactly as a global
+  ``(when, seq)`` heap would.
 * A timer whose time equals the current instant was necessarily scheduled
   at an *earlier* instant, so it fires before anything in the immediate
-  queue (the run loop sweeps the whole same-time batch before returning to
+  queue (the run loop sweeps the instant's whole list before returning to
   immediates).
-* Firing times are the exact float ``when`` the timeout was scheduled for —
-  ticks only bucket entries, they never quantize the clock.
+* Firing times are the exact float ``when`` the timeout was scheduled for.
+* An instant whose entries are all cancelled never moves the clock.
 
 Timeout cancellation is lazy: :meth:`Event.cancel` marks the event and the
 run loop discards it at drain time, so losing a timeout-vs-completion race
 costs O(1).  To keep the WAL group-commit idiom (schedule + cancel nearly
 every timer) from accumulating garbage, the engine counts cancelled
-residents and opportunistically compacts the wheel and overflow heap when
-more than half of the outstanding timers are dead.
+residents and opportunistically compacts the timer queue when more than
+half of the outstanding timers are dead.
 """
 
-from bisect import insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -129,14 +112,6 @@ def set_tracer_factory(factory):
     _tracer_factory = factory
 
 
-# Wheel geometry: 4 levels x 256 slots, 1 ns per level-0 tick.  The level
-# thresholds compare ``tick ^ cur_tick`` (block-aligned selection); ticks
-# outside the wheel's 2**32-tick block go to the overflow heap.
-_SLOT_BITS = 8
-_SLOTS = 1 << _SLOT_BITS  # 256
-_L1_SPAN = 1 << (_SLOT_BITS * 2)  # 65536
-_L2_SPAN = 1 << (_SLOT_BITS * 3)  # 16777216
-_HORIZON = 1 << (_SLOT_BITS * 4)  # 4294967296 ticks ~= 4.29 s
 # Compaction trigger: rebuild once this many cancelled timers are resident
 # AND they outnumber the live ones (>50%).
 _COMPACT_MIN_CANCELLED = 128
@@ -273,20 +248,7 @@ class Timeout(Event):
             # Zero-delay timeouts fire at the current instant: fast path.
             engine._immediate.append(self)
             return
-        when = engine._now + delay
-        tick = int(when)
-        cur = engine._cur_tick
-        if cur < tick and (tick ^ cur) < _SLOTS:
-            # Level-0 fast path: the device/retry/heartbeat range (same
-            # 256-tick block as the wheel position).  Inserts are plain
-            # appends; the slot is sorted once at drain time, amortized
-            # across every entry it holds.
-            slot_entries = engine._l0[tick & 255]
-            if not slot_entries:
-                engine._occ0 |= 1 << (tick & 255)
-            slot_entries.append((when, next(engine._sequence), self))
-        else:
-            engine._push_at(when, self)
+        engine._push_at(engine._now + delay, self)
 
     def cancel(self):
         if not self._cancelled and not self._processed and self.delay != 0:
@@ -405,6 +367,11 @@ class AnyOf(Event):
         self._children = ()
 
 
+# The sweep list between instants: with it installed, firing_timer() and
+# defer_to_mark() see no timer firing at the current instant.
+_NO_BATCH = ()
+
+
 class Engine:
     """Owns the simulated clock and runs events in time order.
 
@@ -417,18 +384,9 @@ class Engine:
     __slots__ = (
         "_now",
         "_immediate",
-        "_cur_tick",
-        "_l0",
-        "_l1",
-        "_l2",
-        "_l3",
-        "_occ0",
-        "_occ1",
-        "_occ2",
-        "_occ3",
-        "_overflow",
+        "_instants",
+        "_timers",
         "_batch",
-        "_batch_pos",
         "_sequence",
         "_shared_ticks",
         "_cancelled_pending",
@@ -437,7 +395,7 @@ class Engine:
         # ``timeout`` is an instance slot, not a method: every engine
         # installs a per-instance closure (see
         # ``_install_timeout_fast_path``) and slot access keeps both the
-        # closure lookup and the wheel fields it touches off dict paths.
+        # closure lookup and the queue structures it touches off dict paths.
         "timeout",
     )
 
@@ -445,30 +403,20 @@ class Engine:
         self._now = 0.0
         # Tier 1: events triggered at the current instant, FIFO.
         self._immediate = deque()
-        # Tier 2: the hierarchical timing wheel (see module docstring).
-        # ``_cur_tick`` is the wheel's position; it never moves backwards.
-        self._cur_tick = 0
-        self._l0 = [[] for _ in range(_SLOTS)]
-        self._l1 = [[] for _ in range(_SLOTS)]
-        self._l2 = [[] for _ in range(_SLOTS)]
-        self._l3 = [[] for _ in range(_SLOTS)]
-        self._occ0 = 0
-        self._occ1 = 0
-        self._occ2 = 0
-        self._occ3 = 0
-        # Out-of-horizon timers: a plain (when, seq, event) min-heap.
-        self._overflow = []
-        # The slot currently being drained, sorted by (when, seq);
-        # ``_batch_pos`` is the drain cursor.  Late inserts that land at or
-        # behind the wheel position insort here to keep time order.
-        self._batch = []
-        self._batch_pos = 0
+        # Tier 2: the timer queue (see module docstring).  ``_instants`` is
+        # a heap of the distinct instants keyed in ``_timers``, which maps
+        # each to its FIFO list of ``(seq, event)`` entries.
+        self._instants = []
+        self._timers = {}
+        # The list of the instant being swept, out of ``_timers`` while the
+        # run loop fires it; ``_NO_BATCH`` between sweeps.
+        self._batch = _NO_BATCH
         self._sequence = count()
-        # Shared same-instant events handed out by ``at()``: one wheel
+        # Shared same-instant events handed out by ``at()``: one timer
         # entry per distinct instant, however many waiters pile on.
         self._shared_ticks = {}
         # Compaction bookkeeping: ``_cancelled_pending`` counts cancelled
-        # timers still resident in the wheel/overflow/batch; once it
+        # timers still resident in the queue or the unswept batch; once it
         # reaches ``_compact_check`` the next cancel takes an exact census
         # (``_maybe_compact``) and rebuilds if the dead outnumber the live.
         self._cancelled_pending = 0
@@ -491,7 +439,9 @@ class Engine:
         """
         engine = self
         immediate = self._immediate
-        l0 = self._l0
+        instants = self._instants
+        timers = self._timers
+        entries_at = timers.get
         next_seq = self._sequence.__next__
         new = Timeout.__new__
 
@@ -512,15 +462,12 @@ class Engine:
                     return event
                 raise SimulationError(f"negative timeout: {delay}")
             when = engine._now + delay
-            tick = int(when)
-            cur = engine._cur_tick
-            if cur < tick and (tick ^ cur) < _SLOTS:
-                slot_entries = l0[tick & 255]
-                if not slot_entries:
-                    engine._occ0 |= 1 << (tick & 255)
-                slot_entries.append((when, next_seq(), event))
+            entries = entries_at(when)
+            if entries is None:
+                timers[when] = [(next_seq(), event)]
+                heappush(instants, when)
             else:
-                engine._push_at(when, event)
+                entries.append((next_seq(), event))
             return event
 
         timeout.__doc__ = "Create an event triggering ``delay`` ns from now."
@@ -542,8 +489,8 @@ class Engine:
 
         Repeated calls with the same ``when`` — before it fires — return
         the *same* event, so any number of completions landing on one
-        instant occupy a single wheel entry and are delivered in one
-        callback sweep (batched same-tick completion delivery).  Waiters
+        instant occupy a single timer entry and are delivered in one
+        callback sweep (batched same-instant completion delivery).  Waiters
         resume in registration order, which for independently created
         completions equals creation order, i.e. the FIFO order separate
         timeouts would have produced.  The event value is ``None``; do
@@ -588,22 +535,17 @@ class Engine:
         return next(self._sequence)
 
     def firing_timer(self):
-        """The ``(when, seq, event)`` entry of the timer whose callbacks
-        are running, or ``None`` when the running callback came off the
+        """The ``(seq, event)`` entry of the timer whose callbacks are
+        running, or ``None`` when the running callback came off the
         immediate queue (or from outside :meth:`run`).
 
-        Found by scanning the current instant's batch for its last
-        processed entry, so the run loop pays nothing for it; meant for
-        rare same-instant tie decisions, not per-event use.
+        Found by scanning the swept instant's list for its last processed
+        entry, so the run loop pays nothing for it; meant for rare
+        same-instant tie decisions, not per-event use.
         """
-        batch = self._batch
-        now = self._now
         firing = None
-        for index in range(self._batch_pos, len(batch)):
-            entry = batch[index]
-            if entry[0] != now:
-                break
-            event = entry[2]
+        for entry in self._batch:
+            event = entry[1]
             if event._processed:
                 firing = entry
             elif not event._cancelled:
@@ -621,15 +563,9 @@ class Engine:
         exactly where the re-armed timer would have.  Like
         :meth:`firing_timer`, meant for rare same-instant ties.
         """
-        batch = self._batch
-        now = self._now
-        for index in range(self._batch_pos, len(batch)):
-            entry = batch[index]
-            if entry[0] != now:
-                break
-            event = entry[2]
+        for seq, event in self._batch:
             if not event._processed and not event._cancelled:
-                if entry[1] < mark:
+                if seq < mark:
                     event.then(
                         lambda _event: self.defer_to_mark(mark, callback))
                     return
@@ -651,185 +587,32 @@ class Engine:
     # -- scheduling internals --------------------------------------------------
 
     def _push_at(self, when, event):
-        """Insert a new timer firing at ``when`` (general path).
-
-        The level-0 fast path lives inline in ``Timeout.__init__``; this
-        handles everything else: at-or-behind-the-wheel times (insort into
-        the live batch), levels 1-3, and the overflow heap.
-        """
-        entry = (when, next(self._sequence), event)
-        tick = int(when)
-        cur = self._cur_tick
-        if tick <= cur:
-            # The wheel has already advanced onto (or past) this tick —
-            # possible after run(until=...) parked with a batch loaded, or
-            # for sub-tick delays.  Keep the batch sorted; (when, seq)
-            # ordering lands the entry at or after the drain cursor.
-            insort(self._batch, entry)
-            return
-        # Level selection is block-aligned: ``tick ^ cur`` tells the highest
-        # differing bit, i.e. the first level whose slot span still contains
-        # both the wheel position and the target tick.
-        diff = tick ^ cur
-        if diff < _SLOTS:
-            slot = tick & 255
-            self._l0[slot].append(entry)
-            self._occ0 |= 1 << slot
-        elif diff < _L1_SPAN:
-            slot = (tick >> 8) & 255
-            self._l1[slot].append(entry)
-            self._occ1 |= 1 << slot
-        elif diff < _L2_SPAN:
-            slot = (tick >> 16) & 255
-            self._l2[slot].append(entry)
-            self._occ2 |= 1 << slot
-        elif diff < _HORIZON:
-            slot = (tick >> 24) & 255
-            self._l3[slot].append(entry)
-            self._occ3 |= 1 << slot
+        """File a timer firing at ``when`` last in its instant's list."""
+        entries = self._timers.get(when)
+        if entries is None:
+            self._timers[when] = [(next(self._sequence), event)]
+            heappush(self._instants, when)
         else:
-            heappush(self._overflow, entry)
+            entries.append((next(self._sequence), event))
 
-    def _place(self, entry, cur, due):
-        """Re-file an existing entry relative to wheel position ``cur``.
-
-        Used by cascades and overflow migration; the entry keeps its
-        original sequence number, so FIFO ties survive relocation.  Entries
-        at or behind ``cur`` collect into ``due`` (the next batch).
-        """
-        tick = int(entry[0])
-        if tick <= cur:
-            due.append(entry)
-            return
-        diff = tick ^ cur
-        if diff < _SLOTS:
-            slot = tick & 255
-            self._l0[slot].append(entry)
-            self._occ0 |= 1 << slot
-        elif diff < _L1_SPAN:
-            slot = (tick >> 8) & 255
-            self._l1[slot].append(entry)
-            self._occ1 |= 1 << slot
-        elif diff < _L2_SPAN:
-            slot = (tick >> 16) & 255
-            self._l2[slot].append(entry)
-            self._occ2 |= 1 << slot
-        else:
-            slot = (tick >> 24) & 255
-            self._l3[slot].append(entry)
-            self._occ3 |= 1 << slot
-
-    def _refill(self):
-        """Advance the wheel to the next occupied tick and load its batch.
-
-        Returns True with ``_batch``/``_batch_pos`` set when timers remain,
-        False when every timer structure is empty.  Migrates in-horizon
-        overflow entries first so an overflow timer can never be outrun by
-        a wheel timer at an earlier time, then drains the earliest level-0
-        slot, cascading levels 1-3 down (and jumping to the overflow
-        minimum when the wheel is empty) as needed.
-        """
-        overflow = self._overflow
-        cur = self._cur_tick
-        due = []
-        if overflow:
-            # Migrate entries whose tick shares the wheel's 2**32-tick block
-            # (block-aligned, like level selection).
-            while overflow and (int(overflow[0][0]) ^ cur) < _HORIZON:
-                entry = heappop(overflow)
-                if entry[2]._cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._place(entry, cur, due)
-        while True:
-            if due:
-                due.sort()
-                self._batch = due
-                self._batch_pos = 0
-                self._cur_tick = cur
-                return True
-            occ = self._occ0
-            if occ:
-                slot = (occ & -occ).bit_length() - 1
-                cur = (cur & -_SLOTS) | slot
-                batch = self._l0[slot]
-                self._l0[slot] = []
-                self._occ0 = occ & ~(1 << slot)
-                batch.sort()
-                self._batch = batch
-                self._batch_pos = 0
-                self._cur_tick = cur
-                return True
-            occ = self._occ1
-            if occ:
-                slot = (occ & -occ).bit_length() - 1
-                cur = (cur & -_L1_SPAN) | (slot << 8)
-                entries = self._l1[slot]
-                self._l1[slot] = []
-                self._occ1 = occ & ~(1 << slot)
-                for entry in entries:
-                    if entry[2]._cancelled:
-                        self._cancelled_pending -= 1
-                    else:
-                        self._place(entry, cur, due)
-                continue
-            occ = self._occ2
-            if occ:
-                slot = (occ & -occ).bit_length() - 1
-                cur = (cur & -_L2_SPAN) | (slot << 16)
-                entries = self._l2[slot]
-                self._l2[slot] = []
-                self._occ2 = occ & ~(1 << slot)
-                for entry in entries:
-                    if entry[2]._cancelled:
-                        self._cancelled_pending -= 1
-                    else:
-                        self._place(entry, cur, due)
-                continue
-            occ = self._occ3
-            if occ:
-                slot = (occ & -occ).bit_length() - 1
-                cur = (cur & -_HORIZON) | (slot << 24)
-                entries = self._l3[slot]
-                self._l3[slot] = []
-                self._occ3 = occ & ~(1 << slot)
-                for entry in entries:
-                    if entry[2]._cancelled:
-                        self._cancelled_pending -= 1
-                    else:
-                        self._place(entry, cur, due)
-                continue
-            # Wheel empty: jump to the overflow minimum, if any.
-            while overflow and overflow[0][2]._cancelled:
-                heappop(overflow)
-                self._cancelled_pending -= 1
-            if not overflow:
-                self._cur_tick = cur
-                return False
-            cur = int(overflow[0][0])
-            while overflow and (int(overflow[0][0]) ^ cur) < _HORIZON:
-                entry = heappop(overflow)
-                if entry[2]._cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._place(entry, cur, due)
+    def _unswept(self):
+        """The entries of the swept instant the run loop has not reached:
+        everything after its last processed entry (the one firing)."""
+        batch = self._batch
+        index = len(batch)
+        while index and not batch[index - 1][1]._processed:
+            index -= 1
+        return batch[index:]
 
     def _maybe_compact(self):
-        """Census the timer structures; compact if >50% are cancelled.
+        """Census the timer queue; compact if >50% are cancelled.
 
         Called from ``Timeout.cancel`` when the cancelled count crosses
-        ``_compact_check``.  The census is O(slots), not O(entries) — it
-        sums slot lengths — so deferring it to a threshold keeps the
+        ``_compact_check``.  The census is O(instants), not O(entries) — it
+        sums list lengths — so deferring it to a threshold keeps the
         per-insert and per-cancel paths free of live/dead accounting.
         """
-        resident = (
-            sum(map(len, self._l0))
-            + sum(map(len, self._l1))
-            + sum(map(len, self._l2))
-            + sum(map(len, self._l3))
-            + len(self._overflow)
-            + (len(self._batch) - self._batch_pos)
-        )
+        resident = sum(map(len, self._timers.values())) + len(self._batch)
         if self._cancelled_pending * 2 > resident:
             self._compact_timers()
         else:
@@ -838,37 +621,28 @@ class Engine:
             self._compact_check = self._cancelled_pending * 2
 
     def _compact_timers(self):
-        """Rebuild the wheel + overflow heap dropping cancelled entries.
+        """Rebuild the timer queue dropping cancelled entries.
 
         Triggered opportunistically from ``Timeout.cancel`` once cancelled
         residents outnumber live ones, so the schedule-then-cancel idiom
-        (WAL group commit, transport retry races) cannot grow the timer
-        structures without bound.  The live batch is left untouched — the
-        run loop holds references into it — so its cancelled entries are
-        counted back into ``_cancelled_pending`` and dropped at drain time.
+        (WAL group commit, transport retry races) cannot grow the queue
+        without bound.  The list being swept is left untouched — the run
+        loop iterates it — so its unswept cancelled entries are counted
+        back into ``_cancelled_pending`` and dropped at drain time.  The
+        queue is rebuilt in place: the ``timeout`` closure binds it.
         """
-        occs = []
-        for level in (self._l0, self._l1, self._l2, self._l3):
-            occ = 0
-            for slot in range(_SLOTS):
-                entries = level[slot]
-                if not entries:
-                    continue
-                live = [e for e in entries if not e[2]._cancelled]
-                level[slot] = live
-                if live:
-                    occ |= 1 << slot
-            occs.append(occ)
-        self._occ0, self._occ1, self._occ2, self._occ3 = occs
-        overflow = [e for e in self._overflow if not e[2]._cancelled]
-        heapify(overflow)
-        self._overflow = overflow
-        batch = self._batch
+        timers = self._timers
+        for when, entries in list(timers.items()):
+            live = [entry for entry in entries if not entry[1]._cancelled]
+            if not live:
+                del timers[when]
+            elif len(live) < len(entries):
+                timers[when] = live
+        instants = self._instants
+        instants[:] = timers
+        heapify(instants)
         self._cancelled_pending = sum(
-            1
-            for i in range(self._batch_pos, len(batch))
-            if batch[i][2]._cancelled
-        )
+            1 for _seq, event in self._unswept() if event._cancelled)
         self._compact_check = self._cancelled_pending + _COMPACT_MIN_CANCELLED
 
     # -- execution --------------------------------------------------------------
@@ -883,13 +657,16 @@ class Engine:
         # dict lookup the per-event path no longer pays.
         immediate = self._immediate
         popleft = immediate.popleft
+        instants = self._instants
+        timers = self._timers
+        take = timers.pop
         now = self._now
         while True:
             if immediate:
                 # Fast path: no timer access at all.  Timer entries at the
                 # current instant cannot appear while immediates are being
                 # processed (timers are strictly future when scheduled);
-                # the batch sweep below already flushed any that existed.
+                # the sweep below already fired any that existed.
                 event = popleft()
                 if event._cancelled:
                     continue
@@ -909,44 +686,40 @@ class Engine:
                     # fault; surface it instead of dropping it.
                     raise event._exception
                 continue
-            batch = self._batch
-            pos = self._batch_pos
-            if pos == len(batch):
-                if not self._refill():
-                    break
-                batch = self._batch
-                pos = 0
-            # Skip a cancelled prefix before it can advance the clock.
-            entry = batch[pos]
-            while entry[2]._cancelled:
-                self._cancelled_pending -= 1
-                pos += 1
-                if pos == len(batch):
-                    break
-                entry = batch[pos]
-            self._batch_pos = pos
-            if pos == len(batch):
-                continue
-            when = entry[0]
+            if not instants:
+                break
+            when = heappop(instants)
+            batch = take(when)
+            if batch[0][1]._cancelled:
+                # Skip a cancelled prefix before it can move the clock.
+                skip = 1
+                size = len(batch)
+                while skip < size and batch[skip][1]._cancelled:
+                    skip += 1
+                self._cancelled_pending -= skip
+                if skip == size:
+                    continue
+                del batch[:skip]
             if when != now:
                 if when < now:
                     raise SimulationError(
                         "event queue went backwards in time"
                     )
                 if until is not None and when > until:
+                    # Park: the instant waits for the next run().
+                    timers[when] = batch
+                    heappush(instants, when)
                     self._now = until
                     return until
                 self._now = now = when
-            # Sweep every batch entry at this instant before touching the
-            # immediate queue: they were scheduled at an earlier instant,
-            # so they predate anything triggered while processing `now` —
+            # Sweep the instant's whole list before touching the immediate
+            # queue: its timers were scheduled at an earlier instant, so
+            # they predate anything triggered while processing `now` —
             # this keeps global same-instant FIFO order exact, and turns a
-            # slot full of same-tick completions into one callback sweep.
-            size = len(batch)
+            # list of same-instant completions into one callback sweep.
+            self._batch = batch
             try:
-                while True:
-                    event = batch[pos][2]
-                    pos += 1
+                for _seq, event in batch:
                     if not event._cancelled:
                         event._processed = True
                         callbacks = event.callbacks
@@ -961,20 +734,20 @@ class Engine:
                             raise event._exception
                     else:
                         self._cancelled_pending -= 1
-                    if pos == size or batch[pos][0] != when:
-                        # ``size`` is a snapshot: a mid-sweep insort can only
-                        # grow the batch at or after the cursor, so stopping
-                        # at the stale size just re-enters the outer loop,
-                        # which picks the sweep back up at the same instant.
-                        break
             except BaseException:
-                self._batch_pos = pos
+                # Re-file what the sweep did not reach, ahead of anything
+                # since scheduled for this instant, for the next run().
+                unswept = self._unswept()
+                self._batch = _NO_BATCH
+                if unswept:
+                    later = timers.get(now)
+                    if later is None:
+                        timers[now] = unswept
+                        heappush(instants, now)
+                    else:
+                        later[:0] = unswept
                 raise
-            self._batch_pos = pos
-            if pos == len(batch):
-                # Fully drained: drop event references promptly.
-                batch.clear()
-                self._batch_pos = 0
+            self._batch = _NO_BATCH
         if until is not None and until > now:
             self._now = now = until
         return now
@@ -986,34 +759,18 @@ class Engine:
             immediate.popleft()
         if immediate:
             return self._now
-        batch = self._batch
-        for i in range(self._batch_pos, len(batch)):
-            if not batch[i][2]._cancelled:
-                return batch[i][0]
-        # Level order is time order: level 0 holds the current 256-tick
-        # block, each higher level strictly later spans; within a level,
-        # ascending slot index is ascending time.
-        for level, occ in (
-            (self._l0, self._occ0),
-            (self._l1, self._occ1),
-            (self._l2, self._occ2),
-            (self._l3, self._occ3),
-        ):
-            while occ:
-                slot = (occ & -occ).bit_length() - 1
-                occ &= occ - 1
-                best = None
-                for entry in level[slot]:
-                    if not entry[2]._cancelled and (
-                        best is None or entry < best
-                    ):
-                        best = entry
-                if best is not None:
-                    return best[0]
-        overflow = self._overflow
-        while overflow and overflow[0][2]._cancelled:
-            heappop(overflow)
-            self._cancelled_pending -= 1
-        if not overflow:
-            return None
-        return overflow[0][0]
+        for _seq, event in self._unswept():
+            if not event._cancelled:
+                return self._now
+        instants = self._instants
+        timers = self._timers
+        while instants:
+            when = instants[0]
+            entries = timers[when]
+            for _seq, event in entries:
+                if not event._cancelled:
+                    return when
+            heappop(instants)
+            del timers[when]
+            self._cancelled_pending -= len(entries)
+        return None

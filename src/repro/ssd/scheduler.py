@@ -55,6 +55,17 @@ class WriteScheduler:
     flash program the array can absorb: channels x ways) that pull
     requests according to the active mode and drive them through the FTL.
     Mode can be changed at runtime via an admin command.
+
+    Workers are callback chains, not processes.  A busy worker is the
+    callback on its FTL write; when the write completes it finishes its
+    requests and looks for the next one.  An idle worker is only a count:
+    the idle workers sleep on one shared wake event, which ``enqueue``
+    triggers with the number of sleepers as its value, and the wake runs
+    that many dispatch passes in sleeper order.  Once one pass finds no
+    work the rest would too, so they go straight back to sleep without a
+    pass each.  Every FTL write is issued at the same point of the
+    same-instant order that a herd of worker processes woken by one event
+    would issue it at.
     """
 
     def __init__(self, engine, ftl, mode=SchedulingMode.NEUTRAL,
@@ -69,7 +80,10 @@ class WriteScheduler:
             Source.CONVENTIONAL: deque(),
             Source.DESTAGE: deque(),
         }
-        self._work_available = engine.event()
+        # The idle workers' wake event and how many sleep on it; the count
+        # becomes the event's value when ``_signal`` triggers it.
+        self._wake = engine.event()
+        self._sleepers = 0
         self._running = False
         self.dispatched = {Source.CONVENTIONAL: 0, Source.DESTAGE: 0}
         self.bytes_written = {Source.CONVENTIONAL: 0, Source.DESTAGE: 0}
@@ -111,8 +125,10 @@ class WriteScheduler:
         )
 
     def _signal(self):
-        if not self._work_available.triggered:
-            self._work_available.succeed()
+        wake = self._wake
+        if not wake.triggered:
+            wake.succeed(self._sleepers)
+            self._sleepers = 0
 
     # -- policy --------------------------------------------------------------------
 
@@ -143,30 +159,46 @@ class WriteScheduler:
     # -- dispatch ------------------------------------------------------------------
 
     def start(self):
-        """Launch the dispatch workers."""
+        """Launch the dispatch workers: each makes its first pass after
+        the events already due at this instant."""
         if self._running:
             raise RuntimeError("scheduler already started")
         self._running = True
-        return [
-            self.engine.process(self._worker(), name=f"sched-worker-{i}")
-            for i in range(self.parallelism)
-        ]
+        self.engine.event().succeed(self.parallelism).then(self._on_wake)
 
     def stop(self):
         self._running = False
         self._signal()
 
-    def _worker(self):
+    def _on_wake(self, wake):
+        """Run one dispatch pass for each worker ``wake`` woke."""
+        woken = wake.value
+        while woken:
+            woken -= 1
+            if not self._dispatch():
+                self._sleep(woken)
+                return
+
+    def _sleep(self, workers):
+        """Put ``workers`` idle workers to sleep until the next enqueue."""
+        if not workers:
+            return
+        wake = self._wake
+        if wake.triggered:
+            wake = self._wake = self.engine.event()
+        if not self._sleepers:
+            wake.then(self._on_wake)
+        self._sleepers += workers
+
+    def _dispatch(self):
+        """One worker's pass: issue the next write.  Returns False when
+        the worker found no work and went to sleep; a stopped scheduler's
+        worker just ends."""
         while self._running:
             source = self._pick_source()
             if source is None:
-                # Sleep until new work arrives.
-                event = self._work_available
-                if event.triggered:
-                    self._work_available = self.engine.event()
-                    continue
-                yield event
-                continue
+                self._sleep(1)
+                return False
             pool = self._pools[source]
             batch = [pool.popleft()]
             if self.qos.multi_plane_writes:
@@ -175,29 +207,50 @@ class WriteScheduler:
                 planes = self.ftl.geometry.planes_per_die
                 while pool and len(batch) < planes:
                     batch.append(pool.popleft())
-            tracer = self.engine.tracer
             tokens = [getattr(r, "trace_token", None) for r in batch]
             try:
                 if len(batch) > 1:
-                    addresses = yield self.ftl.write_striped(
+                    written = self.ftl.write_striped(
                         [(r.lba, r.payload, r.nbytes) for r in batch],
                         op_class=source.value,
                     )
-                    self.striped_dispatches += 1
                 else:
-                    addresses = [(yield self.ftl.write(
+                    written = self.ftl.write(
                         batch[0].lba, batch[0].payload, batch[0].nbytes,
                         op_class=source.value,
-                    ))]
+                    )
             except Exception as error:  # modeled fault -> propagate to waiters
-                for request, token in zip(batch, tokens):
-                    if tracer.enabled and token is not None:
-                        tracer.end(token, failed=type(error).__name__)
-                    request.completion.fail(error)
+                self._failed(batch, tokens, error)
                 continue
+            written.then(
+                lambda event: self._written(event, source, batch, tokens))
+            return True
+        return True
+
+    def _written(self, event, source, batch, tokens):
+        """A worker's FTL write finished: complete its requests, go on."""
+        try:
+            written = event.value
+        except Exception as error:  # modeled fault -> propagate to waiters
+            self._failed(batch, tokens, error)
+        else:
+            if len(batch) > 1:
+                addresses = written
+                self.striped_dispatches += 1
+            else:
+                addresses = [written]
+            tracer = self.engine.tracer
             for request, token, address in zip(batch, tokens, addresses):
                 self.dispatched[source] += 1
                 self.bytes_written[source] += request.nbytes
                 if tracer.enabled and token is not None:
                     tracer.end(token)
                 request.completion.succeed(address)
+        self._dispatch()
+
+    def _failed(self, batch, tokens, error):
+        tracer = self.engine.tracer
+        for request, token in zip(batch, tokens):
+            if tracer.enabled and token is not None:
+                tracer.end(token, failed=type(error).__name__)
+            request.completion.fail(error)

@@ -120,6 +120,30 @@ def test_pipelined_flushes_never_release_half_a_transaction():
     )
 
 
+def test_reader_keeps_no_coverage_for_batches_seen_whole():
+    """A long-lived reader (the hot standby, the archiver, a migration)
+    keeps a batch's coverage only while the batch is in flight: once its
+    last byte has been fed, the entry and the batch it pins are gone,
+    and feeding page by page emits what one whole feed does."""
+    _engine, _device, pages = tpcc_log(workers=4, transactions=400,
+                                       group_commit_bytes=4 * KIB)
+    reader = LogReader()
+    fed = []
+    whole = set()
+    for page in pages:
+        fed += reader.feed([page])
+        for _offset, _nbytes, payload in page.chunks:
+            if payload is not None:
+                batch, cursor, step = payload
+                if cursor + step == batch.nbytes:
+                    whole.add(id(batch))
+        assert not whole & {id(batch) for batch in reader._coverage}
+    assert len(whole) > 100
+    # Every worker finished before the cut, so every batch is whole.
+    assert reader._coverage == {}
+    assert fed == LogReader().feed(pages)
+
+
 def test_failed_page_read_loses_no_records():
     """A scan round that dies on its third page read advances nothing:
     the next round re-reads it, so every durable record is returned."""
@@ -153,6 +177,28 @@ def test_failed_page_read_loses_no_records():
     assert len(failures) == 1
     assert len(pages) > 3
     assert reader.pages_read == len(pages)
+    assert sorted(scanned, key=lambda record: record.lsn) == (
+        extract_records(pages)
+    )
+
+
+def test_overlapping_scan_rounds_feed_each_page_once():
+    """Two scan rounds over one reader that overlap in time (the DR
+    archiver drains beside its segment loop) read the same pages; the
+    round that finishes second must not feed them again, or a batch the
+    reader already forgot would be decoded twice."""
+    engine, device, pages = tpcc_log(workers=1, transactions=200,
+                                     group_commit_bytes=2 * KIB)
+    reader = LogReader(device)
+    scanned = []
+
+    def scan_round():
+        scanned.extend((yield from reader.scan()))
+
+    rounds = [engine.process(scan_round()) for _round in range(2)]
+    while not all(done.triggered for done in rounds):
+        engine.run(until=engine.now + 1e6)
+    assert reader.pages_read == 2 * len(pages)
     assert sorted(scanned, key=lambda record: record.lsn) == (
         extract_records(pages)
     )

@@ -23,15 +23,16 @@ from repro.sim import Engine, Process, Timeout
 
 from tests.conftest import build_logging_device, cluster_config_factory
 
-# Resumes per acknowledged operation at seed 7, measured: chain 155.7
+# Resumes per acknowledged operation at seed 7, measured: chain 147.35
 # (825.5 with a reporter that ticked every period and a process per
 # intake chunk, 184.6 with a destage loop resumed on every credit
-# advance), fleet 29.5 (88.8, then 33.5), standalone group commit 11.0
-# (14.2) with 15.9 timers created per commit (18.9).  Ceilings sit about
-# 10% above.
-CHAIN_CEILING = 171.0
-FLEET_CEILING = 32.5
-GROUP_COMMIT_CEILING = 12.0
+# advance, 155.7 with flash-dispatch workers woken as a herd), fleet
+# 28.43 (88.8, then 33.5, then 29.5), standalone group commit 10.75
+# (14.2, then 11.0) with 15.9 timers created per commit (18.9).
+# Ceilings sit about 10% above.
+CHAIN_CEILING = 162.1
+FLEET_CEILING = 31.3
+GROUP_COMMIT_CEILING = 11.8
 GROUP_COMMIT_TIMEOUT_CEILING = 17.5
 
 

@@ -1,7 +1,9 @@
-"""Timing-wheel internals: cascade correctness at level boundaries,
-far-future overflow, zero/negative delays, cancellation compaction, the
-shared-instant (``Engine.at``) batching API, and differential determinism
-against a reference heap scheduler."""
+"""The timer queue: ordering across delay magnitudes (the old timing
+wheel's level boundaries and overflow horizon stay as regression cases),
+zero/negative delays, cancellation compaction, the per-instant sweep
+rules, the same-instant tie helpers (``firing_timer``/``defer_to_mark``),
+the shared-instant (``Engine.at``) batching API, and differential
+determinism against a reference heap scheduler."""
 
 import heapq
 import random
@@ -70,8 +72,8 @@ class TestFarFutureOverflow:
         assert engine.now == far
 
     def test_overflow_timer_not_outrun_by_wheel_timer(self):
-        """An overflow timer migrating into the wheel must still precede a
-        wheel timer scheduled for a later instant."""
+        """A timer armed seconds out still precedes a near timer armed
+        later for a later instant (the wheel's overflow migration case)."""
         engine = Engine()
         fired = []
         engine.timeout(2.0 ** 32 + 100.0).then(
@@ -123,8 +125,13 @@ class TestEdgeDelays:
         assert fired == [0.25, 0.5]
 
 
+def _residents(engine):
+    """Timer entries resident in the engine's instant-keyed queue."""
+    return sum(map(len, engine._timers.values()))
+
+
 class TestCompaction:
-    def test_cancel_storm_reclaims_wheel_residents(self):
+    def test_cancel_storm_reclaims_near_residents(self):
         engine = Engine()
         doomed = [
             engine.timeout(1000.0 + index)
@@ -134,18 +141,14 @@ class TestCompaction:
         engine.timeout(50.0).then(lambda _e: fired.append("kept"))
         for event in doomed:
             event.cancel()
-        total = (
-            sum(map(len, engine._l0)) + sum(map(len, engine._l1))
-            + sum(map(len, engine._l2)) + sum(map(len, engine._l3))
-            + len(engine._overflow)
-        )
-        assert total == 1  # only the live timer survives compaction
+        assert _residents(engine) == 1  # only the live timer survives
+        assert engine._instants == [50.0]
         assert engine._cancelled_pending == 0
         engine.run()
         assert fired == ["kept"]
         assert engine.now == 50.0
 
-    def test_cancel_storm_reclaims_overflow_residents(self):
+    def test_cancel_storm_reclaims_far_residents(self):
         engine = Engine()
         doomed = [
             engine.timeout(2.0 ** 33 + index)
@@ -153,9 +156,110 @@ class TestCompaction:
         ]
         for event in doomed:
             event.cancel()
-        assert len(engine._overflow) == 0
+        assert _residents(engine) == 0
+        assert engine._instants == []
         engine.run()
         assert engine.now == 0.0
+
+
+class TestInstantSweep:
+    def test_instant_fires_all_its_timers_before_its_immediates(self):
+        """Timers due at one instant were armed earlier, so the whole list
+        fires before anything its callbacks trigger at that instant."""
+        engine = Engine()
+        order = []
+
+        def first(_event):
+            order.append("timer-1")
+            engine.event().then(lambda _e: order.append("succeed")).succeed()
+            engine.timeout(0.0).then(lambda _e: order.append("zero-delay"))
+
+        engine.timeout(10.0).then(first)
+        engine.timeout(10.0).then(lambda _e: order.append("timer-2"))
+        engine.at(10.0).then(lambda _e: order.append("shared"))
+        engine.run()
+        assert order == ["timer-1", "timer-2", "shared", "succeed",
+                         "zero-delay"]
+        assert engine.now == 10.0
+
+    def test_all_cancelled_instant_does_not_move_the_clock(self):
+        engine = Engine()
+        doomed = [engine.timeout(500.0), engine.timeout(500.0)]
+        engine.timeout(100.0).then(
+            lambda _e: [timer.cancel() for timer in doomed])
+        assert engine.run() == 100.0
+        assert engine.now == 100.0
+        assert engine.peek() is None
+
+    def test_cancelled_prefix_skipped_live_rest_fires(self):
+        engine = Engine()
+        fired = []
+        doomed = engine.timeout(500.0)
+        engine.timeout(500.0).then(lambda _e: fired.append(engine.now))
+        doomed.cancel()
+        assert engine.peek() == 500.0
+        engine.run(until=400.0)
+        assert engine.now == 400.0 and fired == []
+        engine.run()
+        assert fired == [500.0]
+
+    def test_firing_timer_names_the_running_entry(self):
+        engine = Engine()
+        seen = []
+        first = engine.timeout(10.0)
+        middle = engine.timeout(10.0)
+        last = engine.timeout(10.0)
+        first.then(lambda _e: seen.append(engine.firing_timer()[1] is first))
+        first.then(lambda _e: middle.cancel())
+        first.then(lambda _e: engine.event().then(
+            lambda _e: seen.append(engine.firing_timer())).succeed())
+        last.then(lambda _e: seen.append(engine.firing_timer()[1] is last))
+        engine.run()
+        # Off the immediate queue (and outside run) no timer is firing.
+        assert seen == [True, True, None]
+        assert engine.firing_timer() is None
+
+    def test_firing_timer_orders_against_a_mark(self):
+        engine = Engine()
+        seqs = []
+        engine.timeout(10.0).then(
+            lambda _e: seqs.append(engine.firing_timer()[0]))
+        mark = engine.mark()
+        engine.timeout(10.0).then(
+            lambda _e: seqs.append(engine.firing_timer()[0]))
+        engine.run()
+        assert seqs[0] < mark < seqs[1]
+
+    def test_defer_to_mark_runs_where_the_rearmed_timer_would(self):
+        """A timer kept armed in place of one re-armed at ``mark`` defers
+        its work past every same-instant timer armed before the mark and
+        ahead of every one armed after it."""
+        engine = Engine()
+        order = []
+        marks = []
+        kept = engine.timeout(10.0)
+        engine.timeout(10.0).then(lambda _e: order.append("armed-before"))
+
+        def rearm_point(_event):
+            marks.append(engine.mark())
+            engine.timeout(5.0).then(lambda _e: order.append("armed-after"))
+
+        engine.timeout(5.0).then(rearm_point)
+        kept.then(lambda _e: engine.defer_to_mark(
+            marks[0], lambda: order.append("kept")))
+        engine.run()
+        assert order == ["armed-before", "kept", "armed-after"]
+
+    def test_defer_to_mark_without_a_tie_runs_at_once(self):
+        engine = Engine()
+        order = []
+        mark = engine.mark()
+        engine.timeout(10.0).then(lambda _e: engine.defer_to_mark(
+            mark, lambda: order.append("deferred")))
+        engine.timeout(10.0).then(lambda _e: order.append("later"))
+        engine.run()
+        engine.defer_to_mark(mark, lambda: order.append("outside-run"))
+        assert order == ["deferred", "later", "outside-run"]
 
 
 class TestSharedInstant:
@@ -219,7 +323,7 @@ class TestSharedInstant:
 # -- differential determinism --------------------------------------------------
 
 
-class _WheelAdapter:
+class _EngineAdapter:
     """The real engine behind the schedule/cancel/run driver surface."""
 
     def __init__(self):
@@ -243,7 +347,7 @@ class _HeapAdapter:
     """Reference scheduler: one global ``(when, seq)`` heap, lazy cancel.
 
     This is the seed kernel's ordering contract distilled to a dozen
-    lines; the wheel must reproduce its firing log byte for byte.
+    lines; the engine must reproduce its firing log byte for byte.
     """
 
     def __init__(self):
@@ -286,13 +390,13 @@ def _drive(adapter, seed, rounds=600):
             if roll < 0.25:
                 delay = rng.choice((0.0, 0.25, 0.5, 1.0, 3.0))
             elif roll < 0.60:
-                delay = rng.uniform(1.0, 300.0)         # level 0/1 range
+                delay = rng.uniform(1.0, 300.0)         # device range
             elif roll < 0.85:
-                delay = rng.uniform(300.0, 70000.0)     # level 1/2 range
+                delay = rng.uniform(300.0, 70000.0)     # retry range
             elif roll < 0.97:
-                delay = rng.uniform(70000.0, 2.0 ** 25)  # level 2/3 range
+                delay = rng.uniform(70000.0, 2.0 ** 25)  # heartbeat range
             else:
-                delay = 2.0 ** 32 + rng.uniform(0.0, 1000.0)  # overflow
+                delay = 2.0 ** 32 + rng.uniform(0.0, 1000.0)  # seconds out
             handle = adapter.schedule(delay, fire(state["rounds"]))
             state["open"].append(handle)
             if rng.random() < 0.3:
@@ -311,7 +415,7 @@ def _drive(adapter, seed, rounds=600):
 class TestDifferentialDeterminism:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_wheel_matches_reference_heap(self, seed):
-        assert _drive(_WheelAdapter(), seed) == _drive(_HeapAdapter(), seed)
+        assert _drive(_EngineAdapter(), seed) == _drive(_HeapAdapter(), seed)
 
     def test_wheel_replay_is_identical(self):
-        assert _drive(_WheelAdapter(), 3) == _drive(_WheelAdapter(), 3)
+        assert _drive(_EngineAdapter(), 3) == _drive(_EngineAdapter(), 3)

@@ -109,3 +109,27 @@ def test_double_start_rejected():
     engine, scheduler = make_scheduler(SchedulingMode.NEUTRAL)
     with pytest.raises(RuntimeError):
         scheduler.start()
+
+
+def test_one_request_wakes_one_idle_worker(monkeypatch):
+    """An enqueue onto an idle 64-worker scheduler runs one dispatch pass
+    that takes the request and one that finds the pools empty, which
+    sends the other sleepers straight back to sleep: no pass per
+    sleeper, as a herd of worker processes woken by one event made."""
+    engine, scheduler = make_scheduler(SchedulingMode.NEUTRAL,
+                                       channels=8, ways=8)
+    engine.run()  # every worker starts and goes idle
+    assert scheduler.parallelism == 64
+    passes = []
+    pick = WriteScheduler._pick_source
+
+    def counting_pick(self):
+        passes.append(pick(self))
+        return passes[-1]
+
+    monkeypatch.setattr(WriteScheduler, "_pick_source", counting_pick)
+    done = scheduler.submit(Source.DESTAGE, 0, "page", 4096)
+    engine.run(until=engine.now)  # the wake itself, not the program
+    assert passes == [Source.DESTAGE, None]
+    engine.run()
+    assert done.triggered and scheduler.dispatched[Source.DESTAGE] == 1
