@@ -137,6 +137,13 @@ class CmbModule:
         granted.  The host learns about persistence from the credit
         counter.
         """
+        granted = self._intake(offset, nbytes, payload)
+        return self.engine.timeout(0.0) if granted is None else granted
+
+    def _intake(self, offset, nbytes, payload):
+        """Take in one chunk as :meth:`receive` does, making no event:
+        returns the queue-space grant when the chunk must wait for
+        space, ``None`` when it was shed or entered at once."""
         if nbytes <= 0:
             raise ValueError("chunks must carry at least one byte")
         tracer = self.engine.tracer
@@ -159,7 +166,7 @@ class CmbModule:
                 tracer.instant(self.name, "intake-shed", flow=offset,
                                nbytes=nbytes,
                                backlog=self.intake_backlog_bytes)
-            return self.engine.timeout(0.0)
+            return None
         self.intake_backlog_bytes += nbytes
         self.intake_backlog_peak = max(self.intake_backlog_peak,
                                        self.intake_backlog_bytes)
@@ -177,30 +184,28 @@ class CmbModule:
         chunk = (offset, nbytes, payload)
         if self._queue_space.try_get(nbytes):
             self._enqueued(chunk)
-            return self.engine.timeout(0.0)
+            return None
         granted = self._queue_space.get(nbytes)
         granted.then(lambda _event: self._enqueued(chunk))
         return granted
 
     def receive_tlp(self, tlp):
-        """Adapter: unpack an MMIO TLP's contributions into :meth:`receive`.
+        """Adapter: unpack an MMIO TLP's contributions into the intake.
 
         Contributions are ``(stream_offset, nbytes, payload)`` triples the
         host API attached in ``tlp.metadata`` (the simulator's stand-in for
-        inferring stream position from the write address).
+        inferring stream position from the write address).  Returns
+        nothing: the packet's sender is the wire, which waits on no
+        enqueue, so no event is made for it (each chunk still waits for
+        queue space as :meth:`receive` would).
         """
         contributions = tlp.metadata.get("contributions")
         if contributions is None:
             # Raw traffic from a non-streamed source: treat the wire
             # address as the stream offset (first-lap semantics).
             contributions = [(tlp.address, tlp.payload, None)]
-        last = None
         for offset, nbytes, payload in contributions:
-            last = self.receive(offset, nbytes, payload)
-        if last is None:
-            # Carrier TLP with no logical data attached.
-            last = self.engine.timeout(0.0)
-        return last
+            self._intake(offset, nbytes, payload)
 
     # -- queue -> backing memory ----------------------------------------------------
 
@@ -241,7 +246,9 @@ class CmbModule:
             return  # a crash already salvaged the pipeline
         offset, nbytes, payload = self._persisting.pop(0)
         self.intake_backlog_bytes = max(0, self.intake_backlog_bytes - nbytes)
-        self._queue_space.put(nbytes)
+        # Space this chunk took always fits back, with no put queued
+        # ahead, so returning it needs no event.
+        self._queue_space.try_put(nbytes)
         tracer = self.engine.tracer
         token = self._trace_tokens.pop(offset, None)
         try:

@@ -3,11 +3,14 @@
 When the HIC fetches an NVMe write command it uses DMA to pull the payload
 from host memory into the device's data buffer (Section 2.2, "The Life of a
 Log Write").  A DMA burst is a stream of read-request/completion exchanges;
-we model it as one request round plus the payload streaming back on the
-upstream direction, split into Max-Payload-sized completions.
+we model it as one request round plus the payload streaming back as
+Max-Payload-sized completions.  The completions of a burst go on the wire
+as one train (:meth:`~repro.pcie.link.PcieLink.send_train`): every packet
+is counted and paces the link, but only the last one arms a timer, since
+nothing waits on the others.
 """
 
-from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, Tlp, TlpType
+from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, Tlp, TlpType, payload_sizes
 
 
 class DmaEngine:
@@ -23,10 +26,10 @@ class DmaEngine:
     def pull(self, size):
         """Host memory -> device, ``size`` bytes (NVMe write payload).
 
-        Read requests travel downstream... no: the *device* issues the read
-        requests upstream toward host memory, and completions with data come
-        back downstream.  Returns an event firing when the last completion
-        arrives at the device.
+        The device sends one read request toward host memory; once it has
+        crossed the link, the host returns the data as completions on the
+        host-to-device direction.  Returns an event firing, with value
+        ``size``, when the last completion arrives at the device.
         """
         if size < 0:
             raise ValueError("cannot DMA a negative size")
@@ -35,17 +38,12 @@ class DmaEngine:
         done = self.engine.event()
 
         def _after_request(_event):
-            last = None
-            offset = 0
-            while offset < size:
-                chunk = min(self.max_payload, size - offset)
-                completion = Tlp(TlpType.COMPLETION, address=0, payload=chunk)
-                last = self.link.send(completion)
-                offset += chunk
-            if last is None:
+            if not size:
                 done.succeed(0)
-            else:
-                last.then(lambda event: done.succeed(size))
+                return
+            last = self.link.send_train(TlpType.COMPLETION,
+                                        payload_sizes(size, self.max_payload))
+            last.then(lambda _event: done.succeed(size))
 
         self.link.receive(request).then(_after_request)
         return done
@@ -58,15 +56,9 @@ class DmaEngine:
         if size < 0:
             raise ValueError("cannot DMA a negative size")
         self.bytes_pushed += size
-        last = None
-        offset = 0
-        while offset < size:
-            chunk = min(self.max_payload, size - offset)
-            write = Tlp(TlpType.MEMORY_WRITE, address=0, payload=chunk)
-            last = self.link.receive(write)
-            offset += chunk
-        if last is None:
+        if not size:
             return self.engine.timeout(0.0, value=0)
         done = self.engine.event()
-        last.then(lambda _event: done.succeed(size))
+        self.link.receive_train(payload_sizes(size, self.max_payload)).then(
+            lambda _event: done.succeed(size))
         return done

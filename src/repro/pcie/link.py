@@ -8,7 +8,7 @@ matching the Villars experiments (Section 6, "Implementation details").
 """
 
 from repro.sim.resources import BandwidthPipe
-from repro.pcie.tlp import Tlp, TlpType
+from repro.pcie.tlp import TLP_OVERHEAD_BYTES, Tlp, TlpType
 
 # Effective per-lane bandwidth in GB/s (== bytes/ns) after line coding.
 _PER_LANE_GBPS = {
@@ -81,6 +81,35 @@ class PcieLink:
         self._check(tlp)
         self.tlps_up += 1
         return self.upstream.transfer(tlp.wire_size)
+
+    def send_train(self, kind, payloads):
+        """Transmit back-to-back ``kind`` TLPs carrying ``payloads`` bytes
+        each toward the device; the event fires when the last arrives.
+
+        Every packet is counted and paces the wire as if sent with
+        :meth:`send`, but no :class:`Tlp` is built and only the last
+        packet arms a timer.  While a downstream tap is installed the
+        train goes packet by packet instead, so the tap sees each one.
+        ``payloads`` must not be empty.
+        """
+        if self._downstream_taps:
+            for payload in payloads:
+                last = self.send(Tlp(kind, address=0, payload=payload))
+            return last
+        self.tlps_down += len(payloads)
+        return self.downstream.transfer_train(
+            [payload + TLP_OVERHEAD_BYTES for payload in payloads])
+
+    def receive_train(self, payloads):
+        """Transmit back-to-back TLPs carrying ``payloads`` bytes each
+        toward the host; the event fires when the last arrives.
+
+        The upstream counterpart of :meth:`send_train` (the upstream
+        direction has no taps).
+        """
+        self.tlps_up += len(payloads)
+        return self.upstream.transfer_train(
+            [payload + TLP_OVERHEAD_BYTES for payload in payloads])
 
     def _notify(self, tlp):
         for tap in self._downstream_taps:

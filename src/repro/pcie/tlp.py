@@ -8,7 +8,6 @@ the effect the paper's Fig. 10 quantifies and Write Combining mitigates.
 """
 
 import enum
-from dataclasses import dataclass, field
 
 # Per-TLP overhead on the wire, in bytes: STP/SDP framing (2) + sequence (2)
 # + 4-DW header for 64-bit addressing (16) + LCRC (4) + END (1), rounded to
@@ -30,46 +29,54 @@ class TlpType(enum.Enum):
     MESSAGE = "Msg"
 
 
-@dataclass
 class Tlp:
     """A single transaction-layer packet.
 
     ``payload`` is a byte count, not actual bytes: the simulator tracks data
     identity separately (in the rings) and the fabric only needs sizes.
     ``tag`` carries an opaque sender reference, e.g. for completion
-    matching.
+    matching.  A slotted class rather than a dataclass: packets are built
+    on every store and mirror hop, and ``wire_size`` is computed once here
+    instead of on every link transfer.
     """
 
-    kind: TlpType
-    address: int
-    payload: int
-    tag: object = None
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("kind", "address", "payload", "tag", "metadata",
+                 "wire_size")
 
-    def __post_init__(self):
-        if self.payload < 0:
+    def __init__(self, kind, address, payload, tag=None, metadata=None):
+        if payload < 0:
             raise ValueError("TLP payload cannot be negative")
-        if self.kind is TlpType.MEMORY_READ and self.payload != 0:
+        if kind is TlpType.MEMORY_READ and payload != 0:
             raise ValueError("read requests carry no payload")
+        self.kind = kind
+        self.address = address
+        self.payload = payload
+        self.tag = tag
+        self.metadata = {} if metadata is None else metadata
+        # Bytes this packet occupies on the link, overhead included.
+        self.wire_size = payload + TLP_OVERHEAD_BYTES
 
-    @property
-    def wire_size(self):
-        """Bytes this packet occupies on the link, overhead included."""
-        return self.payload + TLP_OVERHEAD_BYTES
+
+def payload_sizes(size, max_payload=DEFAULT_MAX_PAYLOAD):
+    """Payload bytes of each TLP a ``size``-byte transfer splits into."""
+    full, tail = divmod(size, max_payload)
+    return [max_payload] * full + ([tail] if tail else [])
 
 
 def split_into_tlps(address, size, max_payload=DEFAULT_MAX_PAYLOAD, tag=None):
     """Split a ``size``-byte write at ``address`` into wire TLPs.
 
     Returns the list of :class:`Tlp` covering the range contiguously.  This
-    is what the Root Complex does with a large WC flush or a DMA burst.
+    is what the Root Complex does with a large WC flush or a DMA burst (a
+    DMA burst's packets travel as a train, see
+    :meth:`~repro.pcie.link.PcieLink.send_train`, so it uses
+    :func:`payload_sizes` alone).
     """
     if size < 0:
         raise ValueError("cannot split a negative size")
     tlps = []
     offset = 0
-    while offset < size:
-        chunk = min(max_payload, size - offset)
+    for chunk in payload_sizes(size, max_payload):
         tlps.append(
             Tlp(
                 kind=TlpType.MEMORY_WRITE,

@@ -248,7 +248,7 @@ class Timeout(Event):
             # Zero-delay timeouts fire at the current instant: fast path.
             engine._immediate.append(self)
             return
-        engine._push_at(engine._now + delay, self)
+        engine._push_at(engine.now + delay, self)
 
     def cancel(self):
         if not self._cancelled and not self._processed and self.delay != 0:
@@ -271,14 +271,19 @@ class Process(Event):
     never pass silently in a simulation — they indicate a modeling bug).
     """
 
-    __slots__ = ("generator", "name")
+    __slots__ = ("generator", "name", "_resumer")
 
     def __init__(self, engine, generator, name=None):
         super().__init__(engine)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        # The bound ``_resume``, made once: it is registered on every
+        # event the process waits on.  It refers back to the process, so
+        # the generator's end clears it, or every finished process would
+        # wait for the cycle collector.
+        self._resumer = self._resume
         bootstrap = Event(engine)
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resumer)
         bootstrap.succeed()
 
     def _resume(self, event):
@@ -291,6 +296,7 @@ class Process(Event):
             else:
                 target = self.generator.send(event._value)
         except StopIteration as stop:
+            self._resumer = None  # break the cycle: refcounting frees us
             self.succeed(stop.value)
             return
         except SimulationError:
@@ -299,13 +305,19 @@ class Process(Event):
             # Fail the process event so a waiting parent re-raises it at its
             # own yield.  If nobody waits, the engine raises at processing
             # time — errors never pass silently.
+            self._resumer = None
             self.fail(error)
             return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"
             )
-        target.then(self._resume)
+        if target._processed or target._cancelled:
+            target.then(self._resumer)
+        else:
+            # ``then()`` inlined for the common case, an event whose
+            # callbacks have not run yet.
+            target.callbacks.append(self._resumer)
 
 
 class AllOf(Event):
@@ -382,7 +394,9 @@ class Engine:
     """
 
     __slots__ = (
-        "_now",
+        # Current simulated time in nanoseconds.  A plain slot, read on
+        # nearly every model step; only ``run`` writes it.
+        "now",
         "_immediate",
         "_instants",
         "_timers",
@@ -400,7 +414,7 @@ class Engine:
     )
 
     def __init__(self):
-        self._now = 0.0
+        self.now = 0.0
         # Tier 1: events triggered at the current instant, FIFO.
         self._immediate = deque()
         # Tier 2: the timer queue (see module docstring).  ``_instants`` is
@@ -461,7 +475,7 @@ class Engine:
                     immediate.append(event)
                     return event
                 raise SimulationError(f"negative timeout: {delay}")
-            when = engine._now + delay
+            when = engine.now + delay
             entries = entries_at(when)
             if entries is None:
                 timers[when] = [(next_seq(), event)]
@@ -472,11 +486,6 @@ class Engine:
 
         timeout.__doc__ = "Create an event triggering ``delay`` ns from now."
         self.timeout = timeout
-
-    @property
-    def now(self):
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # -- event construction ---------------------------------------------------
 
@@ -496,7 +505,7 @@ class Engine:
         timeouts would have produced.  The event value is ``None``; do
         not ``cancel()`` a shared event — other waiters may hold it.
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(f"at() instant in the past: {when} < {now}")
         shared = self._shared_ticks
@@ -660,7 +669,7 @@ class Engine:
         instants = self._instants
         timers = self._timers
         take = timers.pop
-        now = self._now
+        now = self.now
         while True:
             if immediate:
                 # Fast path: no timer access at all.  Timer entries at the
@@ -709,9 +718,9 @@ class Engine:
                     # Park: the instant waits for the next run().
                     timers[when] = batch
                     heappush(instants, when)
-                    self._now = until
+                    self.now = until
                     return until
-                self._now = now = when
+                self.now = now = when
             # Sweep the instant's whole list before touching the immediate
             # queue: its timers were scheduled at an earlier instant, so
             # they predate anything triggered while processing `now` —
@@ -749,7 +758,7 @@ class Engine:
                 raise
             self._batch = _NO_BATCH
         if until is not None and until > now:
-            self._now = now = until
+            self.now = now = until
         return now
 
     def peek(self):
@@ -758,10 +767,10 @@ class Engine:
         while immediate and immediate[0]._cancelled:
             immediate.popleft()
         if immediate:
-            return self._now
+            return self.now
         for _seq, event in self._unswept():
             if not event._cancelled:
-                return self._now
+                return self.now
         instants = self._instants
         timers = self._timers
         while instants:

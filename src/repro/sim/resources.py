@@ -152,6 +152,23 @@ class Container:
             self._settle()
         return True
 
+    def try_put(self, amount):
+        """Add ``amount`` now, without an event, if ``put`` would grant it
+        at once (it fits, nobody queued ahead); returns whether it did.
+
+        Queued gets the new level covers are granted in the same order
+        ``put`` would grant them.  For returning space that was taken,
+        where an event nobody waits on would only cost a queue entry.
+        """
+        if amount < 0:
+            raise SimulationError("cannot put a negative amount")
+        if self._putters or self.level + amount > self.capacity:
+            return False
+        self.level += amount
+        if self._getters:
+            self._settle()
+        return True
+
     def _settle(self):
         """Grant queued puts/gets in FIFO order while they fit."""
         progressed = True
@@ -182,7 +199,8 @@ class BandwidthPipe:
     channel bus — anything where concurrent transfers serialize.
 
     ``transfer(size)`` returns an event that fires at completion time with
-    value ``size``.
+    value ``size``; ``transfer_train(sizes)`` queues several back to back
+    and returns only the last one's event.
     """
 
     def __init__(self, engine, bandwidth, latency=0.0, name=None):
@@ -207,6 +225,31 @@ class BandwidthPipe:
         self.busy_time += duration
         done_at = self._busy_until + self.latency
         return self.engine.timeout(done_at - self.engine.now, value=size)
+
+    def transfer_train(self, sizes):
+        """Schedule back-to-back transfers; returns the last one's event.
+
+        The pipe's state moves exactly as a loop of :meth:`transfer` would
+        move it, float step for float step, and the returned event fires
+        at the instant that loop's last event would.  Only that event is
+        armed: a burst whose earlier completions nobody waits on costs
+        one timer, not one per transfer.  ``sizes`` must not be empty.
+        """
+        if not sizes:
+            raise SimulationError("a transfer train needs at least one size")
+        if min(sizes) < 0:
+            raise SimulationError("cannot transfer a negative size")
+        now = self.engine.now
+        bandwidth = self.bandwidth
+        busy_until = self._busy_until
+        for size in sizes:
+            duration = size / bandwidth
+            busy_until = max(now, busy_until) + duration
+            self.bytes_transferred += size
+            self.busy_time += duration
+        self._busy_until = busy_until
+        done_at = busy_until + self.latency
+        return self.engine.timeout(done_at - now, value=sizes[-1])
 
     def utilization(self, elapsed_ns):
         """Fraction of ``elapsed_ns`` the pipe spent transferring bytes."""

@@ -65,7 +65,9 @@ class WriteScheduler:
     work the rest would too, so they go straight back to sleep without a
     pass each.  Every FTL write is issued at the same point of the
     same-instant order that a herd of worker processes woken by one event
-    would issue it at.
+    would issue it at.  Each ``start`` begins a new generation of
+    workers; ``stop`` retires the current one, whose pending wakes and
+    write completions then dispatch nothing.
     """
 
     def __init__(self, engine, ftl, mode=SchedulingMode.NEUTRAL,
@@ -85,6 +87,10 @@ class WriteScheduler:
         self._wake = engine.event()
         self._sleepers = 0
         self._running = False
+        # Bumped by every ``start``: wakes and write completions of an
+        # older start's workers dispatch nothing, so a stop + start
+        # retires the old workers instead of adding ``parallelism`` more.
+        self._generation = 0
         self.dispatched = {Source.CONVENTIONAL: 0, Source.DESTAGE: 0}
         self.bytes_written = {Source.CONVENTIONAL: 0, Source.DESTAGE: 0}
         self.striped_dispatches = 0
@@ -164,14 +170,22 @@ class WriteScheduler:
         if self._running:
             raise RuntimeError("scheduler already started")
         self._running = True
-        self.engine.event().succeed(self.parallelism).then(self._on_wake)
+        self._generation += 1
+        self.engine.event().succeed(self.parallelism).then(
+            self._waker(self._generation))
 
     def stop(self):
         self._running = False
         self._signal()
 
-    def _on_wake(self, wake):
+    def _waker(self, generation):
+        """The wake callback of ``generation``'s workers."""
+        return lambda wake: self._on_wake(wake, generation)
+
+    def _on_wake(self, wake, generation):
         """Run one dispatch pass for each worker ``wake`` woke."""
+        if generation != self._generation:
+            return  # workers of a stopped start: retired
         woken = wake.value
         while woken:
             woken -= 1
@@ -187,7 +201,7 @@ class WriteScheduler:
         if wake.triggered:
             wake = self._wake = self.engine.event()
         if not self._sleepers:
-            wake.then(self._on_wake)
+            wake.then(self._waker(self._generation))
         self._sleepers += workers
 
     def _dispatch(self):
@@ -222,13 +236,15 @@ class WriteScheduler:
             except Exception as error:  # modeled fault -> propagate to waiters
                 self._failed(batch, tokens, error)
                 continue
-            written.then(
-                lambda event: self._written(event, source, batch, tokens))
+            generation = self._generation
+            written.then(lambda event: self._written(
+                event, source, batch, tokens, generation))
             return True
         return True
 
-    def _written(self, event, source, batch, tokens):
-        """A worker's FTL write finished: complete its requests, go on."""
+    def _written(self, event, source, batch, tokens, generation):
+        """A worker's FTL write finished: complete its requests, go on
+        (unless a restart retired the worker meanwhile)."""
         try:
             written = event.value
         except Exception as error:  # modeled fault -> propagate to waiters
@@ -246,7 +262,8 @@ class WriteScheduler:
                 if tracer.enabled and token is not None:
                     tracer.end(token)
                 request.completion.succeed(address)
-        self._dispatch()
+        if generation == self._generation:
+            self._dispatch()
 
     def _failed(self, batch, tokens, error):
         tracer = self.engine.tracer

@@ -98,10 +98,7 @@ def test_receive_tlp_unpacks_contributions():
         metadata={"contributions": [(0, 32, "a"), (32, 32, "b")]},
     )
 
-    def proc():
-        yield cmb.receive_tlp(tlp)
-
-    engine.process(proc())
+    cmb.receive_tlp(tlp)
     engine.run()
     assert cmb.credit.value == 64
     payloads = [p for _o, _n, p in cmb.ring.peek_ready()]

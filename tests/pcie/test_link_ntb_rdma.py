@@ -1,6 +1,8 @@
 """Unit tests for PCIe links, NTB bridging, DMA, and the RDMA baseline NIC."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.pcie.dma import DmaEngine
 from repro.pcie.link import PcieLink, link_bandwidth
@@ -125,6 +127,87 @@ class TestDma:
             dma.pull(-1)
         with pytest.raises(ValueError):
             dma.push(-1)
+
+
+class TestTrains:
+    """A train moves a link exactly as a loop of per-TLP sends does."""
+
+    @staticmethod
+    def _run(lanes, gen, propagation, history, payloads, upstream, train):
+        """Replay ``history`` on a fresh link, then send ``payloads`` as
+        a train or packet by packet; returns the link and when the last
+        packet arrived."""
+        engine = Engine()
+        link = PcieLink(engine, lanes=lanes, gen=gen,
+                        propagation_ns=propagation)
+        arrived = []
+
+        def proc():
+            for gap, payload, up in history:
+                yield engine.timeout(gap)
+                tlp = Tlp(TlpType.MEMORY_WRITE, 0, payload)
+                (link.receive if up else link.send)(tlp)
+            yield engine.timeout(history[-1][0])
+            if train and upstream:
+                last = link.receive_train(payloads)
+            elif train:
+                last = link.send_train(TlpType.COMPLETION, payloads)
+            else:
+                send = link.receive if upstream else link.send
+                for payload in payloads:
+                    last = send(Tlp(TlpType.COMPLETION, 0, payload))
+            yield last
+            arrived.append(engine.now)
+
+        engine.process(proc())
+        engine.run()
+        return link, arrived
+
+    @given(
+        lanes=st.sampled_from([1, 2, 4, 8, 16]),
+        gen=st.sampled_from([1, 2, 3, 4]),
+        propagation=st.floats(0.0, 1000.0),
+        history=st.lists(st.tuples(st.floats(0.0, 5000.0),
+                                   st.integers(0, 4096), st.booleans()),
+                         min_size=1, max_size=8),
+        payloads=st.lists(st.integers(1, 4096), min_size=1, max_size=80),
+        upstream=st.booleans(),
+    )
+    def test_train_matches_per_tlp_loop(self, lanes, gen, propagation,
+                                        history, payloads, upstream):
+        args = (lanes, gen, propagation, history, payloads, upstream)
+        looped, loop_arrived = self._run(*args, train=False)
+        trained, train_arrived = self._run(*args, train=True)
+        assert train_arrived == loop_arrived
+        assert (trained.tlps_down, trained.tlps_up) == (
+            looped.tlps_down, looped.tlps_up)
+        for direction in ("downstream", "upstream"):
+            want = getattr(looped, direction)
+            got = getattr(trained, direction)
+            assert got._busy_until == want._busy_until
+            assert got.busy_time == want.busy_time
+            assert got.bytes_transferred == want.bytes_transferred
+
+    def test_tap_sees_every_pulled_completion(self):
+        """With a downstream tap installed, a DMA pull goes packet by
+        packet, so the tap sees each completion; timing is unchanged."""
+        arrived = {}
+        for tapped in (False, True):
+            engine = Engine()
+            link = PcieLink(engine)
+            seen = []
+            if tapped:
+                link.tap_downstream(
+                    lambda tlp, seen=seen: seen.append((tlp.kind, tlp.payload)))
+            dma = DmaEngine(engine, link)
+            dma.pull(16 * 1024 + 100).then(
+                lambda _event, engine=engine, tapped=tapped:
+                arrived.__setitem__(tapped, engine.now))
+            engine.run()
+            assert link.tlps_down == 65
+        assert seen == [(TlpType.COMPLETION, 256)] * 64 + [
+            (TlpType.COMPLETION, 100)]
+        assert arrived[True] == arrived[False]
 
 
 class TestNtb:

@@ -231,3 +231,32 @@ def test_deterministic_interleaving():
         return trace
 
     assert trace_run() == trace_run()
+
+
+def test_only_the_run_loop_writes_the_clock():
+    """``Engine.now`` is a plain slot: no module but the engine assigns
+    an attribute named ``now``."""
+    import ast
+    import pathlib
+
+    import repro
+    from repro.sim import engine as engine_module
+
+    root = pathlib.Path(repro.__file__).parent
+    writers = []
+    for path in sorted(root.rglob("*.py")):
+        if path == pathlib.Path(engine_module.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "now":
+                        writers.append(f"{path.relative_to(root)}:"
+                                       f"{node.lineno}")
+    assert writers == []

@@ -2,14 +2,14 @@
 
 Wall-clock throughput is noisy; the number of generator resumes the
 engine performs per acknowledged operation is not.  These cells count
-``Process._resume`` calls (and, for the standalone group-commit cell,
-timers created) by wrapping the engine inside the test only (the hot path
-carries no counter) and pin ceilings about 10% above the counts measured
-when the counter reporters, the CMB intake and the destage loop became
-change-driven.  A loop that wakes without news — a reporter ticking
-through idle periods, a per-chunk intake process, a destage loop re-arming
-its deadline on every credit advance — pushes a cell over its ceiling
-deterministically.
+``Process._resume`` calls (and, for the standalone group-commit and NVMe
+cells, timers created) by wrapping the engine inside the test only (the
+hot path carries no counter) and pin ceilings about 10% above the counts
+measured when the counter reporters, the CMB intake and the destage loop
+became change-driven.  A loop that wakes without news — a reporter
+ticking through idle periods, a per-chunk intake process, a destage loop
+re-arming its deadline on every credit advance, a timer per DMA packet —
+pushes a cell over its ceiling deterministically.
 """
 
 import random
@@ -19,21 +19,33 @@ import pytest
 from repro.cluster import Fleet, run_shard_body
 from repro.cluster.topology import replicated_chain
 from repro.faults.scenario import chaos_config_factory
+from repro.nand.geometry import Geometry
 from repro.sim import Engine, Process, Timeout
+from repro.sim.units import KIB
+from repro.ssd.device import ConventionalSsd, SsdConfig
 
-from tests.conftest import build_logging_device, cluster_config_factory
+from tests.conftest import (
+    build_logging_device,
+    cluster_config_factory,
+    fast_timing,
+)
 
 # Resumes per acknowledged operation at seed 7, measured: chain 147.35
 # (825.5 with a reporter that ticked every period and a process per
 # intake chunk, 184.6 with a destage loop resumed on every credit
 # advance, 155.7 with flash-dispatch workers woken as a herd), fleet
 # 28.43 (88.8, then 33.5, then 29.5), standalone group commit 10.75
-# (14.2, then 11.0) with 15.9 timers created per commit (18.9).
-# Ceilings sit about 10% above.
+# (14.2, then 11.0) with 12.8 timers created per commit (18.9, then
+# 15.9 with a zero-delay timeout per CMB intake chunk nobody awaited).
+# Timers per 16 KiB NVMe I/O: 8 per write and 6 per read (71 and 69
+# with one link timer per 256 B DMA packet).  Ceilings sit about 10%
+# above.
 CHAIN_CEILING = 162.1
 FLEET_CEILING = 31.3
 GROUP_COMMIT_CEILING = 11.8
-GROUP_COMMIT_TIMEOUT_CEILING = 17.5
+GROUP_COMMIT_TIMEOUT_CEILING = 14.1
+NVME_WRITE_TIMEOUT_CEILING = 8.8
+NVME_READ_TIMEOUT_CEILING = 6.6
 
 
 @pytest.fixture
@@ -150,6 +162,33 @@ def fleet_commits(seed, deadline_ns=2_000_000.0):
     return len(committed)
 
 
+def nvme_ios(timeouts, reads, ios=16):
+    """Timers per closed-loop 16 KiB NVMe I/O on one conventional SSD."""
+    engine = Engine()
+    config = SsdConfig(
+        geometry=Geometry(channels=2, ways_per_channel=2, blocks_per_die=16,
+                          pages_per_block=16, page_bytes=16 * KIB),
+        timing=fast_timing())
+    ssd = ConventionalSsd(engine, config).start()
+
+    def writer():
+        for lba in range(ios):
+            yield ssd.write(lba, f"page-{lba}")
+
+    def reader():
+        for lba in range(ios):
+            completion = yield ssd.read(lba)
+            assert completion.result == f"page-{lba}"
+
+    engine.process(writer())
+    engine.run()
+    if reads:
+        timeouts["timeouts"] = 0
+        engine.process(reader())
+        engine.run()
+    return timeouts["timeouts"] / ios
+
+
 def test_chain_resumes_per_append(resumes):
     ops = chain_appends(seed=7)
     assert resumes["resumes"] / ops <= CHAIN_CEILING
@@ -158,6 +197,14 @@ def test_chain_resumes_per_append(resumes):
 def test_fleet_resumes_per_commit(resumes):
     ops = fleet_commits(seed=7)
     assert resumes["resumes"] / ops <= FLEET_CEILING
+
+
+def test_timers_per_nvme_write(timeouts):
+    assert nvme_ios(timeouts, reads=False) <= NVME_WRITE_TIMEOUT_CEILING
+
+
+def test_timers_per_nvme_read(timeouts):
+    assert nvme_ios(timeouts, reads=True) <= NVME_READ_TIMEOUT_CEILING
 
 
 def test_group_commit_events_per_commit(resumes, timeouts):

@@ -187,6 +187,31 @@ class TestContainer:
         assert order == ["big-first", "small-second"]
 
 
+    def test_try_put_grants_waiting_getters_without_an_event(self):
+        engine = Engine()
+        container = Container(engine, capacity=100, init=0)
+        granted = []
+        container.get(30).then(lambda _event: granted.append(engine.now))
+        assert container.try_put(50) is True
+        engine.run()
+        assert granted == [0.0]
+        assert container.level == 20
+
+    def test_try_put_refuses_past_capacity_or_behind_a_putter(self):
+        engine = Engine()
+        container = Container(engine, capacity=100, init=90)
+        assert container.try_put(20) is False
+        assert container.level == 90
+        container.put(20)  # waits for space
+        container.try_get(50)
+        assert container.level == 60  # the queued put went in first
+        assert container.try_put(10) is True
+        container = Container(engine, capacity=100, init=90)
+        container.put(20)
+        assert container.try_put(5) is False  # a put is queued ahead
+        with pytest.raises(SimulationError):
+            container.try_put(-1)
+
 class TestBandwidthPipe:
     def test_transfer_time_is_size_over_bandwidth(self):
         engine = Engine()
@@ -260,3 +285,26 @@ class TestBandwidthPipe:
         engine = Engine()
         with pytest.raises(SimulationError):
             BandwidthPipe(engine, bandwidth=0.0)
+
+    def test_train_rejects_empty_and_negative_sizes(self):
+        engine = Engine()
+        pipe = BandwidthPipe(engine, bandwidth=1.0)
+        with pytest.raises(SimulationError):
+            pipe.transfer_train([])
+        with pytest.raises(SimulationError):
+            pipe.transfer_train([10, -1])
+        assert pipe.bytes_transferred == 0
+
+    def test_train_completes_with_its_last_transfer(self):
+        engine = Engine()
+        pipe = BandwidthPipe(engine, bandwidth=1.0, latency=100.0)
+        done = []
+
+        def proc():
+            size = yield pipe.transfer_train([10, 20, 30])
+            done.append((size, engine.now))
+
+        engine.process(proc())
+        engine.run()
+        assert done == [(30, 160.0)]
+        assert pipe.busy_time == 60.0

@@ -133,3 +133,31 @@ def test_one_request_wakes_one_idle_worker(monkeypatch):
     assert passes == [Source.DESTAGE, None]
     engine.run()
     assert done.triggered and scheduler.dispatched[Source.DESTAGE] == 1
+
+
+def test_restart_retires_the_old_workers():
+    """A stop + start leaves ``parallelism`` workers, not more: after
+    three halt+restart cycles at one instant, a queue deeper than
+    channels x ways never has more FTL writes in flight than that."""
+    engine, scheduler = make_scheduler(SchedulingMode.NEUTRAL,
+                                       channels=2, ways=2)
+    engine.run()  # every worker starts and goes idle
+    for _ in range(3):
+        scheduler.stop()
+        scheduler.start()
+    in_flight = []
+    peak = []
+    write = scheduler.ftl.write
+
+    def counting_write(*args, **kwargs):
+        written = write(*args, **kwargs)
+        in_flight.append(written)
+        peak.append(sum(1 for event in in_flight if not event.triggered))
+        return written
+
+    scheduler.ftl.write = counting_write
+    done = submit_batch(scheduler, Source.CONVENTIONAL,
+                        4 * scheduler.parallelism, 0)
+    engine.run()
+    assert all(event.triggered for event in done)
+    assert max(peak) == scheduler.parallelism == 4
