@@ -40,7 +40,7 @@ def run_one(backing_kind, policy_name, write_bytes, total_bytes=256 * KIB):
         else CachePolicy.UNCACHED
     )
     region = MmioRegion(engine, link, size=1 << 30, policy=policy)
-    region.on_write(cmb.receive_tlp)
+    region.on_write(cmb.intake)
 
     def writer():
         # Each write is one log append and must be individually ordered
@@ -50,10 +50,7 @@ def run_one(backing_kind, policy_name, write_bytes, total_bytes=256 * KIB):
         offset = 0
         while offset < total_bytes:
             size = min(write_bytes, total_bytes - offset)
-            yield region.store(
-                offset, size,
-                tag={"contributions": [(offset, size, None)]},
-            )
+            yield region.store(offset, size, (offset, size, None))
             yield region.fence()
             offset += size
 

@@ -2,7 +2,8 @@
 
 Data path (Fig. 5 of the paper):
 
-1. TLPs arriving from the PCIe system carry store contributions;
+1. packets arriving from the PCIe system carry store contributions
+   (the MMIO region hands each one to :meth:`CmbModule.intake`);
 2. each contribution enters an SRAM intake **queue** whose size was
    pre-negotiated with the database — this size is the flow-control
    budget;
@@ -70,7 +71,7 @@ class CmbModule:
         # and the crash path can salvage them (reserve energy finishes
         # the moves).  Completions apply strictly in FIFO order because
         # they share one port.
-        self._persisting = []
+        self._persisting = deque()
         self._running = False
         self.bytes_received = 0
         self.chunks_received = 0
@@ -137,13 +138,18 @@ class CmbModule:
         granted.  The host learns about persistence from the credit
         counter.
         """
-        granted = self._intake(offset, nbytes, payload)
+        granted = self.intake(offset, nbytes, payload)
         return self.engine.timeout(0.0) if granted is None else granted
 
-    def _intake(self, offset, nbytes, payload):
+    def intake(self, offset, nbytes, payload):
         """Take in one chunk as :meth:`receive` does, making no event:
         returns the queue-space grant when the chunk must wait for
-        space, ``None`` when it was shed or entered at once."""
+        space, ``None`` when it was shed or entered at once.
+
+        The CMB's MMIO region delivers its data here (``on_write``
+        callbacks take the same ``(offset, nbytes, payload)``): the
+        packet's sender is the wire, which waits on no enqueue.
+        """
         if nbytes <= 0:
             raise ValueError("chunks must carry at least one byte")
         tracer = self.engine.tracer
@@ -190,22 +196,17 @@ class CmbModule:
         return granted
 
     def receive_tlp(self, tlp):
-        """Adapter: unpack an MMIO TLP's contributions into the intake.
+        """Adapter: unpack a mirrored TLP's contributions into the intake.
 
         Contributions are ``(stream_offset, nbytes, payload)`` triples the
-        host API attached in ``tlp.metadata`` (the simulator's stand-in for
-        inferring stream position from the write address).  Returns
-        nothing: the packet's sender is the wire, which waits on no
-        enqueue, so no event is made for it (each chunk still waits for
-        queue space as :meth:`receive` would).
+        sending transport attached in ``tlp.metadata`` (the simulator's
+        stand-in for inferring stream position from the write address).
+        Returns nothing: the packet's sender is the wire, which waits on
+        no enqueue, so no event is made for it (each chunk still waits
+        for queue space as :meth:`receive` would).
         """
-        contributions = tlp.metadata.get("contributions")
-        if contributions is None:
-            # Raw traffic from a non-streamed source: treat the wire
-            # address as the stream offset (first-lap semantics).
-            contributions = [(tlp.address, tlp.payload, None)]
-        for offset, nbytes, payload in contributions:
-            self._intake(offset, nbytes, payload)
+        for offset, nbytes, payload in tlp.metadata["contributions"]:
+            self.intake(offset, nbytes, payload)
 
     # -- queue -> backing memory ----------------------------------------------------
 
@@ -244,13 +245,16 @@ class CmbModule:
     def _on_persisted(self, _event):
         if not self._persisting:
             return  # a crash already salvaged the pipeline
-        offset, nbytes, payload = self._persisting.pop(0)
+        offset, nbytes, payload = self._persisting.popleft()
         self.intake_backlog_bytes = max(0, self.intake_backlog_bytes - nbytes)
         # Space this chunk took always fits back, with no put queued
         # ahead, so returning it needs no event.
         self._queue_space.try_put(nbytes)
         tracer = self.engine.tracer
-        token = self._trace_tokens.pop(offset, None)
+        # Spans are opened only while tracing, so with tracing off the
+        # token map stays empty and the lookup is skipped.
+        token = (self._trace_tokens.pop(offset, None)
+                 if self._trace_tokens else None)
         try:
             advanced = self.ring.write(offset, nbytes, payload)
         except RingOverflowError:
@@ -300,8 +304,8 @@ class CmbModule:
         :mod:`repro.core.crash`).  Returns the bytes made contiguous.
         """
         advanced = 0
-        salvaged = self._persisting + list(self._stalled)
-        self._persisting = []
+        salvaged = self._persisting + self._stalled
+        self._persisting = deque()
         self._stalled.clear()
         for offset, nbytes, payload in salvaged:
             try:

@@ -55,7 +55,7 @@ class XssdDevice:
             engine, self.conventional.link, size=cfg.cmb_capacity,
             policy=CachePolicy.WRITE_COMBINING, name=f"{name}.cmb-mmio",
         )
-        self.cmb_region.on_write(self.cmb.receive_tlp)
+        self.cmb_region.on_write(self.cmb.intake)
         self.control_region = MmioRegion(
             engine, self.conventional.link, size=4096,
             policy=CachePolicy.UNCACHED, name=f"{name}.ctrl-mmio",
@@ -160,27 +160,21 @@ class XssdDevice:
         been issued to the link.  Persistence is observed separately via
         the credit counter — exactly the split the drop-in API manages.
         """
-        ring_address = stream_offset % self.config.cmb_capacity
-        if ring_address + nbytes <= self.config.cmb_capacity:
+        capacity = self.config.cmb_capacity
+        ring_address = stream_offset % capacity
+        if ring_address + nbytes <= capacity:
             return self.cmb_region.store(
-                ring_address, nbytes,
-                tag={"contributions": [(stream_offset, nbytes, payload)]},
-            )
+                ring_address, nbytes, (stream_offset, nbytes, payload))
         # The write wraps the MMIO ring: split into two stores, issued
         # back to back.  Both are posted writes on the same link, so
         # their delivery order — and therefore the intake order at the
         # device — matches the stream order.
-        first = self.config.cmb_capacity - ring_address
+        first = capacity - ring_address
         head = self.cmb_region.store(
-            ring_address, first,
-            tag={"contributions": [(stream_offset, first, payload)]},
-        )
+            ring_address, first, (stream_offset, first, payload))
         tail = self.cmb_region.store(
             0, nbytes - first,
-            tag={"contributions": [
-                (stream_offset + first, nbytes - first, payload)
-            ]},
-        )
+            (stream_offset + first, nbytes - first, payload))
         return self.engine.all_of([head, tail])
 
     def fast_fence(self):

@@ -23,6 +23,8 @@ The paper's two subtleties both live here:
   Consistency Behavior").  ``frontier`` *is* that rule.
 """
 
+from collections import deque
+
 
 class RingOverflowError(Exception):
     """A write landed beyond the ring's free window.
@@ -47,9 +49,9 @@ class SequencedRing:
         self.released = 0  # all bytes below: freed
         self.frontier = 0  # all bytes below: received contiguously
         self._consumed = 0  # all bytes below: handed to the consumer
-        # Contiguous chunks awaiting consumption: list of
+        # Contiguous chunks awaiting consumption: a FIFO of
         # (offset, nbytes, payload), sorted, covering [consumed, frontier).
-        self._ready = []
+        self._ready = deque()
         # Out-of-order chunks keyed by start offset.
         self._pending = {}
 
@@ -110,11 +112,12 @@ class SequencedRing:
             return []
         taken = []
         total = 0
-        while self._ready:
-            offset, nbytes, payload = self._ready[0]
+        ready = self._ready
+        while ready:
+            nbytes = ready[0][1]
             if taken and total + nbytes > max_bytes:
                 break
-            taken.append(self._ready.pop(0))
+            taken.append(ready.popleft())
             total += nbytes
             self._consumed += nbytes
             if total >= max_bytes:

@@ -20,6 +20,7 @@ Control knobs:
 """
 
 import enum
+from collections import deque
 
 from repro.core.replication import EagerReplication
 from repro.pcie.tlp import Tlp, TlpType
@@ -74,7 +75,7 @@ class MirrorFlow:
         self.retry_backoff_ns = retry_backoff_ns
         self._rng = rng
         self.name = name or f"mirror->{peer_name}"
-        self._backlog = []
+        self._backlog = deque()
         self._kick = engine.event()
         self.bytes_shipped = 0
         self.sends_retried = 0
@@ -99,7 +100,7 @@ class MirrorFlow:
                     continue
                 yield self._kick
                 continue
-            offset, nbytes, payload = self._backlog.pop(0)
+            offset, nbytes, payload = self._backlog.popleft()
             token = None
             if tracing:
                 # One span per mirrored chunk: repackage -> delivered (or
@@ -657,8 +658,10 @@ class TransportModule:
 
     def visible_counter(self):
         """The credit value the control interface exposes under the policy."""
+        # Credit polls call this on every device, most of which have no
+        # peers: skip the comprehension (a call on CPython 3.11) there.
         shadows = {
             name: counter.value
             for name, counter in self.shadow_counters.items()
-        }
+        } if self.shadow_counters else {}
         return self.policy.visible_counter(self.cmb.credit.value, shadows)

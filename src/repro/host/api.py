@@ -97,7 +97,12 @@ class XssdLogFile:
         return result
 
     def _pwrite_inner(self, payload, nbytes):
-        queue_bytes = self.device.config.cmb_queue_bytes
+        device = self.device
+        queue_bytes = device.config.cmb_queue_bytes
+        # Bound once: the copy loop below runs once per 64 B chunk.
+        copy_chunk = self.copy_chunk
+        claim_stream_range = device.claim_stream_range
+        fast_write = device.fast_write
         remaining = nbytes
         cursor = 0
         tracer = self.engine.tracer
@@ -142,12 +147,12 @@ class XssdLogFile:
             # Spend the whole budget without intermediate checks.
             burst = min(budget, remaining)
             while burst > 0:
-                step = min(self.copy_chunk, burst)
+                step = min(copy_chunk, burst)
                 chunk_payload = (payload, cursor, step)
                 # Claim the stream offset *before* yielding: concurrent
                 # pwrites (the pipelined flusher runs several) must never
                 # allocate overlapping ranges.
-                offset = self.device.claim_stream_range(step)
+                offset = claim_stream_range(step)
                 if token is not None and token.flow is None:
                     tracer.set_flow(token, offset)
                 self.written += step
@@ -155,7 +160,7 @@ class XssdLogFile:
                 cursor += step
                 burst -= step
                 remaining -= step
-                yield self.device.fast_write(offset, step, chunk_payload)
+                yield fast_write(offset, step, chunk_payload)
         yield self.device.fast_fence()
         if token is not None:
             tracer.end(token, credit_checks=self.credit_checks)

@@ -17,20 +17,19 @@ effect the paper's Fig. 10 measures.
 
 from repro.pcie.dma import DmaEngine
 from repro.pcie.link import PcieLink, link_bandwidth
-from repro.pcie.mmio import CachePolicy, MmioRegion, WriteCombiningBuffer
+from repro.pcie.mmio import CachePolicy, MmioRegion
 from repro.pcie.ntb import NtbBridge, NtbPort
 from repro.pcie.rdma import RdmaNic, RdmaQueuePair
-from repro.pcie.tlp import Tlp, TlpType, split_into_tlps
+from repro.pcie.tlp import Tlp, TlpType, payload_sizes
 
 __all__ = [
     "Tlp",
     "TlpType",
-    "split_into_tlps",
+    "payload_sizes",
     "PcieLink",
     "link_bandwidth",
     "MmioRegion",
     "CachePolicy",
-    "WriteCombiningBuffer",
     "DmaEngine",
     "NtbBridge",
     "NtbPort",

@@ -7,10 +7,11 @@ we model it as one request round plus the payload streaming back as
 Max-Payload-sized completions.  The completions of a burst go on the wire
 as one train (:meth:`~repro.pcie.link.PcieLink.send_train`): every packet
 is counted and paces the link, but only the last one arms a timer, since
-nothing waits on the others.
+nothing waits on the others.  The read request travels by size too, as a
+one-packet train with no payload.
 """
 
-from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, Tlp, TlpType, payload_sizes
+from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, TlpType, payload_sizes
 
 
 class DmaEngine:
@@ -34,7 +35,6 @@ class DmaEngine:
         if size < 0:
             raise ValueError("cannot DMA a negative size")
         self.bytes_pulled += size
-        request = Tlp(TlpType.MEMORY_READ, address=0, payload=0)
         done = self.engine.event()
 
         def _after_request(_event):
@@ -45,7 +45,7 @@ class DmaEngine:
                                         payload_sizes(size, self.max_payload))
             last.then(lambda _event: done.succeed(size))
 
-        self.link.receive(request).then(_after_request)
+        self.link.receive_train([0]).then(_after_request)
         return done
 
     def push(self, size):

@@ -7,6 +7,8 @@ so the paper's deliberately constrained x4 Gen2 CMB path is 2 GB/s —
 matching the Villars experiments (Section 6, "Implementation details").
 """
 
+from collections import deque
+
 from repro.sim.resources import BandwidthPipe
 from repro.pcie.tlp import TLP_OVERHEAD_BYTES, Tlp, TlpType
 
@@ -37,8 +39,12 @@ class PcieLink:
 
     ``send(tlp)`` (host -> device direction) and ``receive(tlp)``
     (device -> host) return events that fire when the packet has fully
-    arrived at the other end.  Observers can subscribe to delivered packets
-    — the Transport module's mirroring taps the stream this way.
+    arrived at the other end.  ``send_train``/``receive_train`` and
+    ``read_roundtrip`` move packets by size alone, building no
+    :class:`Tlp`, which is how DMA bursts, MMIO stores and MMIO reads
+    travel.  Observers can subscribe to packets delivered downstream;
+    while one is subscribed, those paths build each packet so it sees
+    them all.
     """
 
     def __init__(self, engine, lanes=4, gen=2,
@@ -55,6 +61,10 @@ class PcieLink:
             engine, bandwidth, latency=propagation_ns, name=f"{name}.up"
         )
         self._downstream_taps = []
+        # MMIO reads in flight: (size, event) per request on its way
+        # down, then the event per completion on its way up.
+        self._requests = deque()
+        self._completions = deque()
         self.tlps_down = 0
         self.tlps_up = 0
 
@@ -82,23 +92,24 @@ class PcieLink:
         self.tlps_up += 1
         return self.upstream.transfer(tlp.wire_size)
 
-    def send_train(self, kind, payloads):
+    def send_train(self, kind, payloads, address=0):
         """Transmit back-to-back ``kind`` TLPs carrying ``payloads`` bytes
         each toward the device; the event fires when the last arrives.
 
         Every packet is counted and paces the wire as if sent with
         :meth:`send`, but no :class:`Tlp` is built and only the last
         packet arms a timer.  While a downstream tap is installed the
-        train goes packet by packet instead, so the tap sees each one.
-        ``payloads`` must not be empty.
+        train goes packet by packet instead, so the tap sees each one,
+        addressed contiguously from ``address``.  ``payloads`` must not
+        be empty.
         """
         if self._downstream_taps:
             for payload in payloads:
-                last = self.send(Tlp(kind, address=0, payload=payload))
+                last = self.send(Tlp(kind, address=address, payload=payload))
+                address += payload
             return last
         self.tlps_down += len(payloads)
-        return self.downstream.transfer_train(
-            [payload + TLP_OVERHEAD_BYTES for payload in payloads])
+        return self.downstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
 
     def receive_train(self, payloads):
         """Transmit back-to-back TLPs carrying ``payloads`` bytes each
@@ -108,8 +119,7 @@ class PcieLink:
         direction has no taps).
         """
         self.tlps_up += len(payloads)
-        return self.upstream.transfer_train(
-            [payload + TLP_OVERHEAD_BYTES for payload in payloads])
+        return self.upstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
 
     def _notify(self, tlp):
         for tap in self._downstream_taps:
@@ -126,17 +136,31 @@ class PcieLink:
         Returns an event firing when the completion data reaches the host.
         MMIO reads are non-posted and stall the issuing CPU — this is why
         polling the credit counter has a real cost (Sections 4.1, 5.1).
+
+        Like :meth:`send_train`, the round trip builds no :class:`Tlp`
+        unless a downstream tap must see the request: it arms one timer
+        per direction, and the returned event fires one immediate hop
+        after the completion's arrival.  Reads in flight wait in two FIFOs
+        (requests, then completions), which is exact because each
+        direction's completions fire in send order.
         """
-        request = Tlp(TlpType.MEMORY_READ, address=0, payload=0)
-        completion = Tlp(TlpType.COMPLETION, address=0, payload=size)
+        if self._downstream_taps:
+            request_sent = self.send(
+                Tlp(TlpType.MEMORY_READ, address=0, payload=0))
+        else:
+            self.tlps_down += 1
+            request_sent = self.downstream.transfer(TLP_OVERHEAD_BYTES)
         done = self.engine.event()
-
-        request_sent = self.send(request)
-
-        def _after_request(_event):
-            self.receive(completion).then(
-                lambda event: done.succeed(event._value)
-            )
-
-        request_sent.then(_after_request)
+        self._requests.append((size, done))
+        request_sent.then(self._on_request)
         return done
+
+    def _on_request(self, _event):
+        size, done = self._requests.popleft()
+        self.tlps_up += 1
+        self._completions.append(done)
+        self.upstream.transfer(size + TLP_OVERHEAD_BYTES).then(
+            self._on_completion)
+
+    def _on_completion(self, event):
+        self._completions.popleft().succeed(event._value)

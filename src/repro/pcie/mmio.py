@@ -11,12 +11,15 @@ cited as [32] in the paper):
   trigger).  Up to 64 bytes per TLP — an ~8x payload improvement.
 
 Fig. 10 of the paper measures exactly this difference; the model below
-reproduces the mechanism, not a curve fit.
+reproduces the mechanism, not a curve fit.  Packets travel by size (see
+:meth:`~repro.pcie.link.PcieLink.send_train`): a :class:`~repro.pcie.tlp.Tlp`
+is built only while a downstream tap must see each one.
 """
 
 import enum
+from collections import deque
 
-from repro.pcie.tlp import Tlp, TlpType, split_into_tlps
+from repro.pcie.tlp import TlpType, payload_sizes
 
 # x86 WC buffer (fill buffer) size in bytes.
 WC_BUFFER_BYTES = 64
@@ -37,67 +40,28 @@ class CachePolicy(enum.Enum):
     WRITE_COMBINING = "WC"
 
 
-class WriteCombiningBuffer:
-    """The CPU-side 64-byte coalescing buffer for one WC mapping.
-
-    Tracks only byte counts and the base address of the run being combined;
-    sequential stores append, a fence or a full buffer emits a TLP.
-    """
-
-    def __init__(self):
-        self.base_address = None
-        self.filled = 0
-
-    def add(self, address, size):
-        """Append a store; returns a list of TLPs emitted by this store.
-
-        A store that is non-contiguous with the current run, or that
-        overfills the buffer, flushes first (the hardware evicts the WC
-        buffer on such events).
-        """
-        emitted = []
-        contiguous = (
-            self.base_address is not None
-            and address == self.base_address + self.filled
-        )
-        if self.filled and not contiguous:
-            emitted.extend(self.flush())
-        if self.base_address is None or not self.filled:
-            self.base_address = address
-        remaining = size
-        cursor = address
-        while remaining > 0:
-            space = WC_BUFFER_BYTES - self.filled
-            take = min(space, remaining)
-            self.filled += take
-            remaining -= take
-            cursor += take
-            if self.filled == WC_BUFFER_BYTES:
-                emitted.extend(self.flush())
-                self.base_address = cursor
-        return emitted
-
-    def flush(self):
-        """Evict the buffer; returns the TLP list (empty if nothing pending)."""
-        if not self.filled:
-            return []
-        tlp = Tlp(
-            kind=TlpType.MEMORY_WRITE,
-            address=self.base_address,
-            payload=self.filled,
-        )
-        self.base_address = None
-        self.filled = 0
-        return [tlp]
+# Enum members bound once: on CPython 3.11 reading one through its class
+# costs about as much as a function call, and stores read them per packet.
+_WRITE_COMBINING = CachePolicy.WRITE_COMBINING
+_MEMORY_WRITE = TlpType.MEMORY_WRITE
 
 
 class MmioRegion:
     """A device memory window mapped into the host address space.
 
-    ``store(address, size)`` models the CPU writing ``size`` bytes at the
-    region-relative ``address``; it returns an event that fires when all
-    resulting TLPs have been delivered to the device.  The device side
-    observes packets through ``on_write(callback)``.
+    ``store(address, size, contribution)`` models the CPU writing ``size``
+    bytes at the region-relative ``address``; it returns an event that
+    fires when the CPU has issued the stores.  The device side observes
+    the data through ``on_write(callback)``.
+
+    Packets go on the link by size, one :meth:`~repro.pcie.link.PcieLink.
+    send_train` of one packet each, so none is an object unless a
+    downstream tap watches the link.  Contributions wait in one FIFO
+    until the packet carrying their last byte is sent, then ride in a
+    second FIFO, one entry per packet in flight; each arrival delivers
+    the head entry.  That is exact because every packet of a region
+    crosses the same link direction, whose completions fire in send
+    order.
 
     ``load(size)`` models an MMIO read (control-interface polls): a
     non-posted round trip over the link.
@@ -112,83 +76,85 @@ class MmioRegion:
         self.size = size
         self.policy = policy
         self.name = name
-        self._wc_buffer = WriteCombiningBuffer()
+        # The CPU-side 64-byte WC buffer: base address and byte count of
+        # the run being combined (WC mappings only).
+        self._run_base = 0
+        self._run_filled = 0
         self._write_callbacks = []
         # Contributions (stream offset, nbytes, payload) whose bytes are
-        # not yet fully on the wire.  Each entry tracks its remaining
-        # byte count; a contribution rides with the TLP carrying its
-        # *last* byte, so the device never learns of data still sitting
-        # in the host's WC buffer (crash fidelity).
-        self._unattached = []
-        # Once a store has supplied explicit contributions, every TLP from
-        # this region carries a contributions list (possibly empty) so
-        # receivers never misinterpret raw wire addresses as stream data.
-        self._streamed = False
+        # not yet fully on the wire, in store order; ``_head_sent`` bytes
+        # of the head already are.  A contribution rides with the packet
+        # carrying its *last* byte, so the device never learns of data
+        # still sitting in the host's WC buffer (crash fidelity).
+        self._pending = deque()
+        self._head_sent = 0
+        # Per packet in flight to observers, in send order: the
+        # contributions its arrival delivers.
+        self._arrivals = deque()
+        # Bound once: it is registered on every packet's arrival.
+        self._deliver = self._deliver_head
         self.stores_issued = 0
         self.tlps_emitted = 0
 
     def on_write(self, callback):
-        """Register ``callback(tlp)`` for packets arriving at the device."""
+        """Register ``callback(offset, nbytes, payload)`` for data arriving
+        at the device: once per contribution, at the arrival of the packet
+        carrying its last byte."""
         self._write_callbacks.append(callback)
 
     # -- host-side operations ---------------------------------------------------
 
-    def store(self, address, size, tag=None):
+    def store(self, address, size, contribution):
         """CPU store of ``size`` bytes at ``address`` (region-relative).
 
-        ``tag`` may carry ``{"contributions": [(stream_offset, nbytes,
-        payload), ...]}`` describing the logical data these bytes
-        represent; the region delivers each contribution exactly once,
-        in store order, attached to the TLP that flushes its bytes.
+        ``contribution`` is the ``(stream_offset, nbytes, payload)`` these
+        bytes represent; the region delivers each contribution exactly
+        once, in store order, with the packet that flushes its last byte.
+
+        Memory writes are *posted*: the store retires once the write
+        leaves the store buffer — the CPU never waits for PCIe delivery.
+        The returned event therefore models only the instruction-issue
+        cost; packets travel (and reach the ``on_write`` observers)
+        asynchronously.
         """
+        if size < 0:
+            raise ValueError(f"cannot store a negative size ({size})")
         if address < 0 or address + size > self.size:
             raise ValueError(
                 f"store [{address}, {address + size}) outside region of "
                 f"size {self.size}"
             )
         self.stores_issued += 1
-        contributions = (tag or {}).get("contributions") if tag else None
-        if contributions:
-            for offset, nbytes, payload in contributions:
-                self._unattached.append([offset, nbytes, payload, nbytes])
-            self._streamed = True
-        if self.policy is CachePolicy.WRITE_COMBINING:
-            tlps = self._wc_buffer.add(address, size)
+        self._pending.append(contribution)
+        if self.policy is _WRITE_COMBINING:
+            # Sequential stores append to the run.  A non-contiguous store
+            # evicts it first (as the hardware does), and every 64 bytes
+            # the run fills go out as one packet.
+            filled = self._run_filled
+            if filled and address != self._run_base + filled:
+                self._send(self._run_base, filled)
+                filled = 0
+            if not filled:
+                self._run_base = address
+            filled += size
+            while filled >= WC_BUFFER_BYTES:
+                self._send(self._run_base, WC_BUFFER_BYTES)
+                self._run_base += WC_BUFFER_BYTES
+                filled -= WC_BUFFER_BYTES
+            self._run_filled = filled
         else:
-            tlps = split_into_tlps(address, size,
-                                   max_payload=MAX_UC_STORE_BYTES)
-        self._attach_contributions(tlps)
+            for payload in payload_sizes(size, MAX_UC_STORE_BYTES):
+                self._send(address, payload)
+                address += payload
         register_stores = -(-size // MAX_UC_STORE_BYTES)
-        return self._emit(tlps, issue_cost=STORE_ISSUE_NS * register_stores)
+        return self.engine.timeout(STORE_ISSUE_NS * register_stores)
 
-    def fence(self, tag=None):
+    def fence(self):
         """SFENCE: force out any half-filled WC buffer."""
-        if self.policy is not CachePolicy.WRITE_COMBINING:
-            return self.engine.timeout(0.0)
-        tlps = self._wc_buffer.flush()
-        self._attach_contributions(tlps)
-        return self._emit(tlps, issue_cost=0.0)
-
-    def _attach_contributions(self, tlps):
-        """Match emitted TLP payload bytes to pending contributions, FIFO.
-
-        Byte conservation holds — the region emits exactly the bytes it
-        was asked to store — so consuming each TLP's payload from the
-        contribution queue identifies the packet carrying each
-        contribution's final byte.
-        """
-        for tlp in tlps:
-            budget = tlp.payload
-            while budget > 0 and self._unattached:
-                head = self._unattached[0]
-                take = min(head[3], budget)
-                head[3] -= take
-                budget -= take
-                if head[3] == 0:
-                    self._unattached.pop(0)
-                    tlp.metadata.setdefault("contributions", []).append(
-                        (head[0], head[1], head[2])
-                    )
+        if self.policy is _WRITE_COMBINING and self._run_filled:
+            self._send(self._run_base, self._run_filled)
+            self._run_filled = 0
+        return self.engine.timeout(0.0)
 
     def load(self, size=8):
         """MMIO read of ``size`` bytes; event fires when data arrives."""
@@ -196,27 +162,30 @@ class MmioRegion:
 
     # -- internals ---------------------------------------------------------------
 
-    def _emit(self, tlps, issue_cost):
-        """Issue ``tlps`` as posted writes; event fires when the CPU is free.
+    def _send(self, address, payload):
+        """Put one ``payload``-byte write packet on the link."""
+        self.tlps_emitted += 1
+        done = self.link.send_train(_MEMORY_WRITE, [payload], address)
+        # Byte conservation holds — the region emits exactly the bytes it
+        # was asked to store — so consuming each packet's payload from the
+        # FIFO identifies the packet carrying each contribution's final
+        # byte.  A packet may complete none.
+        pending = self._pending
+        entry = ()
+        while payload > 0 and pending:
+            left = pending[0][1] - self._head_sent
+            if left > payload:
+                self._head_sent += payload
+                break
+            payload -= left
+            self._head_sent = 0
+            entry += (pending.popleft(),)
+        if self._write_callbacks:
+            self._arrivals.append(entry)
+            done.then(self._deliver)
 
-        Memory writes are *posted*: the store retires once the write
-        leaves the store buffer — the CPU never waits for PCIe delivery.
-        The returned event therefore models only the instruction-issue
-        cost; packets travel (and reach the device's ``on_write``
-        observers) asynchronously.
-        """
-        self.tlps_emitted += len(tlps)
-        for tlp in tlps:
-            if self._streamed:
-                tlp.metadata.setdefault("contributions", [])
-            done = self.link.send(tlp)
-            if self._write_callbacks:
-                done.then(self._deliver_factory(tlp))
-        return self.engine.timeout(issue_cost)
-
-    def _deliver_factory(self, tlp):
-        def _deliver(_event):
-            for callback in self._write_callbacks:
-                callback(tlp)
-
-        return _deliver
+    def _deliver_head(self, _event):
+        entry = self._arrivals.popleft()
+        for callback in self._write_callbacks:
+            for offset, nbytes, payload in entry:
+                callback(offset, nbytes, payload)

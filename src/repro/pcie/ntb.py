@@ -79,16 +79,15 @@ class NtbBridge:
         self._tracing = engine.tracer.enabled
         port_a._bridge = self
         port_b._bridge = self
-        self._pipes = {
-            id(port_a): BandwidthPipe(
-                engine, bandwidth, latency=hop_latency,
-                name=f"ntb:{port_a.name}->{port_b.name}",
-            ),
-            id(port_b): BandwidthPipe(
-                engine, bandwidth, latency=hop_latency,
-                name=f"ntb:{port_b.name}->{port_a.name}",
-            ),
-        }
+        # One pipe per direction, named for its trace track.
+        self._pipe_ab = BandwidthPipe(
+            engine, bandwidth, latency=hop_latency,
+            name=f"ntb:{port_a.name}->{port_b.name}",
+        )
+        self._pipe_ba = BandwidthPipe(
+            engine, bandwidth, latency=hop_latency,
+            name=f"ntb:{port_b.name}->{port_a.name}",
+        )
         self.hop_latency = hop_latency
         # Fault injection: a severed cable silently drops TLPs (posted
         # writes have no acknowledgement), which is exactly the failure
@@ -127,13 +126,6 @@ class NtbBridge:
         self._spike_extra_ns = extra_ns
         self._spike_until_ns = self.engine.now + duration_ns
 
-    def peer_of(self, port):
-        if port is self.port_a:
-            return self.port_b
-        if port is self.port_b:
-            return self.port_a
-        raise ValueError("port does not belong to this bridge")
-
     def forward(self, source_port, tlp):
         """Carry ``tlp`` from ``source_port`` to its peer.
 
@@ -146,10 +138,13 @@ class NtbBridge:
         """
         if not isinstance(tlp, Tlp):
             raise TypeError(f"expected a Tlp, got {type(tlp).__name__}")
-        peer = self.peer_of(source_port)
-        pipe = self._pipes[id(source_port)]
+        if source_port is self.port_a:
+            peer, pipe = self.port_b, self._pipe_ab
+        elif source_port is self.port_b:
+            peer, pipe = self.port_a, self._pipe_ba
+        else:
+            raise ValueError("port does not belong to this bridge")
         tracer = self._tracer
-        track = f"ntb:{source_port.name}->{peer.name}"
         token = None
         if self._tracing:
             # Mirror TLPs carry their stream offset as the wire address, so
@@ -157,7 +152,7 @@ class NtbBridge:
             # intake span in the flow view.
             kind = tlp.metadata.get("kind")
             token = tracer.begin(
-                track, kind or "tlp",
+                pipe.name, kind or "tlp",
                 flow=tlp.address if kind == "mirror" else None,
                 nbytes=tlp.wire_size,
             )
@@ -166,7 +161,7 @@ class NtbBridge:
             self.tlps_corrupted += 1
             tlp.metadata["corrupted"] = True
             if self._tracing:
-                tracer.instant(track, "tlp-corrupted", address=tlp.address)
+                tracer.instant(pipe.name, "tlp-corrupted", address=tlp.address)
         done = pipe.transfer(tlp.wire_size)
         delivery = self.engine.event()
 
@@ -179,7 +174,7 @@ class NtbBridge:
             else:
                 self.tlps_dropped += 1
                 if token is not None:
-                    tracer.instant(track, "tlp-dropped",
+                    tracer.instant(pipe.name, "tlp-dropped",
                                    address=tlp.address)
                     tracer.end(token, dropped=True)
                 delivery.succeed(None)

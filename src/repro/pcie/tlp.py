@@ -34,16 +34,15 @@ class Tlp:
 
     ``payload`` is a byte count, not actual bytes: the simulator tracks data
     identity separately (in the rings) and the fabric only needs sizes.
-    ``tag`` carries an opaque sender reference, e.g. for completion
-    matching.  A slotted class rather than a dataclass: packets are built
-    on every store and mirror hop, and ``wire_size`` is computed once here
-    instead of on every link transfer.
+    A slotted class rather than a dataclass: packets are built on every
+    mirror hop and counter update (and on every packet while a downstream
+    tap watches a link), and ``wire_size`` is computed once here instead
+    of on every link transfer.
     """
 
-    __slots__ = ("kind", "address", "payload", "tag", "metadata",
-                 "wire_size")
+    __slots__ = ("kind", "address", "payload", "metadata", "wire_size")
 
-    def __init__(self, kind, address, payload, tag=None, metadata=None):
+    def __init__(self, kind, address, payload, metadata=None):
         if payload < 0:
             raise ValueError("TLP payload cannot be negative")
         if kind is TlpType.MEMORY_READ and payload != 0:
@@ -51,39 +50,19 @@ class Tlp:
         self.kind = kind
         self.address = address
         self.payload = payload
-        self.tag = tag
         self.metadata = {} if metadata is None else metadata
         # Bytes this packet occupies on the link, overhead included.
         self.wire_size = payload + TLP_OVERHEAD_BYTES
 
 
 def payload_sizes(size, max_payload=DEFAULT_MAX_PAYLOAD):
-    """Payload bytes of each TLP a ``size``-byte transfer splits into."""
+    """Payload bytes of each TLP a ``size``-byte transfer splits into.
+
+    This is what the Root Complex does with a large write or a DMA
+    burst: full ``max_payload`` packets, then the tail.  The packets go
+    on the wire by size (see
+    :meth:`~repro.pcie.link.PcieLink.send_train`), so no :class:`Tlp` is
+    built for them.
+    """
     full, tail = divmod(size, max_payload)
     return [max_payload] * full + ([tail] if tail else [])
-
-
-def split_into_tlps(address, size, max_payload=DEFAULT_MAX_PAYLOAD, tag=None):
-    """Split a ``size``-byte write at ``address`` into wire TLPs.
-
-    Returns the list of :class:`Tlp` covering the range contiguously.  This
-    is what the Root Complex does with a large WC flush or a DMA burst (a
-    DMA burst's packets travel as a train, see
-    :meth:`~repro.pcie.link.PcieLink.send_train`, so it uses
-    :func:`payload_sizes` alone).
-    """
-    if size < 0:
-        raise ValueError("cannot split a negative size")
-    tlps = []
-    offset = 0
-    for chunk in payload_sizes(size, max_payload):
-        tlps.append(
-            Tlp(
-                kind=TlpType.MEMORY_WRITE,
-                address=address + offset,
-                payload=chunk,
-                tag=tag,
-            )
-        )
-        offset += chunk
-    return tlps

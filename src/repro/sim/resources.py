@@ -199,8 +199,8 @@ class BandwidthPipe:
     channel bus — anything where concurrent transfers serialize.
 
     ``transfer(size)`` returns an event that fires at completion time with
-    value ``size``; ``transfer_train(sizes)`` queues several back to back
-    and returns only the last one's event.
+    value ``size``; ``transfer_train(payloads, overhead)`` queues several
+    back to back and returns only the last one's event.
     """
 
     def __init__(self, engine, bandwidth, latency=0.0, name=None):
@@ -226,30 +226,33 @@ class BandwidthPipe:
         done_at = self._busy_until + self.latency
         return self.engine.timeout(done_at - self.engine.now, value=size)
 
-    def transfer_train(self, sizes):
-        """Schedule back-to-back transfers; returns the last one's event.
+    def transfer_train(self, payloads, overhead=0):
+        """Schedule back-to-back transfers of ``payload + overhead`` bytes
+        each; returns the last one's event.
 
         The pipe's state moves exactly as a loop of :meth:`transfer` would
         move it, float step for float step, and the returned event fires
-        at the instant that loop's last event would.  Only that event is
-        armed: a burst whose earlier completions nobody waits on costs
-        one timer, not one per transfer.  ``sizes`` must not be empty.
+        at the instant that loop's last event would, with the last size
+        as its value.  Only that event is armed: a burst whose earlier
+        completions nobody waits on costs one timer, not one per
+        transfer.  ``payloads`` must not be empty.
         """
-        if not sizes:
+        if not payloads:
             raise SimulationError("a transfer train needs at least one size")
-        if min(sizes) < 0:
+        if min(payloads) + overhead < 0:
             raise SimulationError("cannot transfer a negative size")
         now = self.engine.now
         bandwidth = self.bandwidth
         busy_until = self._busy_until
-        for size in sizes:
+        for payload in payloads:
+            size = payload + overhead
             duration = size / bandwidth
             busy_until = max(now, busy_until) + duration
             self.bytes_transferred += size
             self.busy_time += duration
         self._busy_until = busy_until
         done_at = busy_until + self.latency
-        return self.engine.timeout(done_at - now, value=sizes[-1])
+        return self.engine.timeout(done_at - now, value=size)
 
     def utilization(self, elapsed_ns):
         """Fraction of ``elapsed_ns`` the pipe spent transferring bytes."""

@@ -8,7 +8,6 @@ from repro.pcie.mmio import (
     MAX_UC_STORE_BYTES,
     MmioRegion,
     WC_BUFFER_BYTES,
-    WriteCombiningBuffer,
 )
 from repro.sim import Engine
 
@@ -20,59 +19,76 @@ def make_region(policy, size=4096):
     return engine, link, region
 
 
+def wc_packets(stores, fence=False):
+    """``(address, payload)`` of each packet a WC region sends for
+    ``stores``, as a downstream tap sees them."""
+    engine, link, region = make_region(CachePolicy.WRITE_COMBINING)
+    packets = []
+    link.tap_downstream(
+        lambda tlp: packets.append((tlp.address, tlp.payload)))
+    for address, size in stores:
+        region.store(address, size, (address, size, None))
+    if fence:
+        region.fence()
+    engine.run()
+    assert region.tlps_emitted == len(packets)
+    return packets
+
+
 class TestWriteCombiningBuffer:
+    """The region's 64-byte WC buffer: which stores become which packets."""
+
     def test_sequential_stores_coalesce_into_one_tlp(self):
-        buffer = WriteCombiningBuffer()
-        emitted = []
-        for offset in range(0, WC_BUFFER_BYTES, 8):
-            emitted.extend(buffer.add(offset, 8))
-        assert len(emitted) == 1
-        assert emitted[0].payload == WC_BUFFER_BYTES
-        assert emitted[0].address == 0
+        stores = [(offset, 8) for offset in range(0, WC_BUFFER_BYTES, 8)]
+        assert wc_packets(stores) == [(0, WC_BUFFER_BYTES)]
 
     def test_non_contiguous_store_flushes_previous_run(self):
-        buffer = WriteCombiningBuffer()
-        assert buffer.add(0, 8) == []
-        emitted = buffer.add(100, 8)
-        assert len(emitted) == 1
-        assert emitted[0].payload == 8
-        assert emitted[0].address == 0
+        assert wc_packets([(0, 8), (100, 8)]) == [(0, 8)]
+        assert wc_packets([(0, 8), (100, 8)], fence=True) == [(0, 8),
+                                                              (100, 8)]
 
     def test_flush_on_empty_buffer_is_noop(self):
-        assert WriteCombiningBuffer().flush() == []
+        assert wc_packets([], fence=True) == []
+        assert wc_packets([(0, WC_BUFFER_BYTES)], fence=True) == [
+            (0, WC_BUFFER_BYTES)]
 
     def test_large_store_emits_full_buffers(self):
-        buffer = WriteCombiningBuffer()
-        emitted = buffer.add(0, 3 * WC_BUFFER_BYTES)
-        assert [t.payload for t in emitted] == [WC_BUFFER_BYTES] * 3
+        assert wc_packets([(0, 3 * WC_BUFFER_BYTES)]) == [
+            (index * WC_BUFFER_BYTES, WC_BUFFER_BYTES) for index in range(3)]
 
     def test_partial_tail_stays_buffered(self):
-        buffer = WriteCombiningBuffer()
-        emitted = buffer.add(0, WC_BUFFER_BYTES + 10)
-        assert [t.payload for t in emitted] == [WC_BUFFER_BYTES]
-        assert buffer.filled == 10
+        assert wc_packets([(0, WC_BUFFER_BYTES + 10)]) == [
+            (0, WC_BUFFER_BYTES)]
+        assert wc_packets([(0, WC_BUFFER_BYTES + 10)], fence=True) == [
+            (0, WC_BUFFER_BYTES), (WC_BUFFER_BYTES, 10)]
 
 
 class TestMmioRegion:
     def test_uc_store_splits_into_register_sized_tlps(self):
         engine, link, region = make_region(CachePolicy.UNCACHED)
-        seen = []
-        region.on_write(lambda tlp: seen.append(tlp.payload))
+        packets = []
+        link.tap_downstream(lambda tlp: packets.append(tlp.payload))
+        delivered = []
+        region.on_write(
+            lambda offset, nbytes, _payload: delivered.append(
+                (offset, nbytes)))
 
         def proc():
-            yield region.store(0, 64)
+            yield region.store(0, 64, (0, 64, None))
 
         engine.process(proc())
         engine.run()
-        assert seen == [MAX_UC_STORE_BYTES] * (64 // MAX_UC_STORE_BYTES)
+        assert packets == [MAX_UC_STORE_BYTES] * (64 // MAX_UC_STORE_BYTES)
+        # The contribution arrives once, with the packet of its last byte.
+        assert delivered == [(0, 64)]
 
     def test_wc_store_of_buffer_size_is_one_tlp(self):
         engine, link, region = make_region(CachePolicy.WRITE_COMBINING)
         seen = []
-        region.on_write(lambda tlp: seen.append(tlp.payload))
+        region.on_write(lambda _offset, nbytes, _payload: seen.append(nbytes))
 
         def proc():
-            yield region.store(0, WC_BUFFER_BYTES)
+            yield region.store(0, WC_BUFFER_BYTES, (0, WC_BUFFER_BYTES, None))
 
         engine.process(proc())
         engine.run()
@@ -81,10 +97,10 @@ class TestMmioRegion:
     def test_wc_partial_store_needs_fence_to_emit(self):
         engine, link, region = make_region(CachePolicy.WRITE_COMBINING)
         seen = []
-        region.on_write(lambda tlp: seen.append(tlp.payload))
+        region.on_write(lambda _offset, nbytes, _payload: seen.append(nbytes))
 
         def proc():
-            yield region.store(0, 16)
+            yield region.store(0, 16, (0, 16, None))
             assert seen == []
             yield region.fence()
 
@@ -95,7 +111,17 @@ class TestMmioRegion:
     def test_store_outside_region_rejected(self):
         engine, link, region = make_region(CachePolicy.UNCACHED, size=128)
         with pytest.raises(ValueError):
-            region.store(120, 16)
+            region.store(120, 16, (120, 16, None))
+
+    @pytest.mark.parametrize("policy", list(CachePolicy))
+    def test_negative_store_rejected(self, policy):
+        engine, link, region = make_region(policy)
+        with pytest.raises(ValueError, match="negative"):
+            region.store(0, -5, (0, -5, None))
+        region.fence()
+        engine.run()
+        assert region.tlps_emitted == 0
+        assert link.downstream.busy_time == 0
 
     def test_wc_is_fewer_tlps_than_uc_for_same_bytes(self):
         total = 1024
@@ -105,7 +131,7 @@ class TestMmioRegion:
         def write_all(engine, region):
             def proc():
                 for offset in range(0, total, 8):
-                    yield region.store(offset, 8)
+                    yield region.store(offset, 8, (offset, 8, None))
                 yield region.fence()
 
             engine.process(proc())
@@ -124,7 +150,7 @@ class TestMmioRegion:
 
             def proc():
                 for offset in range(0, total, 8):
-                    yield region.store(offset, 8)
+                    yield region.store(offset, 8, (offset, 8, None))
                 yield region.fence()
 
             engine.process(proc())

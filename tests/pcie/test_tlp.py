@@ -2,18 +2,21 @@
 
 import pytest
 
+from repro.pcie.link import PcieLink
 from repro.pcie.tlp import (
     DEFAULT_MAX_PAYLOAD,
     TLP_OVERHEAD_BYTES,
     Tlp,
     TlpType,
-    split_into_tlps,
+    payload_sizes,
 )
+from repro.sim import Engine
 
 
 def wire_bytes(size):
     """Bytes a ``size``-byte write occupies on the link, overhead included."""
-    return sum(tlp.wire_size for tlp in split_into_tlps(0, size))
+    return sum(Tlp(TlpType.MEMORY_WRITE, 0, payload).wire_size
+               for payload in payload_sizes(size))
 
 
 def test_wire_size_includes_overhead():
@@ -32,18 +35,24 @@ def test_negative_payload_rejected():
 
 
 def test_split_covers_range_contiguously():
-    tlps = split_into_tlps(address=1000, size=600)
-    assert [t.payload for t in tlps] == [256, 256, 88]
-    assert [t.address for t in tlps] == [1000, 1256, 1512]
+    """A tapped train shows each packet of the split, addressed
+    contiguously from the train's start."""
+    engine = Engine()
+    link = PcieLink(engine)
+    seen = []
+    link.tap_downstream(lambda tlp: seen.append((tlp.address, tlp.payload)))
+    link.send_train(TlpType.MEMORY_WRITE, payload_sizes(600), address=1000)
+    engine.run()
+    assert seen == [(1000, 256), (1256, 256), (1512, 88)]
+    assert payload_sizes(512) == [256, 256]
 
 
 def test_split_zero_size_is_empty():
-    assert split_into_tlps(0, 0) == []
+    assert payload_sizes(0) == []
 
 
 def test_split_respects_custom_max_payload():
-    tlps = split_into_tlps(0, 100, max_payload=64)
-    assert [t.payload for t in tlps] == [64, 36]
+    assert payload_sizes(100, max_payload=64) == [64, 36]
 
 
 def test_wire_bytes_small_write_dominated_by_overhead():

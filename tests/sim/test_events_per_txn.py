@@ -3,12 +3,14 @@
 Wall-clock throughput is noisy; the number of generator resumes the
 engine performs per acknowledged operation is not.  These cells count
 ``Process._resume`` calls (and, for the standalone group-commit and NVMe
-cells, timers created) by wrapping the engine inside the test only (the
-hot path carries no counter) and pin ceilings about 10% above the counts
-measured when the counter reporters, the CMB intake and the destage loop
-became change-driven.  A loop that wakes without news — a reporter
-ticking through idle periods, a per-chunk intake process, a destage loop
-re-arming its deadline on every credit advance, a timer per DMA packet —
+cells, timers created; for the group-commit cell, ``Tlp`` objects built
+too) by wrapping the engine inside the test only (the hot path carries
+no counter) and pin ceilings about 10% above the counts measured when
+the counter reporters, the CMB intake and the destage loop became
+change-driven.  A loop that wakes without news — a reporter ticking
+through idle periods, a per-chunk intake process, a destage loop
+re-arming its deadline on every credit advance, a timer per DMA packet,
+a packet object per MMIO store or credit poll with no tap to see it —
 pushes a cell over its ceiling deterministically.
 """
 
@@ -20,6 +22,7 @@ from repro.cluster import Fleet, run_shard_body
 from repro.cluster.topology import replicated_chain
 from repro.faults.scenario import chaos_config_factory
 from repro.nand.geometry import Geometry
+from repro.pcie.tlp import Tlp
 from repro.sim import Engine, Process, Timeout
 from repro.sim.units import KIB
 from repro.ssd.device import ConventionalSsd, SsdConfig
@@ -39,13 +42,16 @@ from tests.conftest import (
 # 15.9 with a zero-delay timeout per CMB intake chunk nobody awaited).
 # Timers per 16 KiB NVMe I/O: 8 per write and 6 per read (71 and 69
 # with one link timer per 256 B DMA packet).  Ceilings sit about 10%
-# above.
+# above.  With no tap on the link, a commit builds no ``Tlp`` at all
+# (4.3 per commit when every MMIO store and credit poll built its
+# packets).
 CHAIN_CEILING = 162.1
 FLEET_CEILING = 31.3
 GROUP_COMMIT_CEILING = 11.8
 GROUP_COMMIT_TIMEOUT_CEILING = 14.1
 NVME_WRITE_TIMEOUT_CEILING = 8.8
 NVME_READ_TIMEOUT_CEILING = 6.6
+GROUP_COMMIT_TLP_CEILING = 0
 
 
 @pytest.fixture
@@ -59,6 +65,20 @@ def resumes(monkeypatch):
         return resume(self, event)
 
     monkeypatch.setattr(Process, "_resume", counting_resume)
+    return counted
+
+
+@pytest.fixture
+def tlps(monkeypatch):
+    """Count every ``Tlp`` constructed."""
+    counted = {"tlps": 0}
+    construct = Tlp.__init__
+
+    def counting_construct(self, *args, **kwargs):
+        counted["tlps"] += 1
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tlp, "__init__", counting_construct)
     return counted
 
 
@@ -207,7 +227,8 @@ def test_timers_per_nvme_read(timeouts):
     assert nvme_ios(timeouts, reads=True) <= NVME_READ_TIMEOUT_CEILING
 
 
-def test_group_commit_events_per_commit(resumes, timeouts):
+def test_group_commit_events_per_commit(resumes, timeouts, tlps):
     ops = group_commit_txns(seed=7)
     assert resumes["resumes"] / ops <= GROUP_COMMIT_CEILING
     assert timeouts["timeouts"] / ops <= GROUP_COMMIT_TIMEOUT_CEILING
+    assert tlps["tlps"] / ops <= GROUP_COMMIT_TLP_CEILING
