@@ -103,9 +103,10 @@ class GarbageCollector:
         migrated = 0
         for lba in self.ftl.table.live_lbas_in(channel_id, way, block):
             address = self.ftl.table.lookup(lba)
-            page = yield channel.read(address.way, address.block, address.page)
-            yield self.ftl.write(lba, page.payload, page.nbytes,
-                                 op_class="gc")
+            payload, nbytes = yield channel.read(
+                address.way, address.block, address.page
+            )
+            yield self.ftl.write(lba, payload, nbytes, op_class="gc")
             self.pages_migrated += 1
             migrated += 1
         # GC erases carry their class so the QoS policy can let host

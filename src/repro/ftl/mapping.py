@@ -255,7 +255,7 @@ class PageMappingFtl:
         attempt = 0
         while True:
             try:
-                page = yield self.channels[address.channel].read(
+                payload, _nbytes = yield self.channels[address.channel].read(
                     address.way, address.block, address.page
                 )
             except UncorrectableError as error:
@@ -290,4 +290,4 @@ class PageMappingFtl:
                                    attempt=attempt)
                 continue
             self.reads_served += 1
-            return page.payload
+            return payload

@@ -25,7 +25,7 @@ from repro.nand.errors import (
     UncorrectableError,
     WriteWithoutEraseError,
 )
-from repro.nand.flash_array import Block, FlashDie, Page
+from repro.nand.flash_array import Block, FlashDie
 from repro.nand.geometry import Geometry, PhysicalPageAddress
 from repro.nand.timing import NandTiming
 
@@ -35,7 +35,6 @@ __all__ = [
     "NandTiming",
     "FlashDie",
     "Block",
-    "Page",
     "Channel",
     "DieQos",
     "DieResourceManager",

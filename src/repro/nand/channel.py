@@ -98,7 +98,7 @@ class Channel:
         )
 
     def read(self, way, block, page):
-        """Read one page; event value is the :class:`Page`."""
+        """Read one page; event value is its ``(payload, nbytes)``."""
         return self.engine.process(
             self._read_proc(way, block, page),
             name=f"read ch{self.channel_id} w{way}",
@@ -262,8 +262,9 @@ class Channel:
                     erase_count=target.erase_count,
                     read_count=target.read_count,
                 )
+            # An erased page reads as (None, 0) and still moves a full page.
             result = die.read_page(block, page)
-            yield self.bus.transfer(result.nbytes or self.geometry.page_bytes)
+            yield self.bus.transfer(result[1] or self.geometry.page_bytes)
         finally:
             self.resources.end_read(way, grant)
             if token is not None:

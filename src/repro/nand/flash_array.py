@@ -1,10 +1,12 @@
-"""Flash dies, blocks, and pages: state, constraints, and busy tracking.
+"""Flash dies and blocks: state, constraints, and busy tracking.
 
 A :class:`FlashDie` is the unit of operation exclusivity — one program,
 read, or erase at a time.  Blocks enforce erase-before-program and in-order
-page programming.  Page contents are arbitrary Python payloads plus a byte
-count: the simulator tracks data identity for correctness checks (FTL,
-recovery) without materializing real 16 KiB buffers.
+page programming.  A block stores only the pages it has programmed, as a
+list of ``(payload, nbytes)`` in page order: payloads are arbitrary Python
+objects, so the simulator tracks data identity for correctness checks
+(FTL, recovery) without materializing real 16 KiB buffers, and an erased
+page costs nothing until it is programmed.
 """
 
 from repro.nand.errors import (
@@ -14,36 +16,23 @@ from repro.nand.errors import (
 )
 from repro.sim.resources import Resource
 
-
-class Page:
-    """One flash page: either erased, or holding a payload."""
-
-    __slots__ = ("payload", "nbytes", "programmed")
-
-    def __init__(self):
-        self.payload = None
-        self.nbytes = 0
-        self.programmed = False
-
-    def program(self, payload, nbytes):
-        if self.programmed:
-            raise WriteWithoutEraseError("page already programmed")
-        self.payload = payload
-        self.nbytes = nbytes
-        self.programmed = True
-
-    def erase(self):
-        self.payload = None
-        self.nbytes = 0
-        self.programmed = False
+_ERASED = (None, 0)
 
 
 class Block:
-    """A block of pages with NAND programming constraints."""
+    """A block of pages with NAND programming constraints.
+
+    ``pages`` holds ``(payload, nbytes)`` for each programmed page; NAND
+    programs in ascending page order, so its length is the next page to
+    program.
+    """
+
+    __slots__ = ("pages", "pages_per_block", "erase_count", "read_count",
+                 "is_bad")
 
     def __init__(self, pages_per_block):
-        self.pages = [Page() for _ in range(pages_per_block)]
-        self.next_page = 0  # NAND requires ascending program order
+        self.pages = []
+        self.pages_per_block = pages_per_block
         self.erase_count = 0
         # Reads since the last erase: read disturb accumulates on the
         # block's cells and is cleared by erasing (see repro/nand/ecc.py).
@@ -56,32 +45,39 @@ class Block:
     def program(self, page_number, payload, nbytes):
         if self.is_bad:
             raise BadBlockError("block is marked bad")
-        if page_number != self.next_page:
+        pages = self.pages
+        if page_number != len(pages):
             raise ProgramOrderError(
                 f"page {page_number} programmed out of order "
-                f"(expected {self.next_page})"
+                f"(expected {len(pages)})"
             )
-        self.pages[page_number].program(payload, nbytes)
-        self.next_page += 1
+        if page_number >= self.pages_per_block:
+            raise WriteWithoutEraseError("block is full; erase it first")
+        pages.append((payload, nbytes))
 
     def read(self, page_number):
+        """``(payload, nbytes)`` of a page; an erased page reads as
+        ``(None, 0)``."""
         if self.is_bad:
             raise BadBlockError("block is marked bad")
         self.read_count += 1
-        return self.pages[page_number]
+        pages = self.pages
+        if 0 <= page_number < len(pages):
+            return pages[page_number]
+        if 0 <= page_number < self.pages_per_block:
+            return _ERASED
+        raise IndexError(f"page {page_number} outside the block")
 
     def erase(self):
         if self.is_bad:
             raise BadBlockError("block is marked bad")
-        for page in self.pages:
-            page.erase()
-        self.next_page = 0
+        self.pages.clear()
         self.erase_count += 1
         self.read_count = 0
 
     @property
     def is_full(self):
-        return self.next_page >= len(self.pages)
+        return len(self.pages) >= self.pages_per_block
 
 
 class FlashDie:

@@ -6,7 +6,7 @@ the firmware, and posts completions back (Section 2.2's step-by-step
 "Life of a Log Write").
 """
 
-from repro.ssd.nvme import NvmeCompletion, NvmeStatus
+from repro.ssd.nvme import NvmeCompletion, NvmeStatus, Opcode
 
 # Size of one submission-queue entry on the wire.
 SQE_BYTES = 64
@@ -54,9 +54,7 @@ class HostInterfaceController:
             # Fetch the SQE itself over the link (read round trip).
             yield self.link.read_roundtrip(SQE_BYTES)
             yield self.engine.timeout(DECODE_NS)
-            if command.opcode.__class__.__name__ == "Opcode" and (
-                command.opcode.value == "write"
-            ):
+            if command.opcode is Opcode.WRITE:
                 # Pull the payload from host memory before firmware sees it.
                 yield self.dma.pull(command.nblocks * self.firmware.block_bytes)
             try:
@@ -65,9 +63,7 @@ class HostInterfaceController:
             except Exception as error:
                 result = error
                 status = NvmeStatus.MEDIA_ERROR
-            if command.opcode.__class__.__name__ == "Opcode" and (
-                command.opcode.value == "read"
-            ) and status is NvmeStatus.SUCCESS:
+            if command.opcode is Opcode.READ and status is NvmeStatus.SUCCESS:
                 # Push the data back to host memory.
                 yield self.dma.push(command.nblocks * self.firmware.block_bytes)
             self.completion_queue.post(

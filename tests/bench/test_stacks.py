@@ -1,5 +1,7 @@
 """Tests for the shared bench stack builders."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench.stacks import (
@@ -41,6 +43,17 @@ class TestBuildVillars:
         engine = Engine()
         device = build_villars(engine, "sram", queue_bytes=8 * 1024)
         assert device.config.cmb_queue_bytes == 8 * 1024
+
+    def test_unwritten_flash_costs_no_memory(self):
+        """A fresh device's 64 dies x 48 blocks x 64 pages hold no
+        per-page state: a block stores only the pages it has programmed."""
+        tracemalloc.start()
+        try:
+            build_villars(Engine())
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated < 2 * 1024 * 1024
 
 
 class TestBuildLogFile:

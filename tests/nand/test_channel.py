@@ -40,12 +40,25 @@ def test_read_returns_programmed_payload():
 
     def proc():
         yield channel.program(0, 0, 0, "the-log-page")
-        page = yield channel.read(0, 0, 0)
-        results.append(page.payload)
+        results.append((yield channel.read(0, 0, 0)))
 
     engine.process(proc())
     engine.run()
-    assert results == ["the-log-page"]
+    assert results == [("the-log-page", 4096)]
+
+
+def test_erased_page_read_moves_a_full_page():
+    engine, channel = make_channel()
+    results = []
+
+    def proc():
+        results.append((yield channel.read(0, 0, 0)))
+        results.append(engine.now)
+
+    engine.process(proc())
+    engine.run()
+    assert results == [(None, 0), pytest.approx(10_000.0 + 4096 / 0.5)]
+    assert channel.die(0).blocks[0].read_count == 1
 
 
 def test_two_dies_overlap_cell_time_but_share_bus():
