@@ -43,6 +43,28 @@ class DestagePage:
         return self.stream_offset + self.data_bytes
 
 
+class _Hop(Event):
+    """The destage loop's immediate-queue hop, queued again once the run
+    loop has dispatched it (a plain ``Event`` is one-shot)."""
+
+    __slots__ = ()
+
+    def queue(self, callback):
+        """Queue this hop to run ``callback``.
+
+        Returns ``False``, queueing nothing, while the hop is still queued
+        or was cancelled (a cancelled hop keeps its queue slot until the
+        run loop drops it).
+        """
+        if self._cancelled or (self.triggered and not self._processed):
+            return False
+        self._processed = False
+        self.triggered = False
+        self.callbacks.append(callback)
+        self.succeed()
+        return True
+
+
 class DestageModule:
     """Connects a CMB ring to the conventional side's flash."""
 
@@ -96,7 +118,9 @@ class DestageModule:
         # alone, 2 while a partial page waits (the kick, then the race it
         # wins against the deadline), 0 while no wake is listened for.
         self._listening = 0
-        self._hop = None  # the pending immediate event toward an evaluation
+        # The hop toward the next evaluation, reused from hop to hop; a
+        # fresh one takes over only while the last is queued or cancelled.
+        self._hop = _Hop(engine)
         self._waiting_since = None  # when the waiting partial page started
         # The partial page's deadline timer, armed once: its float instant,
         # and — while it stands in for a timer re-armed later for the same
@@ -120,13 +144,16 @@ class DestageModule:
         self._running = False
         self._generation += 1
         self._listening = 0
-        if self._hop is not None:
-            self._hop.cancel()
-            self._hop = None
+        self._hop.cancel()  # a no-op once the hop was dispatched
         self._disarm()
 
     def _wake(self, _value=None):
-        """News: the credit advanced or a page program completed."""
+        """News: the credit advanced or a page program completed.
+
+        Leads to an evaluation one hop from now while waiting for news
+        alone, two hops from now while a partial page waits (see
+        ``_evaluate``).
+        """
         hops = self._listening
         if hops:
             self._listening = 0
@@ -134,12 +161,20 @@ class DestageModule:
 
     def _hop_to(self, callback):
         """Run ``callback`` one immediate-queue hop from now."""
-        hop = self._hop = Event(self.engine)
-        hop.callbacks.append(callback)
-        hop.succeed()
+        if not self._hop.queue(callback):
+            self._hop = _Hop(self.engine)
+            self._hop.queue(callback)
 
     def _second_hop(self, _event):
-        self._hop_to(self._evaluate)
+        """The first of two hops: evaluate one more hop from now.
+
+        With nothing queued behind this hop, the second would be the run
+        loop's very next dispatch, so evaluating here is the same schedule.
+        """
+        if self.engine.immediate_pending():
+            self._hop_to(self._evaluate)
+        else:
+            self._evaluate()
 
     # -- the destage loop -----------------------------------------------------------
 
@@ -152,13 +187,14 @@ class DestageModule:
         one that found a partial page waiting (the hop at which the race
         would resume it), and one hop after the deadline fires.  Every
         wake gets that evaluation; one that cannot complete a page costs
-        no timer and no process resume, only the two hop events.  The
+        no timer, no process resume and no new event: the one hop event
+        is queued again, and the second hop is run in place whenever
+        nothing is queued between the two (``_second_hop``).  The
         deadline timer is armed once per partial page and kept while a
         re-arm would land on the same float instant; a same-instant tie
         with other timers then resolves as the re-armed one would have
         (``Engine.defer_to_mark``).
         """
-        self._hop = None
         self._listening = 0
         if self._outstanding >= self.max_outstanding_pages:
             self._disarm()
@@ -220,8 +256,9 @@ class DestageModule:
         if expiry is not self._expiry:
             return  # stopped while a same-instant tie was resolving
         self._expiry = None
-        if self._hop is not None:
-            self._hop.cancel()  # a kick earlier in this instant lost the race
+        # A kick earlier in this instant lost the race (a no-op when no
+        # hop is queued).
+        self._hop.cancel()
         self._listening = 0
         self._hop_to(self._evaluate)
 
@@ -343,7 +380,6 @@ class DestageModule:
             if self.scheduler.ftl.table.lookup(lba) is None:
                 self._emergency_program(lba, page)
             self.durable_tail = sequence + 1
-            self.pages_written += 1
             self.filler_bytes_total += page.filler_bytes
             self.destaged_offset = page.end_offset
             self.cmb.ring.release(page.end_offset)

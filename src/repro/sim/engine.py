@@ -581,6 +581,17 @@ class Engine:
                 break
         callback()
 
+    def immediate_pending(self):
+        """Whether an event waits in the immediate queue (triggered at the
+        current instant, not yet dispatched; a cancelled one still counts
+        until the run loop drops it).
+
+        In a callback of an event the run loop took off the immediate
+        queue, ``False`` means the next event dispatched is the first one
+        queued from then on (once that event's other callbacks have run).
+        """
+        return bool(self._immediate)
+
     def process(self, generator, name=None):
         """Start ``generator`` as a process; returns its completion event."""
         return Process(self, generator, name)

@@ -9,7 +9,9 @@ want to call them with per-test arguments anyway.  Import them directly::
 Profiles: ``dev`` (default) keeps hypothesis's randomized exploration
 with no deadline (simulations are CPU-heavy but deterministic); ``ci``
 derandomizes for reproducible CI runs and raises the example budget for
-tests that don't pin their own.  Select with ``HYPOTHESIS_PROFILE=ci``.
+tests that don't pin their own; ``deep`` stays randomized and runs 2,000
+examples per such test, for the nightly differentials.  Select with
+``HYPOTHESIS_PROFILE=ci`` (or ``deep``).
 """
 
 import os
@@ -31,6 +33,12 @@ settings.register_profile(
     deadline=None,
     derandomize=True,
     max_examples=50,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "deep",
+    deadline=None,
+    max_examples=2_000,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))

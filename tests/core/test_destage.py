@@ -135,6 +135,23 @@ def test_destage_all_now_flushes_contiguous_prefix():
     assert cmb.ring.drop_pending() == 1
 
 
+def test_destage_all_now_counts_each_settled_page_once():
+    # Two page programs in flight at the crash: the crash path finishes
+    # them under reserve energy, and each counts as one page written.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12)
+    feed(engine, cmb, 3 * PAGE)
+    engine.run(until=6_000.0)
+    assert destage.outstanding_pages == 2
+    assert destage.pages_written == 0
+    cmb.stop()
+    destage.stop()
+    pages = destage.destage_all_now()
+    assert pages == 2
+    assert destage.pages_written == 2
+    assert destage.durable_tail == 2
+    assert destage.destaged_offset == 2 * PAGE
+
+
 def test_same_instant_restart_leaves_one_loop():
     # Device.halt() then restart() at one instant: the old loop must exit
     # instead of evaluating beside the new one.  Two loops would both see

@@ -270,6 +270,13 @@ def scenario(lanes, threshold_ns=1000.0, read_ns=0.0, program_ns=(400.0,),
 # must leave alone until the restart.
 @example(scenario([[write(1100), ("stop",), wait(250.0), write(100),
                     wait(2000.0), ("stop",), write(10)]], read_ns=50.0))
+# A second chunk at the kick's own instant, queued behind the kick's
+# first hop, fills the page before the evaluation two hops on: the
+# issue and that write are logged in the order the race gave them.
+@example(scenario([[write(600), wait(1.0), write(100), wait(0.0),
+                    write(400)],
+                   [wait(1.0), wait(0.0), wait(0.0), wait(0.0),
+                    write(10)]]))
 def test_change_driven_loop_matches_generator_loop(scenario):
     assert run(DestageModule, scenario) == run(GeneratorDestage, scenario)
 

@@ -2,19 +2,23 @@
 
 Wall-clock throughput is noisy; the number of generator resumes the
 engine performs per acknowledged operation is not.  These cells count
-``Process._resume`` calls (and, for the standalone group-commit and NVMe
-cells, timers created; for the group-commit cell, ``Tlp`` objects built
-too) by wrapping the engine inside the test only (the hot path carries
-no counter) and pin ceilings about 10% above the counts measured when
-the counter reporters, the CMB intake and the destage loop became
-change-driven.  A loop that wakes without news — a reporter ticking
-through idle periods, a per-chunk intake process, a destage loop
-re-arming its deadline on every credit advance, a timer per DMA packet,
-a packet object per MMIO store or credit poll with no tap to see it —
+``Process._resume`` calls by wrapping the engine inside the test only
+(the hot path carries no counter).  Some count more: the standalone
+group-commit and NVMe cells count timers created, the group-commit cell
+``Tlp`` objects built, and the group-commit and chain cells
+immediate-queue dispatches and ``Event`` constructions (a reused event
+makes no construction but still costs a dispatch).  Ceilings sit about
+10% above the counts measured when the counter reporters, the CMB
+intake and the destage loop became change-driven.  A loop that wakes
+without news — a reporter ticking through idle periods, a per-chunk
+intake process, a destage loop re-arming its deadline on every credit
+advance or hopping through fresh events, a timer per DMA packet, a
+packet object per MMIO store or credit poll with no tap to see it —
 pushes a cell over its ceiling deterministically.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -23,7 +27,7 @@ from repro.cluster.topology import replicated_chain
 from repro.faults.scenario import chaos_config_factory
 from repro.nand.geometry import Geometry
 from repro.pcie.tlp import Tlp
-from repro.sim import Engine, Process, Timeout
+from repro.sim import Engine, Event, Process, Timeout
 from repro.sim.units import KIB
 from repro.ssd.device import ConventionalSsd, SsdConfig
 
@@ -44,14 +48,23 @@ from tests.conftest import (
 # with one link timer per 256 B DMA packet).  Ceilings sit about 10%
 # above.  With no tap on the link, a commit builds no ``Tlp`` at all
 # (4.3 per commit when every MMIO store and credit poll built its
-# packets).
+# packets).  Immediate-queue dispatches and ``Event`` constructions per
+# operation: chain 137.4 and 96.0, standalone group commit 11.45 and
+# 7.96, once the destage loop reused its one hop event and ran its
+# second hop in place when nothing was queued between (146.3 and 146.9,
+# 14.6 and 14.3 with two fresh hop events per wake).  The chain's
+# dispatch ceiling sits 5% above, under the two-hop count.
 CHAIN_CEILING = 162.1
+CHAIN_DISPATCH_CEILING = 144.2
+CHAIN_EVENT_CEILING = 105.6
 FLEET_CEILING = 31.3
 GROUP_COMMIT_CEILING = 11.8
 GROUP_COMMIT_TIMEOUT_CEILING = 14.1
 NVME_WRITE_TIMEOUT_CEILING = 8.8
 NVME_READ_TIMEOUT_CEILING = 6.6
 GROUP_COMMIT_TLP_CEILING = 0
+GROUP_COMMIT_DISPATCH_CEILING = 12.6
+GROUP_COMMIT_EVENT_CEILING = 8.8
 
 
 @pytest.fixture
@@ -65,6 +78,43 @@ def resumes(monkeypatch):
         return resume(self, event)
 
     monkeypatch.setattr(Process, "_resume", counting_resume)
+    return counted
+
+
+class CountingDeque(deque):
+    """An immediate queue that counts the events dispatched off it."""
+
+    def __init__(self, counted):
+        super().__init__()
+        self.counted = counted
+
+    def popleft(self):
+        event = super().popleft()
+        if not event.cancelled:
+            self.counted["dispatches"] += 1
+        return event
+
+
+@pytest.fixture
+def immediates(monkeypatch):
+    """Count immediate-queue dispatches (cancelled events skipped) and
+    ``Event`` constructions (``Timeout``s aside: they skip
+    ``Event.__init__`` and the ``timeouts`` fixture counts them)."""
+    counted = {"dispatches": 0, "events": 0}
+    install = Engine._install_timeout_fast_path
+    construct = Event.__init__
+
+    def counting_install(self):
+        self._immediate = CountingDeque(counted)
+        install(self)
+
+    def counting_construct(self, engine):
+        counted["events"] += 1
+        construct(self, engine)
+
+    monkeypatch.setattr(Engine, "_install_timeout_fast_path",
+                        counting_install)
+    monkeypatch.setattr(Event, "__init__", counting_construct)
     return counted
 
 
@@ -214,6 +264,12 @@ def test_chain_resumes_per_append(resumes):
     assert resumes["resumes"] / ops <= CHAIN_CEILING
 
 
+def test_chain_events_per_append(immediates):
+    ops = chain_appends(seed=7)
+    assert immediates["dispatches"] / ops <= CHAIN_DISPATCH_CEILING
+    assert immediates["events"] / ops <= CHAIN_EVENT_CEILING
+
+
 def test_fleet_resumes_per_commit(resumes):
     ops = fleet_commits(seed=7)
     assert resumes["resumes"] / ops <= FLEET_CEILING
@@ -227,8 +283,11 @@ def test_timers_per_nvme_read(timeouts):
     assert nvme_ios(timeouts, reads=True) <= NVME_READ_TIMEOUT_CEILING
 
 
-def test_group_commit_events_per_commit(resumes, timeouts, tlps):
+def test_group_commit_events_per_commit(resumes, timeouts, tlps,
+                                       immediates):
     ops = group_commit_txns(seed=7)
     assert resumes["resumes"] / ops <= GROUP_COMMIT_CEILING
     assert timeouts["timeouts"] / ops <= GROUP_COMMIT_TIMEOUT_CEILING
     assert tlps["tlps"] / ops <= GROUP_COMMIT_TLP_CEILING
+    assert immediates["dispatches"] / ops <= GROUP_COMMIT_DISPATCH_CEILING
+    assert immediates["events"] / ops <= GROUP_COMMIT_EVENT_CEILING
