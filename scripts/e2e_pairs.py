@@ -1,4 +1,4 @@
-"""Alternating-pairs comparison of ``ops_per_wall_s`` against a parent rev.
+"""Alternating-pairs comparison of one end-to-end metric against a parent rev.
 
 Runs ``benchmarks/e2e/run.py --workload W --seed S --json PATH`` N times
 on each side, alternating: the *parent* side is a given revision,
@@ -7,10 +7,13 @@ side is this working tree, uncommitted edits included.  Pair i runs the
 parent first when i is even and the change first when it is odd, so a
 drift in host load does not favour one side.
 
-It prints every pair, each side's median and quartiles of
-``ops_per_wall_s`` (higher is better), the median ratio and the number
-of pairs the change won.  A gain counts only if the change wins nearly
-every pair and the median gap exceeds the parent's interquartile spread.
+It prints every pair, each side's median and quartiles of the judged
+metric (``--metric``, default ``ops_per_wall_s``), the median ratio and
+the number of pairs the change won.  Whether higher or lower is better
+comes from the metric's ``better`` entry in ``BENCHMARK.json``, so a
+lower-is-better metric such as ``peak_rss_mb`` wins a pair by being
+lower.  A gain counts only if the change wins nearly every pair and the
+median gap exceeds the parent's interquartile spread.
 It also prints both sides' medians of every other end-to-end metric, for
 the no-regression check, and reports whether every pair's simulated
 results (``sim``, ``layers`` and ``samples``) were identical, which a
@@ -19,7 +22,8 @@ change that claims a wall-clock gain only must keep.
 Usage, from anywhere inside the repository::
 
     python3 scripts/e2e_pairs.py --workload tpcc-local [--seed 7]
-        [--pairs 10] [--parent HEAD] [--seconds S] [--json PATH]
+        [--pairs 10] [--metric ops_per_wall_s] [--parent HEAD]
+        [--seconds S] [--json PATH]
 
 The export lives under ``$TMPDIR`` and is removed at exit; it touches
 nothing in the repository's ``.git``.
@@ -36,15 +40,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNNER = os.path.join("benchmarks", "e2e", "run.py")
 SIM_KEYS = ("sim", "layers", "samples")
-# The metric pairs are won on; higher is better.
-METRIC = "ops_per_wall_s"
 
 
 def end_to_end_metrics(tree):
-    """Names of the end-to-end metrics ``BENCHMARK.json`` declares."""
+    """``{name: better}`` of the end-to-end metrics ``BENCHMARK.json``
+    declares, in its order (``better`` is ``"higher"`` or ``"lower"``)."""
     with open(os.path.join(tree, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    return [entry["name"] for entry in spec["end_to_end"]]
+    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
 
 
 def run_once(tree, args, scratch, tag):
@@ -78,7 +81,18 @@ def describe(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def change_wins(runs, metric, better):
+    """Pairs in which the change's ``metric`` beat the parent's."""
+    if better == "lower":
+        return sum(pair["change"][metric] < pair["parent"][metric]
+                   for pair in runs)
+    return sum(pair["change"][metric] > pair["parent"][metric]
+               for pair in runs)
+
+
 def compare(args, parent_tree, scratch):
+    metric = args.metric
+    metrics = end_to_end_metrics(ROOT)
     runs = []
     identical = True
     for index in range(args.pairs):
@@ -92,21 +106,21 @@ def compare(args, parent_tree, scratch):
                                               f"{side}-{index}")
         identical = identical and sims["parent"] == sims["change"]
         runs.append(pair)
-        print(f"pair {index}: parent {pair['parent'][METRIC]:.4f}  "
-              f"change {pair['change'][METRIC]:.4f}", flush=True)
+        print(f"pair {index}: parent {pair['parent'][metric]:.4f}  "
+              f"change {pair['change'][metric]:.4f}", flush=True)
     medians = {
         name: {side: statistics.median(pair[side][name] for pair in runs)
                for side in ("parent", "change")}
-        for name in [*end_to_end_metrics(ROOT), "failed"]
+        for name in [*metrics, "failed"]
     }
-    parent = describe([pair["parent"][METRIC] for pair in runs])
-    change = describe([pair["change"][METRIC] for pair in runs])
-    wins = sum(pair["change"][METRIC] > pair["parent"][METRIC]
-               for pair in runs)
+    parent = describe([pair["parent"][metric] for pair in runs])
+    change = describe([pair["change"][metric] for pair in runs])
+    wins = change_wins(runs, metric, metrics[metric])
     return {
         "workload": args.workload,
         "seed": args.seed,
-        "metric": METRIC,
+        "metric": metric,
+        "better": metrics[metric],
         "pairs": args.pairs,
         "order": "alternating, parent first in even pairs",
         "parent": parent,
@@ -134,6 +148,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="ops_per_wall_s",
+                        help="end-to-end metric the pairs are judged on")
     parser.add_argument("--parent", default="HEAD",
                         help="revision the parent side runs")
     parser.add_argument("--seconds", type=float,
@@ -143,6 +159,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.metric not in end_to_end_metrics(ROOT):
+        parser.error(f"--metric {args.metric!r} is not an end-to-end metric "
+                     f"of BENCHMARK.json")
 
     with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as scratch:
         parent_tree = os.path.join(scratch, "parent")
@@ -151,7 +170,7 @@ def main(argv=None):
     for name, median in summary["medians"].items():
         print(f"{name:>16}: parent median {median['parent']:.4f}  "
               f"change median {median['change']:.4f}")
-    print(f"{METRIC}:")
+    print(f"{summary['metric']} ({summary['better']} is better):")
     for side in ("parent", "change"):
         stats = summary[side]
         print(f"{side:>6}: median {stats['median']:.4f}  "

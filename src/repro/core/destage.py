@@ -17,6 +17,7 @@ through the log control interface; the secondary-side read path
 (:func:`repro.host.api.x_pread`) uses them.
 """
 
+from repro.nand.geometry import PhysicalPageAddress
 from repro.sim.engine import Event
 from repro.ssd.scheduler import Source, WriteRequest
 
@@ -28,13 +29,20 @@ MIN_WAIT_NS = 1.0
 
 
 class DestagePage:
-    """One flash page's worth of destaged log data (possibly padded)."""
+    """One flash page's worth of destaged log data (possibly padded).
+
+    ``chunks`` lists the page's data in stream order as ``(offset, nbytes,
+    payload)`` entries, each a contiguous payload slice: the ring merges
+    the 64 B intake chunks of one ``x_pwrite`` payload into one entry
+    (see :meth:`~repro.core.ring.SequencedRing.consume`), so a page holds
+    a few entries rather than one per chunk.
+    """
 
     __slots__ = ("stream_offset", "chunks", "data_bytes", "filler_bytes")
 
     def __init__(self, stream_offset, chunks, data_bytes, filler_bytes):
         self.stream_offset = stream_offset
-        self.chunks = chunks  # list of (offset, nbytes, payload)
+        self.chunks = chunks  # [(offset, nbytes, payload slice)]
         self.data_bytes = data_bytes
         self.filler_bytes = filler_bytes
 
@@ -267,30 +275,23 @@ class DestageModule:
 
         Only the backing-memory read is awaited here (it orders the
         pipeline); the flash program itself proceeds concurrently with
-        further issues, up to ``max_outstanding_pages``.
+        further issues, up to ``max_outstanding_pages``.  The page is
+        registered in flight before the read, so a power loss during the
+        read finds it and the crash path settles it; the program is then
+        not enqueued.
         """
-        chunks = self.cmb.ring.consume(self.page_bytes)
-        if not chunks:
+        cut = self._cut_page()
+        if cut is None:
             return
-        total = sum(nbytes for _offset, nbytes, _payload in chunks)
+        sequence, lba, page = cut
+        self._inflight_pages[sequence] = page
         # The storage controller reads the backing memory directly (the
         # second of the two data movements of Section 5.1); on a DRAM
         # CMB this read contends with regular buffering traffic.
-        yield self.cmb.backing.read(total)
-        filler = max(0, self.page_bytes - total)
-        page = DestagePage(
-            stream_offset=chunks[0][0],
-            chunks=chunks,
-            data_bytes=total,
-            filler_bytes=filler,
-        )
-        sequence = self.tail_sequence
-        self.tail_sequence += 1
-        if self.tail_sequence - self.head_sequence > self.lba_ring_blocks:
-            self.head_sequence = self.tail_sequence - self.lba_ring_blocks
-        lba = self.lba_ring_start + sequence % self.lba_ring_blocks
+        yield self.cmb.backing.read(page.data_bytes)
+        if self._inflight_pages.get(sequence) is not page:
+            return  # settled by the crash path during the read
         self._outstanding += 1
-        self._inflight_pages[sequence] = page
         tracer = self._tracer
         if self._tracing:
             # One span per destaged page, issue -> program completion; the
@@ -298,8 +299,8 @@ class DestageModule:
             # CMB intake spans of the chunks it bundles.
             self._trace_tokens[sequence] = tracer.begin(
                 self.name, "page-program", flow=page.stream_offset,
-                sequence=sequence, lba=lba, data_bytes=total,
-                filler_bytes=filler,
+                sequence=sequence, lba=lba, data_bytes=page.data_bytes,
+                filler_bytes=page.filler_bytes,
             )
             tracer.counter(self.name, "outstanding", self._outstanding)
         # The PM ring space is reclaimable as soon as the page is issued:
@@ -319,6 +320,36 @@ class DestageModule:
         )
         done.then(lambda _event, s=sequence, p=page: self._on_programmed(s, p))
 
+    def _cut_page(self):
+        """Take the ring's head as the next page in the LBA ring.
+
+        Returns ``(sequence, lba, page)``, or ``None`` when the ring has
+        nothing contiguous to take.  Allocating the sequence may push the
+        oldest retained page out of the ring (the head advances).
+        """
+        chunks = self.cmb.ring.consume(self.page_bytes)
+        if not chunks:
+            return None
+        offset = chunks[0][0]
+        last_offset, last_nbytes, _payload = chunks[-1]
+        total = last_offset + last_nbytes - offset
+        page = DestagePage(offset, chunks, total,
+                           max(0, self.page_bytes - total))
+        sequence = self.tail_sequence
+        self.tail_sequence += 1
+        if self.tail_sequence - self.head_sequence > self.lba_ring_blocks:
+            self.head_sequence = self.tail_sequence - self.lba_ring_blocks
+        return sequence, self._lba(sequence), page
+
+    def _lba(self, sequence):
+        return self.lba_ring_start + sequence % self.lba_ring_blocks
+
+    def _publish(self, page):
+        """``page`` joins the durable prefix (its space is already free)."""
+        self.pages_written += 1
+        self.filler_bytes_total += page.filler_bytes
+        self.destaged_offset = page.end_offset
+
     def _on_programmed(self, sequence, page):
         """Apply completions in sequence order (prefix rule)."""
         self._outstanding -= 1
@@ -332,12 +363,8 @@ class DestageModule:
         self._completed_pages[sequence] = page
         advanced = False
         while self.durable_tail in self._completed_pages:
-            applied = self._completed_pages.pop(self.durable_tail)
+            self._publish(self._completed_pages.pop(self.durable_tail))
             self.durable_tail += 1
-            self.pages_written += 1
-            self.filler_bytes_total += applied.filler_bytes
-            # Durable prefix (space was already released at issue time).
-            self.destaged_offset = applied.end_offset
             advanced = True
         if advanced and self._tracing:
             # The *publication* point: out-of-order completions only
@@ -366,63 +393,57 @@ class DestageModule:
         Simulation time does not advance — the host is already down; what
         matters is the post-reboot state.
         """
-        pages = 0
+        pages_before = self.pages_written
         # First settle pages already consumed from the ring: completed
-        # ones apply directly; in-flight programs finish under reserve
-        # energy (their data would otherwise leave a hole in the stream).
+        # ones apply directly; in-flight programs, and a page whose
+        # backing-memory read was under way, finish under reserve energy
+        # (their data would otherwise leave a hole in the stream).
         while (self.durable_tail in self._completed_pages
                or self.durable_tail in self._inflight_pages):
             sequence = self.durable_tail
             page = self._completed_pages.pop(
                 sequence, None
             ) or self._inflight_pages.pop(sequence)
-            lba = self.lba_ring_start + sequence % self.lba_ring_blocks
+            lba = self._lba(sequence)
             if self.scheduler.ftl.table.lookup(lba) is None:
                 self._emergency_program(lba, page)
             self.durable_tail = sequence + 1
-            self.filler_bytes_total += page.filler_bytes
-            self.destaged_offset = page.end_offset
             self.cmb.ring.release(page.end_offset)
-            pages += 1
+            self._publish(page)
         self._inflight_pages.clear()
         self._completed_pages.clear()
         # Then destage whatever contiguous data remains in the PM ring.
         while self.cmb.ring.consumable_bytes() > 0:
-            chunks = self.cmb.ring.consume(self.page_bytes)
-            total = sum(nbytes for _offset, nbytes, _payload in chunks)
-            page = DestagePage(
-                stream_offset=chunks[0][0],
-                chunks=chunks,
-                data_bytes=total,
-                filler_bytes=max(0, self.page_bytes - total),
-            )
-            sequence = self.tail_sequence
-            self.tail_sequence += 1
-            if self.tail_sequence - self.head_sequence > self.lba_ring_blocks:
-                self.head_sequence = self.tail_sequence - self.lba_ring_blocks
-            lba = self.lba_ring_start + sequence % self.lba_ring_blocks
+            sequence, lba, page = self._cut_page()
             # Bypass the scheduler: reserve energy powers a direct path.
             self.scheduler.ftl.table.unbind(lba)
             self._emergency_program(lba, page)
             self.durable_tail = max(self.durable_tail, sequence + 1)
-            self.destaged_offset = page.end_offset
             self.cmb.ring.release(page.end_offset)
-            pages += 1
+            self._publish(page)
         # Anything beyond the first gap is lost (consistent with the
         # credit counter the host saw); the crash injector accounts for
         # the dropped chunks.
-        self.pages_written += pages
-        return pages
+        return self.pages_written - pages_before
 
     def _emergency_program(self, lba, page):
-        """Zero-time program used only by the power-loss path."""
-        ftl = self.scheduler.ftl
-        channel_id, way, block, page_no = ftl.allocator.place()
-        channel = ftl.channels[channel_id]
-        die = channel.die(way)
-        die.program_page(block, page_no, page, self.page_bytes)
-        from repro.nand.geometry import PhysicalPageAddress
+        """Zero-time program used only by the power-loss path.
 
+        A die whose open block has a page placed but not yet programmed
+        (a program still in its data phase) is skipped: writing behind
+        that page would break NAND's ascending program order.
+        """
+        ftl = self.scheduler.ftl
+        channels = ftl.channels
+
+        def programmable(placement):
+            channel_id, way, block, page_no = placement
+            die = channels[channel_id].die(way)
+            return len(die.blocks[block].pages) == page_no
+
+        channel_id, way, block, page_no = ftl.allocator.place(programmable)
+        channels[channel_id].die(way).program_page(block, page_no, page,
+                                                   self.page_bytes)
         ftl.table.bind(lba, PhysicalPageAddress(channel_id, way, block,
                                                 page_no))
 
@@ -438,5 +459,4 @@ class DestageModule:
                 f"sequence {sequence} outside retained window "
                 f"[{self.head_sequence}, {self.durable_tail})"
             )
-        lba = self.lba_ring_start + sequence % self.lba_ring_blocks
-        return self.scheduler.ftl.read(lba)
+        return self.scheduler.ftl.read(self._lba(sequence))

@@ -103,23 +103,50 @@ class SequencedRing:
     def consume(self, max_bytes):
         """Take up to ``max_bytes`` of contiguous chunks, in stream order.
 
-        Returns a list of ``(offset, nbytes, payload)``.  A chunk is never
-        split: the last chunk may push the total slightly over
-        ``max_bytes`` only if it is the *first* chunk taken (so a consumer
-        asking for at least one page's worth always makes progress).
+        A chunk is never split: the last chunk may push the total slightly
+        over ``max_bytes`` only if it is the *first* chunk taken (so a
+        consumer asking for at least one page's worth always makes
+        progress).
+
+        Returns a list of ``(offset, nbytes, payload)`` entries, each a
+        contiguous payload slice: adjacent taken chunks whose payloads
+        are ``(src, cursor, step)`` slices of one ``src`` object, with
+        contiguous cursors and ``nbytes == step`` on both, come back as
+        one entry ``(offset, total, (src, first_cursor, total))``.  A torn
+        chunk (``nbytes != step``), a ``None`` or any other payload stays
+        an entry of its own.  Merging changes no byte count or offset.
         """
         if max_bytes <= 0:
             return []
         taken = []
         total = 0
         ready = self._ready
+        # The last entry's source and the cursor a slice must start at to
+        # extend it (the stream offsets of ready chunks are contiguous).
+        run_src = run_end = None
         while ready:
-            nbytes = ready[0][1]
+            chunk = ready[0]
+            _offset, nbytes, payload = chunk
             if taken and total + nbytes > max_bytes:
                 break
-            taken.append(ready.popleft())
+            ready.popleft()
             total += nbytes
             self._consumed += nbytes
+            if (type(payload) is tuple and len(payload) == 3
+                    and payload[2] == nbytes and type(payload[1]) is int):
+                src, cursor, _step = payload
+                if cursor == run_end and src is run_src:
+                    first, run_bytes, (_src, first_cursor, _run) = taken[-1]
+                    run_bytes += nbytes
+                    taken[-1] = (first, run_bytes,
+                                 (src, first_cursor, run_bytes))
+                else:
+                    taken.append(chunk)
+                    run_src = src
+                run_end = cursor + nbytes
+            else:
+                taken.append(chunk)
+                run_src = run_end = None
             if total >= max_bytes:
                 break
         return taken

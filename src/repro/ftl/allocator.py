@@ -73,12 +73,13 @@ class BlockAllocator:
 
     # -- placement ----------------------------------------------------------------
 
-    def place(self):
+    def place(self, ready=None):
         """Choose the physical page for the next write.
 
         Returns ``(channel, way, block, page)``.  Raises
         :class:`OutOfSpaceError` when every die is exhausted (the GC should
-        have run long before this).
+        have run long before this), or when ``ready`` — a predicate on a
+        candidate placement — refuses every die's next page.
 
         On a multi-plane geometry, single placements *prefer* a die whose
         stripe cursor sits mid-page (``next_plane != 0``): completing
@@ -99,6 +100,8 @@ class BlockAllocator:
                         die[0], die[1], cursor.blocks[cursor.next_plane],
                         cursor.next_page,
                     )
+                    if ready is not None and not ready(placement):
+                        continue
                     self._advance(die, cursor)
                     return placement
         for _ in range(len(self._die_order)):
@@ -111,9 +114,13 @@ class BlockAllocator:
                 die[0], die[1], cursor.blocks[cursor.next_plane],
                 cursor.next_page,
             )
+            if ready is not None and not ready(placement):
+                continue
             self._advance(die, cursor)
             return placement
-        raise OutOfSpaceError("no erased blocks left on any die")
+        raise OutOfSpaceError(
+            "no erased blocks left on any die" if ready is None
+            else "no die can take the page now")
 
     def place_stripe(self, count):
         """Aligned multi-plane placements: one page per plane of one die.

@@ -135,21 +135,73 @@ def test_destage_all_now_flushes_contiguous_prefix():
     assert cmb.ring.drop_pending() == 1
 
 
+def crash(cmb, destage):
+    """The power-loss steps the destage tests need: stop, then destage."""
+    cmb.stop()
+    destage.stop()
+    return destage.destage_all_now()
+
+
 def test_destage_all_now_counts_each_settled_page_once():
-    # Two page programs in flight at the crash: the crash path finishes
-    # them under reserve energy, and each counts as one page written.
+    # Two page programs in flight at the crash and a third page in its
+    # backing-memory read: the crash path finishes all three under
+    # reserve energy, and each counts as one page written.
     engine, cmb, destage = make_stack(latency_threshold_ns=1e12)
     feed(engine, cmb, 3 * PAGE)
     engine.run(until=6_000.0)
     assert destage.outstanding_pages == 2
     assert destage.pages_written == 0
-    cmb.stop()
-    destage.stop()
-    pages = destage.destage_all_now()
-    assert pages == 2
-    assert destage.pages_written == 2
-    assert destage.durable_tail == 2
-    assert destage.destaged_offset == 2 * PAGE
+    pages = crash(cmb, destage)
+    assert pages == 3
+    assert destage.pages_written == 3
+    assert destage.durable_tail == 3
+    assert destage.destaged_offset == 3 * PAGE
+
+
+def test_crash_during_a_page_read_keeps_the_page_and_issues_nothing():
+    # The third page's chunks have left the ring for its backing-memory
+    # read when the power fails: the crash path must still destage it (up
+    # to the credit the host saw), and the interrupted issue must not
+    # program it on the stopped module afterwards.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12)
+    feed(engine, cmb, 3 * PAGE)
+    engine.run(until=6_000.0)
+    assert cmb.credit.value == 3 * PAGE
+    assert cmb.ring.consumable_bytes() == 0
+    crash(cmb, destage)
+    assert destage.destaged_offset == cmb.credit.value
+    enqueued = []
+    destage.scheduler.enqueue = enqueued.append
+    state = (destage.tail_sequence, destage.durable_tail,
+             destage.pages_written, destage.destaged_offset)
+    engine.run(until=10_000_000.0)
+    assert enqueued == []
+    assert (destage.tail_sequence, destage.durable_tail,
+            destage.pages_written, destage.destaged_offset) == state
+
+
+def test_crash_beside_programs_in_their_data_phase_keeps_program_order():
+    # Emergency programs must not land behind a page placed for a
+    # program still in its data phase (NAND programs a block's pages in
+    # ascending order).  Placing it there raises ProgramOrderError.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12)
+    feed(engine, cmb, 6 * PAGE)
+    engine.run(until=6_000.0)
+    assert cmb.ring.consumable_bytes() > 0
+    credit = cmb.credit.value
+    crash(cmb, destage)
+    assert destage.destaged_offset == credit
+    engine.run(until=10_000_000.0)  # the in-flight programs complete
+
+
+def test_ring_cut_pages_count_their_filler():
+    # A crash with 1000 B waiting short of a page: the crash path cuts a
+    # padded page from the ring, and its filler counts like any other.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12)
+    feed(engine, cmb, 1000)
+    engine.run(until=1_000_000.0)
+    assert crash(cmb, destage) == 1
+    assert destage.filler_bytes_total == PAGE - 1000
 
 
 def test_same_instant_restart_leaves_one_loop():

@@ -7,13 +7,15 @@ engine performs per acknowledged operation is not.  These cells count
 group-commit and NVMe cells count timers created, the group-commit cell
 ``Tlp`` objects built, and the group-commit and chain cells
 immediate-queue dispatches and ``Event`` constructions (a reused event
-makes no construction but still costs a dispatch).  Ceilings sit about
+makes no construction but still costs a dispatch), and the group-commit
+cell also the chunk entries each destaged page holds.  Ceilings sit about
 10% above the counts measured when the counter reporters, the CMB
 intake and the destage loop became change-driven.  A loop that wakes
 without news — a reporter ticking through idle periods, a per-chunk
 intake process, a destage loop re-arming its deadline on every credit
 advance or hopping through fresh events, a timer per DMA packet, a
-packet object per MMIO store or credit poll with no tap to see it —
+packet object per MMIO store or credit poll with no tap to see it, a
+destaged page that keeps one entry per 64 B intake chunk —
 pushes a cell over its ceiling deterministically.
 """
 
@@ -24,6 +26,7 @@ import pytest
 
 from repro.cluster import Fleet, run_shard_body
 from repro.cluster.topology import replicated_chain
+from repro.core.destage import DestagePage
 from repro.faults.scenario import chaos_config_factory
 from repro.nand.geometry import Geometry
 from repro.pcie.tlp import Tlp
@@ -53,7 +56,10 @@ from tests.conftest import (
 # 7.96, once the destage loop reused its one hop event and ran its
 # second hop in place when nothing was queued between (146.3 and 146.9,
 # 14.6 and 14.3 with two fresh hop events per wake).  The chain's
-# dispatch ceiling sits 5% above, under the two-hop count.
+# dispatch ceiling sits 5% above, under the two-hop count.  Chunk
+# entries per destaged page in the group-commit cell: 10.83 once the ring
+# merges one payload's contiguous slices (62.3 with one entry per 64 B
+# chunk); the ceiling sits 10% above.
 CHAIN_CEILING = 162.1
 CHAIN_DISPATCH_CEILING = 144.2
 CHAIN_EVENT_CEILING = 105.6
@@ -65,6 +71,7 @@ NVME_READ_TIMEOUT_CEILING = 6.6
 GROUP_COMMIT_TLP_CEILING = 0
 GROUP_COMMIT_DISPATCH_CEILING = 12.6
 GROUP_COMMIT_EVENT_CEILING = 8.8
+GROUP_COMMIT_PAGE_ENTRIES_CEILING = 11.9
 
 
 @pytest.fixture
@@ -115,6 +122,20 @@ def immediates(monkeypatch):
     monkeypatch.setattr(Engine, "_install_timeout_fast_path",
                         counting_install)
     monkeypatch.setattr(Event, "__init__", counting_construct)
+    return counted
+
+
+@pytest.fixture
+def page_entries(monkeypatch):
+    """Record the chunk entries of every destaged page built."""
+    counted = []
+    construct = DestagePage.__init__
+
+    def counting_construct(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        counted.append(len(self.chunks))
+
+    monkeypatch.setattr(DestagePage, "__init__", counting_construct)
     return counted
 
 
@@ -284,10 +305,13 @@ def test_timers_per_nvme_read(timeouts):
 
 
 def test_group_commit_events_per_commit(resumes, timeouts, tlps,
-                                       immediates):
+                                       immediates, page_entries):
     ops = group_commit_txns(seed=7)
     assert resumes["resumes"] / ops <= GROUP_COMMIT_CEILING
     assert timeouts["timeouts"] / ops <= GROUP_COMMIT_TIMEOUT_CEILING
     assert tlps["tlps"] / ops <= GROUP_COMMIT_TLP_CEILING
     assert immediates["dispatches"] / ops <= GROUP_COMMIT_DISPATCH_CEILING
     assert immediates["events"] / ops <= GROUP_COMMIT_EVENT_CEILING
+    assert page_entries
+    assert (sum(page_entries) / len(page_entries)
+            <= GROUP_COMMIT_PAGE_ENTRIES_CEILING)
