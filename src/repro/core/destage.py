@@ -114,6 +114,9 @@ class DestageModule:
         self._outstanding = 0
         self._completed_pages = {}  # sequence -> DestagePage
         self._inflight_pages = {}  # sequence -> DestagePage (issued)
+        # Pages taken from the ring whose backing-memory read is under
+        # way, keyed by stream offset (so in stream order); no sequence yet.
+        self._reading = {}
         # Tracing: open page-program spans keyed by sequence.
         self._trace_tokens = {}
         self._running = False
@@ -275,23 +278,24 @@ class DestageModule:
 
         Only the backing-memory read is awaited here (it orders the
         pipeline); the flash program itself proceeds concurrently with
-        further issues, up to ``max_outstanding_pages``.  The page is
-        registered in flight before the read, so a power loss during the
-        read finds it and the crash path settles it; the program is then
-        not enqueued.
+        further issues, up to ``max_outstanding_pages``.  While the read
+        is under way the page waits in ``_reading``, where a power loss
+        finds it: the crash path then destages it, and the program is not
+        enqueued.
         """
-        cut = self._cut_page()
-        if cut is None:
+        page = self._take_page()
+        if page is None:
             return
-        sequence, lba, page = cut
-        self._inflight_pages[sequence] = page
+        self._reading[page.stream_offset] = page
         # The storage controller reads the backing memory directly (the
         # second of the two data movements of Section 5.1); on a DRAM
         # CMB this read contends with regular buffering traffic.
         yield self.cmb.backing.read(page.data_bytes)
-        if self._inflight_pages.get(sequence) is not page:
-            return  # settled by the crash path during the read
+        if self._reading.pop(page.stream_offset, None) is not page:
+            return  # destaged by the crash path during the read
+        sequence, lba = self._allocate()
         self._outstanding += 1
+        self._inflight_pages[sequence] = page
         tracer = self._tracer
         if self._tracing:
             # One span per destaged page, issue -> program completion; the
@@ -320,26 +324,28 @@ class DestageModule:
         )
         done.then(lambda _event, s=sequence, p=page: self._on_programmed(s, p))
 
-    def _cut_page(self):
-        """Take the ring's head as the next page in the LBA ring.
-
-        Returns ``(sequence, lba, page)``, or ``None`` when the ring has
-        nothing contiguous to take.  Allocating the sequence may push the
-        oldest retained page out of the ring (the head advances).
-        """
+    def _take_page(self):
+        """Take the ring's head as one page, or ``None`` if it is empty."""
         chunks = self.cmb.ring.consume(self.page_bytes)
         if not chunks:
             return None
         offset = chunks[0][0]
         last_offset, last_nbytes, _payload = chunks[-1]
         total = last_offset + last_nbytes - offset
-        page = DestagePage(offset, chunks, total,
+        return DestagePage(offset, chunks, total,
                            max(0, self.page_bytes - total))
+
+    def _allocate(self):
+        """The next page's ``(sequence, lba)`` in the LBA ring.
+
+        Called when the page's program is about to bind that LBA, so the
+        oldest retained page leaves the ring (the head advances) only then.
+        """
         sequence = self.tail_sequence
         self.tail_sequence += 1
         if self.tail_sequence - self.head_sequence > self.lba_ring_blocks:
             self.head_sequence = self.tail_sequence - self.lba_ring_blocks
-        return sequence, self._lba(sequence), page
+        return sequence, self._lba(sequence)
 
     def _lba(self, sequence):
         return self.lba_ring_start + sequence % self.lba_ring_blocks
@@ -394,10 +400,9 @@ class DestageModule:
         matters is the post-reboot state.
         """
         pages_before = self.pages_written
-        # First settle pages already consumed from the ring: completed
-        # ones apply directly; in-flight programs, and a page whose
-        # backing-memory read was under way, finish under reserve energy
-        # (their data would otherwise leave a hole in the stream).
+        # First settle pages already issued: completed ones apply
+        # directly; in-flight programs finish under reserve energy (their
+        # data would otherwise leave a hole in the stream).
         while (self.durable_tail in self._completed_pages
                or self.durable_tail in self._inflight_pages):
             sequence = self.durable_tail
@@ -412,34 +417,42 @@ class DestageModule:
             self._publish(page)
         self._inflight_pages.clear()
         self._completed_pages.clear()
-        # Then destage whatever contiguous data remains in the PM ring.
+        # Then, in stream order, the pages caught in their backing-memory
+        # read and whatever contiguous data remains in the PM ring.
+        for page in self._reading.values():
+            self._emergency_destage(page)
+        self._reading.clear()
         while self.cmb.ring.consumable_bytes() > 0:
-            sequence, lba, page = self._cut_page()
-            # Bypass the scheduler: reserve energy powers a direct path.
-            self.scheduler.ftl.table.unbind(lba)
-            self._emergency_program(lba, page)
-            self.durable_tail = max(self.durable_tail, sequence + 1)
-            self.cmb.ring.release(page.end_offset)
-            self._publish(page)
+            self._emergency_destage(self._take_page())
         # Anything beyond the first gap is lost (consistent with the
         # credit counter the host saw); the crash injector accounts for
         # the dropped chunks.
         return self.pages_written - pages_before
 
+    def _emergency_destage(self, page):
+        """Program a page no issued program covers, in the next sequence."""
+        sequence, lba = self._allocate()
+        # Bypass the scheduler: reserve energy powers a direct path.
+        self.scheduler.ftl.table.unbind(lba)
+        self._emergency_program(lba, page)
+        self.durable_tail = max(self.durable_tail, sequence + 1)
+        self.cmb.ring.release(page.end_offset)
+        self._publish(page)
+
     def _emergency_program(self, lba, page):
         """Zero-time program used only by the power-loss path.
 
-        A die whose open block has a page placed but not yet programmed
-        (a program still in its data phase) is skipped: writing behind
-        that page would break NAND's ascending program order.
+        A die that cannot program its next placement now (a program still
+        in its data phase holds an earlier page of that block) is skipped:
+        writing behind that page would break NAND's ascending program
+        order.
         """
         ftl = self.scheduler.ftl
         channels = ftl.channels
 
         def programmable(placement):
             channel_id, way, block, page_no = placement
-            die = channels[channel_id].die(way)
-            return len(die.blocks[block].pages) == page_no
+            return channels[channel_id].die(way).can_program(block, page_no)
 
         channel_id, way, block, page_no = ftl.allocator.place(programmable)
         channels[channel_id].die(way).program_page(block, page_no, page,

@@ -115,6 +115,9 @@ class SequencedRing:
         one entry ``(offset, total, (src, first_cursor, total))``.  A torn
         chunk (``nbytes != step``), a ``None`` or any other payload stays
         an entry of its own.  Merging changes no byte count or offset.
+        The ``(src, cursor, step)`` chunk format is the one
+        :meth:`repro.host.api.XssdLogFile.x_pwrite` writes and
+        :meth:`repro.db.recovery.LogReader.feed` decodes.
         """
         if max_bytes <= 0:
             return []
@@ -133,7 +136,7 @@ class SequencedRing:
             total += nbytes
             self._consumed += nbytes
             if (type(payload) is tuple and len(payload) == 3
-                    and payload[2] == nbytes and type(payload[1]) is int):
+                    and payload[2] == nbytes):
                 src, cursor, _step = payload
                 if cursor == run_end and src is run_src:
                     first, run_bytes, (_src, first_cursor, _run) = taken[-1]

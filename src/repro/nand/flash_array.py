@@ -109,6 +109,11 @@ class FlashDie:
         """True when no operation holds the die and none is queued."""
         return self.busy.in_use == 0 and self.busy.queue_length == 0
 
+    def can_program(self, block, page):
+        """True when ``page`` is the next page ``block`` programs (NAND
+        programs a block's pages in ascending order)."""
+        return page == len(self.blocks[block].pages)
+
     def program_page(self, block, page, payload, nbytes):
         """State change only; timing is applied by the channel."""
         self.blocks[block].program(page, payload, nbytes)

@@ -1,8 +1,11 @@
 """Tests for the Destage module: page bundling, filler, ring-of-LBAs, crash."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.cmb import CmbModule
+from repro.core.crash import read_durable_pages
 from repro.core.destage import DestageModule
 from repro.ftl.mapping import PageMappingFtl
 from repro.nand.channel import Channel
@@ -178,6 +181,38 @@ def test_crash_during_a_page_read_keeps_the_page_and_issues_nothing():
     assert enqueued == []
     assert (destage.tail_sequence, destage.durable_tail,
             destage.pages_written, destage.destaged_offset) == state
+
+
+def test_crash_during_a_page_read_on_a_wrapped_ring_programs_the_page():
+    # The LBA ring (4 blocks) has wrapped, so the LBA of the page caught
+    # in its backing-memory read is still bound to the page four
+    # sequences older.  The crash path must program the new page there
+    # all the same: reading the durable prefix back must give its data,
+    # not the old page's.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12,
+                                      ring_blocks=4)
+    feed(engine, cmb, 6 * PAGE)
+    engine.run(until=10_000_000.0)
+    assert destage.durable_tail == 6
+    assert destage.outstanding_pages == 0
+
+    def seventh_page():
+        for offset in range(6 * PAGE, 7 * PAGE, 512):
+            yield cmb.receive(offset, 512, f"log@{offset}")
+
+    engine.process(seventh_page())
+    while not (cmb.credit.value == 7 * PAGE
+               and cmb.ring.consumable_bytes() == 0):
+        engine.run(until=engine.now + 100.0)
+    assert destage.tail_sequence == 6  # the page is in its read
+    assert crash(cmb, destage) == 1
+    assert destage.destaged_offset == 7 * PAGE
+    pages, errors = read_durable_pages(engine,
+                                       SimpleNamespace(destage=destage))
+    assert errors == []
+    assert [page.stream_offset for page in pages] == [
+        PAGE * sequence for sequence in range(destage.head_sequence, 7)
+    ]
 
 
 def test_crash_beside_programs_in_their_data_phase_keeps_program_order():
