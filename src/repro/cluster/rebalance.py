@@ -97,13 +97,6 @@ class ShardMigration:
                            source=self.source.name, dest=self.dest.name,
                            **detail)
 
-    def phase_times(self):
-        """Phase -> entry time, for crash-candidate enumeration."""
-        times = {}
-        for event in self.events:
-            times.setdefault(event["phase"], event["time_ns"])
-        return times
-
     # -- the protocol ---------------------------------------------------------------
 
     def _run(self):

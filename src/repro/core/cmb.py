@@ -146,9 +146,10 @@ class CmbModule:
         returns the queue-space grant when the chunk must wait for
         space, ``None`` when it was shed or entered at once.
 
-        The CMB's MMIO region delivers its data here (``on_write``
-        callbacks take the same ``(offset, nbytes, payload)``): the
-        packet's sender is the wire, which waits on no enqueue.
+        The CMB's MMIO region (``on_write`` callbacks take the same
+        ``(offset, nbytes, payload)``) and the transport's mirror packets
+        deliver their data here: the packet's sender is the wire, which
+        waits on no enqueue.
         """
         if nbytes <= 0:
             raise ValueError("chunks must carry at least one byte")
@@ -194,19 +195,6 @@ class CmbModule:
         granted = self._queue_space.get(nbytes)
         granted.then(lambda _event: self._enqueued(chunk))
         return granted
-
-    def receive_tlp(self, tlp):
-        """Adapter: unpack a mirrored TLP's contributions into the intake.
-
-        Contributions are ``(stream_offset, nbytes, payload)`` triples the
-        sending transport attached in ``tlp.metadata`` (the simulator's
-        stand-in for inferring stream position from the write address).
-        Returns nothing: the packet's sender is the wire, which waits on
-        no enqueue, so no event is made for it (each chunk still waits
-        for queue space as :meth:`receive` would).
-        """
-        for offset, nbytes, payload in tlp.metadata["contributions"]:
-            self.intake(offset, nbytes, payload)
 
     # -- queue -> backing memory ----------------------------------------------------
 

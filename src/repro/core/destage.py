@@ -113,7 +113,7 @@ class DestageModule:
         # Out-of-order completion tracking (prefix rule, like the WAL's).
         self._outstanding = 0
         self._completed_pages = {}  # sequence -> DestagePage
-        self._inflight_pages = {}  # sequence -> DestagePage (issued)
+        self._inflight = {}  # sequence -> WriteRequest (issued)
         # Pages taken from the ring whose backing-memory read is under
         # way, keyed by stream offset (so in stream order); no sequence yet.
         self._reading = {}
@@ -295,7 +295,6 @@ class DestageModule:
             return  # destaged by the crash path during the read
         sequence, lba = self._allocate()
         self._outstanding += 1
-        self._inflight_pages[sequence] = page
         tracer = self._tracer
         if self._tracing:
             # One span per destaged page, issue -> program completion; the
@@ -314,14 +313,13 @@ class DestageModule:
         # is what lets destaging pipeline deeper than the small SRAM ring.
         self.cmb.ring.release(page.end_offset)
         self.cmb.ring_space_freed()
-        done = self.scheduler.enqueue(
-            WriteRequest(
-                source=Source.DESTAGE,
-                lba=lba,
-                payload=page,
-                nbytes=self.page_bytes,  # a full flash page is programmed
-            )
+        request = self._inflight[sequence] = WriteRequest(
+            source=Source.DESTAGE,
+            lba=lba,
+            payload=page,
+            nbytes=self.page_bytes,  # a full flash page is programmed
         )
+        done = self.scheduler.enqueue(request)
         done.then(lambda _event, s=sequence, p=page: self._on_programmed(s, p))
 
     def _take_page(self):
@@ -359,14 +357,15 @@ class DestageModule:
     def _on_programmed(self, sequence, page):
         """Apply completions in sequence order (prefix rule)."""
         self._outstanding -= 1
-        self._inflight_pages.pop(sequence, None)
+        self._inflight.pop(sequence, None)
         tracer = self._tracer
         if self._tracing:
             token = self._trace_tokens.pop(sequence, None)
             if token is not None:
                 tracer.end(token)
             tracer.counter(self.name, "outstanding", self._outstanding)
-        self._completed_pages[sequence] = page
+        if sequence >= self.durable_tail:  # else the crash path settled it
+            self._completed_pages[sequence] = page
         advanced = False
         while self.durable_tail in self._completed_pages:
             self._publish(self._completed_pages.pop(self.durable_tail))
@@ -400,22 +399,26 @@ class DestageModule:
         matters is the post-reboot state.
         """
         pages_before = self.pages_written
-        # First settle pages already issued: completed ones apply
-        # directly; in-flight programs finish under reserve energy (their
-        # data would otherwise leave a hole in the stream).
+        # First settle pages already issued, in sequence order: a completed
+        # program has bound its LBA; an in-flight one is finished here
+        # under reserve energy (its data would otherwise leave a hole in
+        # the stream).  Its queued request is withdrawn, and a program
+        # already under way binds nothing when it completes, so it cannot
+        # rebind an LBA the crash path has since given a newer sequence.
         while (self.durable_tail in self._completed_pages
-               or self.durable_tail in self._inflight_pages):
+               or self.durable_tail in self._inflight):
             sequence = self.durable_tail
-            page = self._completed_pages.pop(
-                sequence, None
-            ) or self._inflight_pages.pop(sequence)
-            lba = self._lba(sequence)
-            if self.scheduler.ftl.table.lookup(lba) is None:
-                self._emergency_program(lba, page)
+            page = self._completed_pages.pop(sequence, None)
+            if page is None:
+                request = self._inflight.pop(sequence)
+                page = request.payload
+                if self.scheduler.withdraw(request):
+                    self._outstanding -= 1
+                self._emergency_program(request.lba, page)
             self.durable_tail = sequence + 1
             self.cmb.ring.release(page.end_offset)
             self._publish(page)
-        self._inflight_pages.clear()
+        self._inflight.clear()
         self._completed_pages.clear()
         # Then, in stream order, the pages caught in their backing-memory
         # read and whatever contiguous data remains in the PM ring.
@@ -432,16 +435,17 @@ class DestageModule:
     def _emergency_destage(self, page):
         """Program a page no issued program covers, in the next sequence."""
         sequence, lba = self._allocate()
-        # Bypass the scheduler: reserve energy powers a direct path.
-        self.scheduler.ftl.table.unbind(lba)
         self._emergency_program(lba, page)
         self.durable_tail = max(self.durable_tail, sequence + 1)
         self.cmb.ring.release(page.end_offset)
         self._publish(page)
 
     def _emergency_program(self, lba, page):
-        """Zero-time program used only by the power-loss path.
+        """Zero-time program used only by the power-loss path; ``lba``
+        then maps to ``page`` alone.
 
+        Reserve energy powers a direct path that bypasses the scheduler.
+        Writes to ``lba`` still under way bind nothing when they complete.
         A die that cannot program its next placement now (a program still
         in its data phase holds an earlier page of that block) is skipped:
         writing behind that page would break NAND's ascending program
@@ -449,6 +453,8 @@ class DestageModule:
         """
         ftl = self.scheduler.ftl
         channels = ftl.channels
+        ftl.void_writes(lba)
+        ftl.table.unbind(lba)
 
         def programmable(placement):
             channel_id, way, block, page_no = placement

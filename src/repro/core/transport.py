@@ -23,7 +23,6 @@ import enum
 from collections import deque
 
 from repro.core.replication import EagerReplication
-from repro.pcie.tlp import Tlp, TlpType
 from repro.sim.rng import derive
 from repro.sim.stats import Counter
 
@@ -111,15 +110,9 @@ class MirrorFlow:
             yield self.engine.timeout(MIRROR_REPACKAGE_NS)
             attempt = 0
             while self.running:
-                tlp = Tlp(
-                    TlpType.MEMORY_WRITE,
-                    address=offset,
-                    payload=nbytes,
-                    metadata={"contributions": [(offset, nbytes, payload)],
-                              "kind": "mirror"},
-                )
-                delivered = yield self.ntb_port.send(tlp)
-                if delivered is not None:
+                delivered = yield self.ntb_port.send(
+                    "mirror", offset, nbytes, offset, nbytes, payload)
+                if delivered:
                     self.bytes_shipped += nbytes
                     if token is not None:
                         tracer.end(token, attempts=attempt + 1)
@@ -498,29 +491,29 @@ class TransportModule:
 
     # -- packet receive (both roles) ----------------------------------------------------
 
-    def _on_ntb_packet(self, tlp):
+    def _on_ntb_packet(self, kind, address, _nbytes, corrupted, *body):
         if not self.receiving:
             self.dropped_while_down += 1
             if self._tracing:
                 self._tracer.instant(self.name, "dropped-while-down",
-                                     address=tlp.address)
+                                     address=address)
             return
-        if tlp.metadata.get("corrupted"):
+        if corrupted:
             # Failed end-to-end check: the packet never reaches the CMB.
             # Its stream range stays missing until re-shipped, exactly
             # like a drop — but the wire bandwidth was spent.
             self.corrupt_dropped += 1
             if self._tracing:
                 self._tracer.instant(self.name, "corrupt-dropped",
-                                     address=tlp.address)
+                                     address=address)
             return
-        kind = tlp.metadata.get("kind")
         if kind == "mirror":
-            # Secondary: feed the mirrored write into the local CMB.
-            self.cmb.receive_tlp(tlp)
+            # Secondary: feed the mirrored write into the local CMB.  The
+            # wire waits on no enqueue, so the intake's event is unused
+            # (the chunk still waits for queue space).
+            self.cmb.intake(*body)
         elif kind == "counter-update":
-            peer = tlp.metadata["peer"]
-            value = tlp.metadata["value"]
+            peer, value = body
             self.counter_updates_received += 1
             self.update_arrival_ns[peer] = self.engine.now
             shadow = self.shadow_counters.get(peer)
@@ -627,17 +620,8 @@ class TransportModule:
             self._tracer.instant(self.name, "counter-update-sent",
                                  value=value)
         yield self.engine.timeout(COUNTER_UPDATE_COST_NS)
-        update = Tlp(
-            TlpType.MEMORY_WRITE,
-            address=0,
-            payload=COUNTER_UPDATE_BYTES,
-            metadata={
-                "kind": "counter-update",
-                "peer": self.name,
-                "value": value,
-            },
-        )
-        yield self.ntb_port.send(update)
+        yield self.ntb_port.send("counter-update", 0, COUNTER_UPDATE_BYTES,
+                                 self.name, value)
 
     def _report_value(self):
         """What this secondary reports upstream.

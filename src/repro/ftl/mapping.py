@@ -124,6 +124,10 @@ class PageMappingFtl:
         self.read_retries = 0
         self.read_retirements = 0
         self._space_low_callbacks = []
+        # Writes started so far, and per LBA how many had started when its
+        # writes under way were voided (see ``void_writes``).
+        self._writes_started = 0
+        self._voided_before = {}
 
     def on_space_low(self, callback):
         """Register ``callback()`` fired after a write leaves space low.
@@ -144,6 +148,15 @@ class PageMappingFtl:
             self._write_proc(lba, payload, nbytes, op_class),
             name=f"ftl-write {lba}"
         )
+
+    def void_writes(self, lba):
+        """Writes to ``lba`` already started still program their page but
+        bind nothing: a power loss settled their data elsewhere.
+
+        The crash path calls this before it binds ``lba`` itself, so a
+        program still under way cannot bind the LBA over it afterwards.
+        """
+        self._voided_before[lba] = self._writes_started
 
     def write_striped(self, items, op_class=None):
         """Persist several pages as one multi-plane program when possible.
@@ -168,7 +181,10 @@ class PageMappingFtl:
 
     # -- internals ---------------------------------------------------------------
 
-    def _write_proc(self, lba, payload, nbytes, op_class=None):
+    def _write_proc(self, lba, payload, nbytes, op_class=None, ticket=None):
+        if ticket is None:
+            ticket = self._writes_started
+            self._writes_started += 1
         while True:
             channel_id, way, block, page = self.allocator.place()
             fault = self.program_fault_model
@@ -190,7 +206,8 @@ class PageMappingFtl:
                 cache=channel.resources.qos.cache_program,
             )
             address = PhysicalPageAddress(channel_id, way, block, page)
-            self.table.bind(lba, address)
+            if ticket >= self._voided_before.get(lba, 0):
+                self.table.bind(lba, address)
             self.writes_served += 1
             if self._space_low_callbacks and self.allocator.needs_gc():
                 for callback in self._space_low_callbacks:
@@ -198,15 +215,19 @@ class PageMappingFtl:
             return address
 
     def _write_striped_proc(self, items, op_class):
+        ticket = self._writes_started
+        self._writes_started += 1
         while True:
             stripe = self.allocator.place_stripe(len(items))
             if stripe is None:
                 # No aligned stripe open right now: degrade to the
-                # single-plane path per item.
+                # single-plane path per item (started with this write).
                 addresses = []
                 for lba, payload, nbytes in items:
-                    addresses.append((yield self.write(
-                        lba, payload, nbytes, op_class=op_class
+                    addresses.append((yield self.engine.process(
+                        self._write_proc(lba, payload, nbytes, op_class,
+                                         ticket),
+                        name=f"ftl-write {lba}"
                     )))
                 return addresses
             channel_id, way = stripe[0][0], stripe[0][1]
@@ -240,7 +261,8 @@ class PageMappingFtl:
             for (_ch, _way, block, page), (lba, _payload, _nbytes) \
                     in zip(stripe, items):
                 address = PhysicalPageAddress(channel_id, way, block, page)
-                self.table.bind(lba, address)
+                if ticket >= self._voided_before.get(lba, 0):
+                    self.table.bind(lba, address)
                 addresses.append(address)
             self.writes_served += len(items)
             if self._space_low_callbacks and self.allocator.needs_gc():

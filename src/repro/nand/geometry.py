@@ -73,11 +73,6 @@ class Geometry:
         """First block of the aligned multi-plane stripe containing ``block``."""
         return block - (block % self.planes_per_die)
 
-    def stripe_of(self, block):
-        """All block indices of the aligned stripe containing ``block``."""
-        base = self.stripe_base(block)
-        return list(range(base, base + self.planes_per_die))
-
     @property
     def total_pages(self):
         return self.dies * self.pages_per_die

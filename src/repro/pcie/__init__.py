@@ -1,4 +1,4 @@
-"""PCIe subsystem model: TLPs, links, MMIO regions, DMA, NTB, and RDMA.
+"""PCIe subsystem model: links, MMIO regions, DMA, NTB, and RDMA.
 
 The paper's fast data path is built directly out of PCIe mechanisms:
 
@@ -10,9 +10,10 @@ The paper's fast data path is built directly out of PCIe mechanisms:
   forwards TLPs between hosts' PCIe domains (Sections 2.3, 4.2);
 * the RDMA NIC model exists for the host-managed PM baseline (Fig. 1 left).
 
-The model is packet-level, not cycle-level: each TLP pays a fixed header
-overhead and serializes on a finite-bandwidth link, which is exactly the
-effect the paper's Fig. 10 measures.
+The model is packet-level, not cycle-level: a packet is its size.  Each
+TLP pays a fixed header overhead (:mod:`repro.pcie.tlp`) and serializes
+on a finite-bandwidth link, which is exactly the effect the paper's
+Fig. 10 measures; no packet object is built.
 """
 
 from repro.pcie.dma import DmaEngine
@@ -20,11 +21,9 @@ from repro.pcie.link import PcieLink, link_bandwidth
 from repro.pcie.mmio import CachePolicy, MmioRegion
 from repro.pcie.ntb import NtbBridge, NtbPort
 from repro.pcie.rdma import RdmaNic, RdmaQueuePair
-from repro.pcie.tlp import Tlp, TlpType, payload_sizes
+from repro.pcie.tlp import payload_sizes
 
 __all__ = [
-    "Tlp",
-    "TlpType",
     "payload_sizes",
     "PcieLink",
     "link_bandwidth",

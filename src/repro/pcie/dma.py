@@ -4,14 +4,15 @@ When the HIC fetches an NVMe write command it uses DMA to pull the payload
 from host memory into the device's data buffer (Section 2.2, "The Life of a
 Log Write").  A DMA burst is a stream of read-request/completion exchanges;
 we model it as one request round plus the payload streaming back as
-Max-Payload-sized completions.  The completions of a burst go on the wire
-as one train (:meth:`~repro.pcie.link.PcieLink.send_train`): every packet
-is counted and paces the link, but only the last one arms a timer, since
-nothing waits on the others.  The read request travels by size too, as a
-one-packet train with no payload.
+Max-Payload-sized completions.  Packets travel by size: the completions
+of a burst go on the wire as one train
+(:meth:`~repro.pcie.link.PcieLink.send_train`), where every packet is
+counted and paces the link but only the last one arms a timer, since
+nothing waits on the others.  The read request is a one-packet train
+with no payload.
 """
 
-from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, TlpType, payload_sizes
+from repro.pcie.tlp import DEFAULT_MAX_PAYLOAD, payload_sizes
 
 
 class DmaEngine:
@@ -41,8 +42,7 @@ class DmaEngine:
             if not size:
                 done.succeed(0)
                 return
-            last = self.link.send_train(TlpType.COMPLETION,
-                                        payload_sizes(size, self.max_payload))
+            last = self.link.send_train(payload_sizes(size, self.max_payload))
             last.then(lambda _event: done.succeed(size))
 
         self.link.receive_train([0]).then(_after_request)

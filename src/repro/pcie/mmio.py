@@ -12,14 +12,14 @@ cited as [32] in the paper):
 
 Fig. 10 of the paper measures exactly this difference; the model below
 reproduces the mechanism, not a curve fit.  Packets travel by size (see
-:meth:`~repro.pcie.link.PcieLink.send_train`): a :class:`~repro.pcie.tlp.Tlp`
-is built only while a downstream tap must see each one.
+:meth:`~repro.pcie.link.PcieLink.send_train`); the data they carry is
+handed to the device as contributions, not inside packet objects.
 """
 
 import enum
 from collections import deque
 
-from repro.pcie.tlp import TlpType, payload_sizes
+from repro.pcie.tlp import payload_sizes
 
 # x86 WC buffer (fill buffer) size in bytes.
 WC_BUFFER_BYTES = 64
@@ -40,10 +40,9 @@ class CachePolicy(enum.Enum):
     WRITE_COMBINING = "WC"
 
 
-# Enum members bound once: on CPython 3.11 reading one through its class
-# costs about as much as a function call, and stores read them per packet.
+# Bound once: on CPython 3.11 reading an enum member through its class
+# costs about as much as a function call, and every store reads it.
 _WRITE_COMBINING = CachePolicy.WRITE_COMBINING
-_MEMORY_WRITE = TlpType.MEMORY_WRITE
 
 
 class MmioRegion:
@@ -55,8 +54,7 @@ class MmioRegion:
     the data through ``on_write(callback)``.
 
     Packets go on the link by size, one :meth:`~repro.pcie.link.PcieLink.
-    send_train` of one packet each, so none is an object unless a
-    downstream tap watches the link.  Contributions wait in one FIFO
+    send_train` of one packet each.  Contributions wait in one FIFO
     until the packet carrying their last byte is sent, then ride in a
     second FIFO, one entry per packet in flight; each arrival delivers
     the head entry.  That is exact because every packet of a region
@@ -132,27 +130,26 @@ class MmioRegion:
             # the run fills go out as one packet.
             filled = self._run_filled
             if filled and address != self._run_base + filled:
-                self._send(self._run_base, filled)
+                self._send(filled)
                 filled = 0
             if not filled:
                 self._run_base = address
             filled += size
             while filled >= WC_BUFFER_BYTES:
-                self._send(self._run_base, WC_BUFFER_BYTES)
+                self._send(WC_BUFFER_BYTES)
                 self._run_base += WC_BUFFER_BYTES
                 filled -= WC_BUFFER_BYTES
             self._run_filled = filled
         else:
             for payload in payload_sizes(size, MAX_UC_STORE_BYTES):
-                self._send(address, payload)
-                address += payload
+                self._send(payload)
         register_stores = -(-size // MAX_UC_STORE_BYTES)
         return self.engine.timeout(STORE_ISSUE_NS * register_stores)
 
     def fence(self):
         """SFENCE: force out any half-filled WC buffer."""
         if self.policy is _WRITE_COMBINING and self._run_filled:
-            self._send(self._run_base, self._run_filled)
+            self._send(self._run_filled)
             self._run_filled = 0
         return self.engine.timeout(0.0)
 
@@ -162,10 +159,10 @@ class MmioRegion:
 
     # -- internals ---------------------------------------------------------------
 
-    def _send(self, address, payload):
+    def _send(self, payload):
         """Put one ``payload``-byte write packet on the link."""
         self.tlps_emitted += 1
-        done = self.link.send_train(_MEMORY_WRITE, [payload], address)
+        done = self.link.send_train([payload])
         # Byte conservation holds — the region emits exactly the bytes it
         # was asked to store — so consuming each packet's payload from the
         # FIFO identifies the packet carrying each contribution's final

@@ -8,6 +8,9 @@ TLPs, so bridging costs only address translation plus the cable.
 
 The model: an :class:`NtbBridge` joins two :class:`NtbPort` endpoints.  Each
 direction is a finite-bandwidth pipe with a per-hop translation latency.
+A packet is its size: it occupies its payload plus the TLP overhead on
+the wire, and carries its kind, wire address and body (the data the
+simulator tracks beside the bytes) as plain values to the peer's sink.
 Daisy-chaining (the Dolphin PXH830 setup of the experiments) composes
 bridges, one per adjacent pair of servers (see
 :mod:`repro.cluster.topology`); a forwarded packet pays each hop it
@@ -15,7 +18,7 @@ crosses.
 """
 
 from repro.sim.resources import BandwidthPipe
-from repro.pcie.tlp import Tlp
+from repro.pcie.tlp import TLP_OVERHEAD_BYTES
 
 # Dolphin PXH830-class adapters: x8 Gen3 cable ~= 7.9 GB/s; we expose a
 # conservative usable figure.
@@ -30,7 +33,7 @@ DEFAULT_NTB_HOP_NS = 700.0
 class NtbPort:
     """One endpoint of an NTB connection, owned by a device or host.
 
-    A port delivers arriving TLPs to its registered sink.  The address the
+    A port hands arriving packets to its registered sink.  The address the
     peer writes to is translated by the bridge before delivery, so sinks
     see addresses in their local domain.
     """
@@ -40,32 +43,27 @@ class NtbPort:
         self.name = name
         self._sink = None
         self._bridge = None
-        self.tlps_received = 0
-        self.bytes_received = 0
 
     def attach_sink(self, callback):
-        """Register ``callback(tlp)`` for packets arriving at this port."""
+        """Register ``callback(kind, address, nbytes, corrupted, *body)``
+        for packets arriving at this port."""
         self._sink = callback
 
-    def send(self, tlp):
-        """Forward ``tlp`` to the peer port; event fires on delivery there."""
+    def send(self, kind, address, nbytes, *body):
+        """Forward an ``nbytes``-payload ``kind`` packet written at
+        ``address`` to the peer port; the peer's sink gets ``body``.
+        The event fires on delivery there (see :meth:`NtbBridge.forward`).
+        """
         if self._bridge is None:
             raise RuntimeError(f"NTB port {self.name!r} is not connected")
-        return self._bridge.forward(self, tlp)
-
-    def _deliver(self, tlp):
-        self.tlps_received += 1
-        self.bytes_received += tlp.payload
-        if self._sink is not None:
-            self._sink(tlp)
+        return self._bridge.forward(self, kind, address, nbytes, body)
 
 
 class NtbBridge:
     """A point-to-point non-transparent bridge between two ports.
 
-    ``translate`` optionally rewrites addresses between the domains
-    (identity by default — the simulator's rings use region-relative
-    offsets, so translation is a latency cost, not an arithmetic one).
+    Addresses cross unchanged: the simulator's rings use region-relative
+    offsets, so translation is a latency cost, not an arithmetic one.
     """
 
     def __init__(self, engine, port_a, port_b,
@@ -88,14 +86,13 @@ class NtbBridge:
             engine, bandwidth, latency=hop_latency,
             name=f"ntb:{port_b.name}->{port_a.name}",
         )
-        self.hop_latency = hop_latency
         # Fault injection: a severed cable silently drops TLPs (posted
         # writes have no acknowledgement), which is exactly the failure
         # the transport's status register must surface (Section 7.1).
         self.link_up = True
         self.tlps_dropped = 0
         # Corruption injection: the next N forwarded TLPs are delivered
-        # with a poisoned LCRC (``metadata["corrupted"]``); receivers
+        # with a poisoned LCRC (the sink's ``corrupted`` flag); receivers
         # discard them, so a corrupted packet behaves like a drop that
         # *did* consume wire bandwidth.
         self._corrupt_budget = 0
@@ -126,56 +123,55 @@ class NtbBridge:
         self._spike_extra_ns = extra_ns
         self._spike_until_ns = self.engine.now + duration_ns
 
-    def forward(self, source_port, tlp):
-        """Carry ``tlp`` from ``source_port`` to its peer.
+    def forward(self, source_port, kind, address, nbytes, body):
+        """Carry a packet from ``source_port`` to its peer's sink.
 
         On a severed link the packet is dropped: the returned event still
         fires (posted writes complete locally regardless), but nothing
         arrives at the peer.  The event's value tells the sender what the
-        *link layer* observed — the delivered TLP, or ``None`` for a drop
-        — which is what lets the transport run bounded retries without
-        inventing an end-to-end acknowledgement the paper doesn't have.
+        *link layer* observed — ``True`` for a delivered packet, ``None``
+        for a drop — which is what lets the transport run bounded retries
+        without inventing an end-to-end acknowledgement the paper doesn't
+        have.
         """
-        if not isinstance(tlp, Tlp):
-            raise TypeError(f"expected a Tlp, got {type(tlp).__name__}")
         if source_port is self.port_a:
             peer, pipe = self.port_b, self._pipe_ab
         elif source_port is self.port_b:
             peer, pipe = self.port_a, self._pipe_ba
         else:
             raise ValueError("port does not belong to this bridge")
+        wire_size = nbytes + TLP_OVERHEAD_BYTES
         tracer = self._tracer
         token = None
         if self._tracing:
-            # Mirror TLPs carry their stream offset as the wire address, so
-            # the hop span joins the primary's ship span to the peer's
+            # Mirror packets carry their stream offset as the wire address,
+            # so the hop span joins the primary's ship span to the peer's
             # intake span in the flow view.
-            kind = tlp.metadata.get("kind")
             token = tracer.begin(
-                pipe.name, kind or "tlp",
-                flow=tlp.address if kind == "mirror" else None,
-                nbytes=tlp.wire_size,
+                pipe.name, kind,
+                flow=address if kind == "mirror" else None,
+                nbytes=wire_size,
             )
-        if self._corrupt_budget > 0:
+        corrupted = self._corrupt_budget > 0
+        if corrupted:
             self._corrupt_budget -= 1
             self.tlps_corrupted += 1
-            tlp.metadata["corrupted"] = True
             if self._tracing:
-                tracer.instant(pipe.name, "tlp-corrupted", address=tlp.address)
-        done = pipe.transfer(tlp.wire_size)
+                tracer.instant(pipe.name, "tlp-corrupted", address=address)
+        done = pipe.transfer(wire_size)
         delivery = self.engine.event()
 
         def _arrived(_event):
             if self.link_up:
                 if token is not None:
                     tracer.end(token)
-                peer._deliver(tlp)
-                delivery.succeed(tlp)
+                if peer._sink is not None:
+                    peer._sink(kind, address, nbytes, corrupted, *body)
+                delivery.succeed(True)
             else:
                 self.tlps_dropped += 1
                 if token is not None:
-                    tracer.instant(pipe.name, "tlp-dropped",
-                                   address=tlp.address)
+                    tracer.instant(pipe.name, "tlp-dropped", address=address)
                     tracer.end(token, dropped=True)
                 delivery.succeed(None)
 

@@ -100,10 +100,6 @@ class Store:
             self._getters.append(event)
         return event
 
-    def peek_all(self):
-        """Snapshot of queued items (for schedulers that inspect queues)."""
-        return list(self._items)
-
 
 class Container:
     """A continuous level of "stuff" (bytes, credits) with blocking get/put.

@@ -123,6 +123,19 @@ class WriteScheduler:
         self._signal()
         return request.completion
 
+    def withdraw(self, request):
+        """Take ``request`` back while it is still queued; returns False
+        once it was dispatched.  A withdrawn request's completion never
+        fires."""
+        try:
+            self._pools[request.source].remove(request)
+        except ValueError:
+            return False
+        token = getattr(request, "trace_token", None)
+        if token is not None:
+            self.engine.tracer.end(token, withdrawn=True)
+        return True
+
     def submit(self, source, lba, payload, nbytes):
         """Convenience: build and enqueue a request."""
         return self.enqueue(

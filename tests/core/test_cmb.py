@@ -89,22 +89,6 @@ def test_in_flight_accounting():
     assert cmb.in_flight_bytes == 0
 
 
-def test_receive_tlp_unpacks_contributions():
-    from repro.pcie.tlp import Tlp, TlpType
-
-    engine, cmb = make_cmb()
-    tlp = Tlp(
-        TlpType.MEMORY_WRITE, address=0, payload=64,
-        metadata={"contributions": [(0, 32, "a"), (32, 32, "b")]},
-    )
-
-    cmb.receive_tlp(tlp)
-    engine.run()
-    assert cmb.credit.value == 64
-    payloads = [p for _o, _n, p in cmb.ring.peek_ready()]
-    assert payloads == ["a", "b"]
-
-
 def test_intake_tap_sees_every_chunk():
     engine, cmb = make_cmb()
     seen = []

@@ -215,6 +215,37 @@ def test_crash_during_a_page_read_on_a_wrapped_ring_programs_the_page():
     ]
 
 
+def test_crash_with_programs_in_flight_on_a_wrapped_ring_keeps_new_pages():
+    # Sequences 0-5 are issued at the crash (four programs under way,
+    # two queued) and share LBAs with the sequences the crash path
+    # destages after them (the ring has four blocks).  The programs
+    # still running must not bind their LBAs when they complete: the
+    # durable read-back must give the newest pages, not theirs.
+    engine, cmb, destage = make_stack(latency_threshold_ns=1e12,
+                                      ring_blocks=4)
+    feed(engine, cmb, 12 * PAGE)
+    engine.run(until=18_500.0)
+    assert destage.outstanding_pages == 6
+    assert crash(cmb, destage) == 12
+    assert destage.destaged_offset == 12 * PAGE
+    pages, errors = read_durable_pages(engine,
+                                       SimpleNamespace(destage=destage))
+    assert errors == []
+    assert [page.stream_offset for page in pages] == [
+        PAGE * sequence for sequence in range(8, 12)]
+    engine.run()  # every program under way completes and binds nothing
+    assert destage.outstanding_pages == 0
+    assert destage.durable_tail == 12
+    assert not destage._completed_pages  # settled pages are not kept
+    table = destage.scheduler.ftl.table
+    channels = destage.scheduler.ftl.channels
+    for sequence in range(8, 12):
+        address = table.lookup(sequence % 4)
+        payload, _nbytes = channels[address.channel].die(
+            address.way).blocks[address.block].pages[address.page]
+        assert payload.stream_offset == PAGE * sequence
+
+
 def test_crash_beside_programs_in_their_data_phase_keeps_program_order():
     # Emergency programs must not land behind a page placed for a
     # program still in its data phase (NAND programs a block's pages in

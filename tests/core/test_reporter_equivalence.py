@@ -82,12 +82,10 @@ class Chain:
         self.offset = 0
 
     def _log_updates(self, port, transport):
-        def sink(tlp):
-            if tlp.metadata.get("kind") == "counter-update":
-                self.log[transport.name].append(
-                    (self.engine.now, tlp.metadata["peer"],
-                     tlp.metadata["value"]))
-            transport._on_ntb_packet(tlp)
+        def sink(kind, address, nbytes, corrupted, *body):
+            if kind == "counter-update":
+                self.log[transport.name].append((self.engine.now, *body))
+            transport._on_ntb_packet(kind, address, nbytes, corrupted, *body)
 
         port.attach_sink(sink)
 

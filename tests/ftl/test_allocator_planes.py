@@ -23,7 +23,8 @@ class TestPlaceStripe:
         pages = {p[3] for p in placements}
         assert len(channels) == len(ways) == len(pages) == 1
         blocks = [p[2] for p in placements]
-        assert blocks == geometry.stripe_of(blocks[0])
+        base = geometry.stripe_base(blocks[0])
+        assert blocks == list(range(base, base + geometry.planes_per_die))
 
     def test_successive_stripes_fill_pages_in_order(self):
         _, allocator = make_allocator(pages=3)

@@ -8,7 +8,7 @@ from repro.pcie.dma import DmaEngine
 from repro.pcie.link import PcieLink, link_bandwidth
 from repro.pcie.ntb import NtbBridge, NtbPort
 from repro.pcie.rdma import RdmaNic
-from repro.pcie.tlp import Tlp, TlpType
+from repro.pcie.tlp import TLP_OVERHEAD_BYTES
 from repro.sim import Engine
 
 
@@ -29,29 +29,15 @@ class TestLink:
     def test_send_delivers_after_wire_time_plus_propagation(self):
         engine = Engine()
         link = PcieLink(engine, lanes=4, gen=2, propagation_ns=100.0)
-        tlp = Tlp(TlpType.MEMORY_WRITE, address=0, payload=176)  # wire = 200
         done = []
 
         def proc():
-            yield link.send(tlp)
+            yield link.send_train([176])  # wire = 176 + 24 = 200
             done.append(engine.now)
 
         engine.process(proc())
         engine.run()
         assert done == [pytest.approx(200 / 2.0 + 100.0)]
-
-    def test_tap_sees_delivered_tlps(self):
-        engine = Engine()
-        link = PcieLink(engine)
-        seen = []
-        link.tap_downstream(lambda tlp: seen.append(tlp.payload))
-
-        def proc():
-            yield link.send(Tlp(TlpType.MEMORY_WRITE, address=0, payload=64))
-
-        engine.process(proc())
-        engine.run()
-        assert seen == [64]
 
     def test_directions_do_not_contend(self):
         engine = Engine()
@@ -59,23 +45,17 @@ class TestLink:
         times = {}
 
         def down():
-            yield link.send(Tlp(TlpType.MEMORY_WRITE, 0, 1976))  # 1 us wire
+            yield link.send_train([1976])  # 1 us wire
             times["down"] = engine.now
 
         def up():
-            yield link.receive(Tlp(TlpType.MEMORY_WRITE, 0, 1976))
+            yield link.receive_train([1976])
             times["up"] = engine.now
 
         engine.process(down())
         engine.process(up())
         engine.run()
         assert times["down"] == pytest.approx(times["up"])
-
-    def test_non_tlp_rejected(self):
-        engine = Engine()
-        link = PcieLink(engine)
-        with pytest.raises(TypeError):
-            link.send("not a tlp")
 
 
 class TestDma:
@@ -135,33 +115,45 @@ class TestTrains:
     @staticmethod
     def _run(lanes, gen, propagation, history, payloads, upstream, train):
         """Replay ``history`` on a fresh link, then send ``payloads`` as
-        a train or packet by packet; returns the link and when the last
-        packet arrived."""
+        a train or packet by packet on the pipes; returns the packets
+        counted per direction, the link and when the last packet
+        arrived."""
         engine = Engine()
         link = PcieLink(engine, lanes=lanes, gen=gen,
                         propagation_ns=propagation)
+        counted = {"down": 0, "up": 0}
         arrived = []
+
+        def send(payload, up):
+            """One packet on its own, as the per-packet model sends it."""
+            counted["up" if up else "down"] += 1
+            pipe = link.upstream if up else link.downstream
+            return pipe.transfer(payload + TLP_OVERHEAD_BYTES)
 
         def proc():
             for gap, payload, up in history:
                 yield engine.timeout(gap)
-                tlp = Tlp(TlpType.MEMORY_WRITE, 0, payload)
-                (link.receive if up else link.send)(tlp)
+                if train:
+                    (link.receive_train if up else link.send_train)(
+                        [payload])
+                else:
+                    send(payload, up)
             yield engine.timeout(history[-1][0])
             if train and upstream:
                 last = link.receive_train(payloads)
             elif train:
-                last = link.send_train(TlpType.COMPLETION, payloads)
+                last = link.send_train(payloads)
             else:
-                send = link.receive if upstream else link.send
                 for payload in payloads:
-                    last = send(Tlp(TlpType.COMPLETION, 0, payload))
+                    last = send(payload, upstream)
             yield last
             arrived.append(engine.now)
 
         engine.process(proc())
         engine.run()
-        return link, arrived
+        if train:
+            counted = {"down": link.tlps_down, "up": link.tlps_up}
+        return counted, link, arrived
 
     @given(
         lanes=st.sampled_from([1, 2, 4, 8, 16]),
@@ -176,11 +168,10 @@ class TestTrains:
     def test_train_matches_per_tlp_loop(self, lanes, gen, propagation,
                                         history, payloads, upstream):
         args = (lanes, gen, propagation, history, payloads, upstream)
-        looped, loop_arrived = self._run(*args, train=False)
-        trained, train_arrived = self._run(*args, train=True)
+        loop_counted, looped, loop_arrived = self._run(*args, train=False)
+        train_counted, trained, train_arrived = self._run(*args, train=True)
         assert train_arrived == loop_arrived
-        assert (trained.tlps_down, trained.tlps_up) == (
-            looped.tlps_down, looped.tlps_up)
+        assert train_counted == loop_counted
         for direction in ("downstream", "upstream"):
             want = getattr(looped, direction)
             got = getattr(trained, direction)
@@ -188,26 +179,16 @@ class TestTrains:
             assert got.busy_time == want.busy_time
             assert got.bytes_transferred == want.bytes_transferred
 
-    def test_tap_sees_every_pulled_completion(self):
-        """With a downstream tap installed, a DMA pull goes packet by
-        packet, so the tap sees each completion; timing is unchanged."""
-        arrived = {}
-        for tapped in (False, True):
-            engine = Engine()
-            link = PcieLink(engine)
-            seen = []
-            if tapped:
-                link.tap_downstream(
-                    lambda tlp, seen=seen: seen.append((tlp.kind, tlp.payload)))
-            dma = DmaEngine(engine, link)
-            dma.pull(16 * 1024 + 100).then(
-                lambda _event, engine=engine, tapped=tapped:
-                arrived.__setitem__(tapped, engine.now))
-            engine.run()
-            assert link.tlps_down == 65
-        assert seen == [(TlpType.COMPLETION, 256)] * 64 + [
-            (TlpType.COMPLETION, 100)]
-        assert arrived[True] == arrived[False]
+    def test_pull_sends_one_completion_per_max_payload(self):
+        """A DMA pull's completions split at the max payload size: 64
+        full packets and the tail, each paying the packet overhead."""
+        engine = Engine()
+        link = PcieLink(engine)
+        DmaEngine(engine, link).pull(16 * 1024 + 100)
+        engine.run()
+        assert link.tlps_down == 65
+        assert link.downstream.bytes_transferred == (
+            16 * 1024 + 100 + 65 * TLP_OVERHEAD_BYTES)
 
 
 class TestNtb:
@@ -217,28 +198,30 @@ class TestNtb:
         b = NtbPort(engine, "b")
         NtbBridge(engine, a, b, hop_latency=500.0)
         arrived = []
-        b.attach_sink(lambda tlp: arrived.append((engine.now, tlp.payload)))
+        b.attach_sink(lambda *packet: arrived.append((engine.now, packet)))
+        delivered = []
 
         def proc():
-            yield a.send(Tlp(TlpType.MEMORY_WRITE, address=0, payload=64))
+            delivered.append((yield a.send("mirror", 128, 64, "x", "y")))
 
         engine.process(proc())
         engine.run()
         assert len(arrived) == 1
         assert arrived[0][0] >= 500.0
-        assert arrived[0][1] == 64
+        assert arrived[0][1] == ("mirror", 128, 64, False, "x", "y")
+        assert delivered == [True]
 
     def test_bridge_is_bidirectional(self):
         engine = Engine()
         a, b = NtbPort(engine, "a"), NtbPort(engine, "b")
         NtbBridge(engine, a, b)
         got = []
-        a.attach_sink(lambda tlp: got.append("at-a"))
-        b.attach_sink(lambda tlp: got.append("at-b"))
+        a.attach_sink(lambda *_packet: got.append("at-a"))
+        b.attach_sink(lambda *_packet: got.append("at-b"))
 
         def proc():
-            yield a.send(Tlp(TlpType.MEMORY_WRITE, 0, 8))
-            yield b.send(Tlp(TlpType.MEMORY_WRITE, 0, 8))
+            yield a.send("mirror", 0, 8)
+            yield b.send("mirror", 0, 8)
 
         engine.process(proc())
         engine.run()
@@ -248,7 +231,7 @@ class TestNtb:
         engine = Engine()
         port = NtbPort(engine, "lonely")
         with pytest.raises(RuntimeError):
-            port.send(Tlp(TlpType.MEMORY_WRITE, 0, 8))
+            port.send("mirror", 0, 8)
 
 
 class TestRdma:

@@ -3,8 +3,10 @@
 The invariant that keeps the whole fast path honest: every contribution
 a store supplies is delivered to the device exactly once, in store
 order, and never before the wire carried its last byte.  A differential
-test pins the region, which sends packets by size, to a per-``Tlp``
-model of the same mechanism: same delivery instants, same wire state.
+test pins the region, which sends each packet as a one-packet train and
+delivers from FIFOs, to a model that puts each packet on the link's pipes
+itself and hands its contributions over from a closure per packet: same
+delivery instants, same wire state.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from repro.pcie.mmio import (
     CachePolicy,
     MmioRegion,
 )
-from repro.pcie.tlp import Tlp, TlpType
+from repro.pcie.tlp import TLP_OVERHEAD_BYTES
 from repro.sim import Engine
 
 POLICIES = st.sampled_from([CachePolicy.WRITE_COMBINING,
@@ -122,13 +124,14 @@ def test_interleaved_fences_preserve_delivery_order(sizes, fence_positions):
 
 
 class PerTlpRegion:
-    """Reference: the region as one ``Tlp`` per packet.
+    """Reference: the region with one transfer and one closure per packet.
 
-    Every packet is a :class:`Tlp` sent with :meth:`PcieLink.send`; the
-    contributions it completes ride in its metadata and one closure per
-    packet hands them over on arrival.  Loads build a request and a
-    completion ``Tlp``.  The WC buffer fills in steps of at most the
-    space it has left, flushing whenever it is full.
+    Every packet goes straight onto the link's pipes, paying the packet
+    overhead, and is counted here; the contributions it completes are
+    bound into a closure per packet that hands them over on arrival.  A
+    load transfers a bare request down and its completion up.  The WC
+    buffer fills in steps of at most the space it has left, flushing
+    whenever it is full.
     """
 
     def __init__(self, engine, link, policy, deliver):
@@ -140,20 +143,21 @@ class PerTlpRegion:
         self.filled = 0
         self.unattached = []  # [offset, nbytes, payload, bytes left]
         self.tlps_emitted = 0
+        self.tlps_down = 0
+        self.tlps_up = 0
 
     def store(self, address, size, contribution):
         self.unattached.append(list(contribution) + [contribution[1]])
         if self.policy is CachePolicy.WRITE_COMBINING:
-            tlps = self._combine(address, size)
+            packets = self._combine(address, size)
         else:
-            tlps = []
+            packets = []
             sent = 0
             while sent < size:
                 payload = min(MAX_UC_STORE_BYTES, size - sent)
-                tlps.append(Tlp(TlpType.MEMORY_WRITE, address + sent,
-                                payload))
+                packets.append(payload)
                 sent += payload
-        self._emit(tlps)
+        self._emit(packets)
         return self.engine.timeout(
             STORE_ISSUE_NS * -(-size // MAX_UC_STORE_BYTES))
 
@@ -167,11 +171,12 @@ class PerTlpRegion:
         done = self.engine.event()
 
         def after_request(_event):
-            completion = Tlp(TlpType.COMPLETION, 0, size)
-            link.receive(completion).then(
+            self.tlps_up += 1
+            link.upstream.transfer(size + TLP_OVERHEAD_BYTES).then(
                 lambda event: done.succeed(event.value))
 
-        link.send(Tlp(TlpType.MEMORY_READ, 0, 0)).then(after_request)
+        self.tlps_down += 1
+        link.downstream.transfer(TLP_OVERHEAD_BYTES).then(after_request)
         return done
 
     def _combine(self, address, size):
@@ -195,14 +200,15 @@ class PerTlpRegion:
     def _flush(self):
         if not self.filled:
             return []
-        tlp = Tlp(TlpType.MEMORY_WRITE, self.base, self.filled)
+        packet = self.filled
         self.base = None
         self.filled = 0
-        return [tlp]
+        return [packet]
 
-    def _emit(self, tlps):
-        for tlp in tlps:
-            budget = tlp.payload
+    def _emit(self, packets):
+        for payload in packets:
+            contributions = []
+            budget = payload
             while budget > 0 and self.unattached:
                 head = self.unattached[0]
                 take = min(head[3], budget)
@@ -210,12 +216,10 @@ class PerTlpRegion:
                 budget -= take
                 if head[3] == 0:
                     self.unattached.pop(0)
-                    tlp.metadata.setdefault("contributions", []).append(
-                        tuple(head[:3]))
-        self.tlps_emitted += len(tlps)
-        for tlp in tlps:
-            contributions = tlp.metadata.get("contributions", [])
-            self.link.send(tlp).then(
+                    contributions.append(tuple(head[:3]))
+            self.tlps_emitted += 1
+            self.tlps_down += 1
+            self.link.downstream.transfer(payload + TLP_OVERHEAD_BYTES).then(
                 lambda _event, contributions=contributions: [
                     self.deliver(*contribution)
                     for contribution in contributions])
@@ -236,14 +240,11 @@ OPS = st.lists(
 )
 
 
-def _run_ops(ops, policy, tapped, per_tlp):
+def _run_ops(ops, policy, per_tlp):
     """Drive ``ops`` through one region; returns (link, region, log)."""
     engine = Engine()
     link = PcieLink(engine, lanes=4, gen=2)
     log = []
-    if tapped:
-        link.tap_downstream(lambda tlp: log.append(
-            ("tap", engine.now, tlp.kind, tlp.address, tlp.payload)))
 
     def deliver(offset, nbytes, payload):
         log.append(("data", engine.now, offset, nbytes, payload))
@@ -277,17 +278,16 @@ def _run_ops(ops, policy, tapped, per_tlp):
     return link, region, log
 
 
-@given(ops=OPS, policy=POLICIES, tapped=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_region_matches_per_tlp_model(ops, policy, tapped):
-    """Packets by size change no delivery instant and no wire state."""
-    link, region, log = _run_ops(ops, policy, tapped, per_tlp=False)
-    ref_link, ref_region, ref_log = _run_ops(ops, policy, tapped,
-                                             per_tlp=True)
+@given(ops=OPS, policy=POLICIES)
+def test_region_matches_per_tlp_model(ops, policy):
+    """Trains and delivery FIFOs change no delivery instant and no wire
+    state."""
+    link, region, log = _run_ops(ops, policy, per_tlp=False)
+    ref_link, ref_region, ref_log = _run_ops(ops, policy, per_tlp=True)
     assert log == ref_log
     assert region.tlps_emitted == ref_region.tlps_emitted
-    assert (link.tlps_down, link.tlps_up) == (ref_link.tlps_down,
-                                              ref_link.tlps_up)
+    assert (link.tlps_down, link.tlps_up) == (ref_region.tlps_down,
+                                              ref_region.tlps_up)
     for direction in ("downstream", "upstream"):
         got = getattr(link, direction)
         want = getattr(ref_link, direction)

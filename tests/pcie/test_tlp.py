@@ -1,13 +1,9 @@
-"""Unit tests for TLP packet modeling."""
-
-import pytest
+"""Unit tests for TLP packet modeling: a packet is its size plus overhead."""
 
 from repro.pcie.link import PcieLink
 from repro.pcie.tlp import (
     DEFAULT_MAX_PAYLOAD,
     TLP_OVERHEAD_BYTES,
-    Tlp,
-    TlpType,
     payload_sizes,
 )
 from repro.sim import Engine
@@ -15,36 +11,39 @@ from repro.sim import Engine
 
 def wire_bytes(size):
     """Bytes a ``size``-byte write occupies on the link, overhead included."""
-    return sum(Tlp(TlpType.MEMORY_WRITE, 0, payload).wire_size
-               for payload in payload_sizes(size))
+    engine = Engine()
+    link = PcieLink(engine)
+    link.send_train(payload_sizes(size))
+    engine.run()
+    return link.downstream.bytes_transferred
 
 
 def test_wire_size_includes_overhead():
-    tlp = Tlp(TlpType.MEMORY_WRITE, address=0, payload=64)
-    assert tlp.wire_size == 64 + TLP_OVERHEAD_BYTES
+    assert wire_bytes(64) == 64 + TLP_OVERHEAD_BYTES
 
 
 def test_read_request_carries_no_payload():
-    with pytest.raises(ValueError):
-        Tlp(TlpType.MEMORY_READ, address=0, payload=8)
-
-
-def test_negative_payload_rejected():
-    with pytest.raises(ValueError):
-        Tlp(TlpType.MEMORY_WRITE, address=0, payload=-1)
+    """An MMIO read sends a bare header down; the completion carries
+    the data up."""
+    engine = Engine()
+    link = PcieLink(engine)
+    link.read_roundtrip(8)
+    engine.run()
+    assert link.downstream.bytes_transferred == TLP_OVERHEAD_BYTES
+    assert link.upstream.bytes_transferred == 8 + TLP_OVERHEAD_BYTES
+    assert (link.tlps_down, link.tlps_up) == (1, 1)
 
 
 def test_split_covers_range_contiguously():
-    """A tapped train shows each packet of the split, addressed
-    contiguously from the train's start."""
+    """A write splits into full max-payload packets, then the tail, and
+    each packet of the train is counted."""
+    assert payload_sizes(600) == [256, 256, 88]
+    assert payload_sizes(512) == [256, 256]
     engine = Engine()
     link = PcieLink(engine)
-    seen = []
-    link.tap_downstream(lambda tlp: seen.append((tlp.address, tlp.payload)))
-    link.send_train(TlpType.MEMORY_WRITE, payload_sizes(600), address=1000)
+    link.send_train(payload_sizes(600))
     engine.run()
-    assert seen == [(1000, 256), (1256, 256), (1512, 88)]
-    assert payload_sizes(512) == [256, 256]
+    assert link.tlps_down == 3
 
 
 def test_split_zero_size_is_empty():

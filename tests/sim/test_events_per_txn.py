@@ -4,9 +4,8 @@ Wall-clock throughput is noisy; the number of generator resumes the
 engine performs per acknowledged operation is not.  These cells count
 ``Process._resume`` calls by wrapping the engine inside the test only
 (the hot path carries no counter).  Some count more: the standalone
-group-commit and NVMe cells count timers created, the group-commit cell
-``Tlp`` objects built, and the group-commit and chain cells
-immediate-queue dispatches and ``Event`` constructions (a reused event
+group-commit and NVMe cells count timers created, and the group-commit
+and chain cells immediate-queue dispatches and ``Event`` constructions (a reused event
 makes no construction but still costs a dispatch), and the group-commit
 cell also the chunk entries each destaged page holds.  Ceilings sit about
 10% above the counts measured when the counter reporters, the CMB
@@ -14,7 +13,6 @@ intake and the destage loop became change-driven.  A loop that wakes
 without news — a reporter ticking through idle periods, a per-chunk
 intake process, a destage loop re-arming its deadline on every credit
 advance or hopping through fresh events, a timer per DMA packet, a
-packet object per MMIO store or credit poll with no tap to see it, a
 destaged page that keeps one entry per 64 B intake chunk —
 pushes a cell over its ceiling deterministically.
 """
@@ -29,7 +27,6 @@ from repro.cluster.topology import replicated_chain
 from repro.core.destage import DestagePage
 from repro.faults.scenario import chaos_config_factory
 from repro.nand.geometry import Geometry
-from repro.pcie.tlp import Tlp
 from repro.sim import Engine, Event, Process, Timeout
 from repro.sim.units import KIB
 from repro.ssd.device import ConventionalSsd, SsdConfig
@@ -49,9 +46,7 @@ from tests.conftest import (
 # 15.9 with a zero-delay timeout per CMB intake chunk nobody awaited).
 # Timers per 16 KiB NVMe I/O: 8 per write and 6 per read (71 and 69
 # with one link timer per 256 B DMA packet).  Ceilings sit about 10%
-# above.  With no tap on the link, a commit builds no ``Tlp`` at all
-# (4.3 per commit when every MMIO store and credit poll built its
-# packets).  Immediate-queue dispatches and ``Event`` constructions per
+# above.  Immediate-queue dispatches and ``Event`` constructions per
 # operation: chain 137.4 and 96.0, standalone group commit 11.45 and
 # 7.96, once the destage loop reused its one hop event and ran its
 # second hop in place when nothing was queued between (146.3 and 146.9,
@@ -68,7 +63,6 @@ GROUP_COMMIT_CEILING = 11.8
 GROUP_COMMIT_TIMEOUT_CEILING = 14.1
 NVME_WRITE_TIMEOUT_CEILING = 8.8
 NVME_READ_TIMEOUT_CEILING = 6.6
-GROUP_COMMIT_TLP_CEILING = 0
 GROUP_COMMIT_DISPATCH_CEILING = 12.6
 GROUP_COMMIT_EVENT_CEILING = 8.8
 GROUP_COMMIT_PAGE_ENTRIES_CEILING = 11.9
@@ -136,20 +130,6 @@ def page_entries(monkeypatch):
         counted.append(len(self.chunks))
 
     monkeypatch.setattr(DestagePage, "__init__", counting_construct)
-    return counted
-
-
-@pytest.fixture
-def tlps(monkeypatch):
-    """Count every ``Tlp`` constructed."""
-    counted = {"tlps": 0}
-    construct = Tlp.__init__
-
-    def counting_construct(self, *args, **kwargs):
-        counted["tlps"] += 1
-        construct(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tlp, "__init__", counting_construct)
     return counted
 
 
@@ -304,12 +284,11 @@ def test_timers_per_nvme_read(timeouts):
     assert nvme_ios(timeouts, reads=True) <= NVME_READ_TIMEOUT_CEILING
 
 
-def test_group_commit_events_per_commit(resumes, timeouts, tlps,
-                                       immediates, page_entries):
+def test_group_commit_events_per_commit(resumes, timeouts, immediates,
+                                       page_entries):
     ops = group_commit_txns(seed=7)
     assert resumes["resumes"] / ops <= GROUP_COMMIT_CEILING
     assert timeouts["timeouts"] / ops <= GROUP_COMMIT_TIMEOUT_CEILING
-    assert tlps["tlps"] / ops <= GROUP_COMMIT_TLP_CEILING
     assert immediates["dispatches"] / ops <= GROUP_COMMIT_DISPATCH_CEILING
     assert immediates["events"] / ops <= GROUP_COMMIT_EVENT_CEILING
     assert page_entries

@@ -109,15 +109,6 @@ class TestStore:
         assert ("put-1", 0.0) in timeline
         assert ("put-2", 50.0) in timeline
 
-    def test_peek_all_is_a_snapshot(self):
-        engine = Engine()
-        store = Store(engine)
-        store.put("x")
-        store.put("y")
-        snapshot = store.peek_all()
-        snapshot.append("z")
-        assert len(store) == 2
-
 
 class TestContainer:
     def test_get_blocks_until_level_sufficient(self):
