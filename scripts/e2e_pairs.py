@@ -23,7 +23,7 @@ Usage, from anywhere inside the repository::
 
     python3 scripts/e2e_pairs.py --workload tpcc-local [--seed 7]
         [--pairs 10] [--metric ops_per_wall_s] [--parent HEAD]
-        [--seconds S] [--json PATH]
+        [--seconds S] [--scale F] [--json PATH]
 
 The export lives under ``$TMPDIR`` and is removed at exit; it touches
 nothing in the repository's ``.git``.
@@ -50,14 +50,22 @@ def end_to_end_metrics(tree):
     return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
 
 
-def run_once(tree, args, scratch, tag):
-    """One benchmark run in ``tree``; returns (end-to-end metric values
-    and failed-operation count, simulated results)."""
-    results_path = os.path.join(scratch, f"{tag}.json")
+def runner_command(args, results_path):
+    """The ``run.py`` command line one run of either side uses."""
     command = [sys.executable, RUNNER, "--workload", args.workload,
                "--seed", str(args.seed), "--json", results_path]
     if args.seconds is not None:
         command += ["--seconds", str(args.seconds)]
+    if args.scale is not None:
+        command += ["--scale", str(args.scale)]
+    return command
+
+
+def run_once(tree, args, scratch, tag):
+    """One benchmark run in ``tree``; returns (end-to-end metric values
+    and failed-operation count, simulated results)."""
+    results_path = os.path.join(scratch, f"{tag}.json")
+    command = runner_command(args, results_path)
     completed = subprocess.run(command, cwd=tree, capture_output=True,
                                text=True, check=False)
     if completed.returncode != 0:
@@ -119,6 +127,7 @@ def compare(args, parent_tree, scratch):
     return {
         "workload": args.workload,
         "seed": args.seed,
+        "scale": args.scale,
         "metric": metric,
         "better": metrics[metric],
         "pairs": args.pairs,
@@ -154,11 +163,16 @@ def main(argv=None):
                         help="revision the parent side runs")
     parser.add_argument("--seconds", type=float,
                         help="passed through to run.py")
+    parser.add_argument("--scale", type=float,
+                        help="passed through to run.py (multiplies every "
+                        "workload's operation count)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the summary and every pair here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.scale is not None and args.scale <= 0:
+        parser.error("--scale must be positive")
     if args.metric not in end_to_end_metrics(ROOT):
         parser.error(f"--metric {args.metric!r} is not an end-to-end metric "
                      f"of BENCHMARK.json")

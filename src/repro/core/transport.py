@@ -39,6 +39,49 @@ MIRROR_REPACKAGE_NS = 800.0
 COUNTER_UPDATE_COST_NS = 400.0
 
 
+class _History:
+    """Every chunk that passed a device's intake tap, in arrival order.
+
+    Stream offsets and sizes are kept in two ``array('q')`` columns and
+    the payloads in a list beside them: a chunk costs about 25 bytes,
+    with no tuple and no offset object of its own.  The payloads are the
+    very objects the intake saw, because re-offered chunks must be the
+    originals (the replica-prefix oracle compares them with ``is``).
+    """
+
+    __slots__ = ("_offsets", "_sizes", "_payloads")
+
+    def __init__(self):
+        # Imported here, not at module level: loading the extension adds
+        # about 0.15 MiB of RSS, which a device that never replicates
+        # (and so never builds a history) should not pay.
+        from array import array
+
+        self._offsets = array("q")
+        self._sizes = array("q")
+        self._payloads = []
+
+    def append(self, offset, nbytes, payload):
+        self._offsets.append(offset)
+        self._sizes.append(nbytes)
+        self._payloads.append(payload)
+
+    def since(self, from_offset):
+        """Yield ``(offset, nbytes, payload)`` for every retained chunk
+        that ends past ``from_offset``, in arrival order; a chunk that
+        straddles ``from_offset`` (a torn write) is cut to its missing
+        tail."""
+        for offset, nbytes, payload in zip(self._offsets, self._sizes,
+                                           self._payloads):
+            end = offset + nbytes
+            if end <= from_offset:
+                continue
+            if offset < from_offset:
+                yield from_offset, end - from_offset, payload
+            else:
+                yield offset, nbytes, payload
+
+
 class TransportRole(enum.Enum):
     STANDALONE = "standalone"
     PRIMARY = "primary"
@@ -228,7 +271,6 @@ class TransportModule:
         self._primary_port = None  # secondary: where counter updates go
         self._primary_name = None
         self._shadow_watchers = []
-        self._tap_installed = False
         self._reporter_running = False
         # Each reporter runs under its own generation and exits once it
         # sees a newer one, so a stop followed by a quick restart never
@@ -243,11 +285,12 @@ class TransportModule:
         self.receiving = True
         self.dropped_while_down = 0
         # Replication history: every chunk that passed the intake tap,
-        # retained while flows exist so a lagging or rejoining peer can be
-        # resynced (the Section 7.1 reconfiguration step re-ships the
-        # range the database knows the peer is missing; the simulator
-        # keeps the chunks so tests can drive that step directly).
-        self.history = []
+        # retained from the moment the tap is installed (None before) so
+        # a lagging or rejoining peer can be resynced (the Section 7.1
+        # reconfiguration step re-ships the range the database knows the
+        # peer is missing; the simulator keeps the chunks so tests can
+        # drive that step directly).
+        self.history = None
         # Staleness detection: if a shadow counter lags the local counter
         # while no update arrives for this long, the replication path is
         # presumed broken and the status register flips to "stale".
@@ -309,9 +352,9 @@ class TransportModule:
         # Retain intake history even before any downstream flow exists: a
         # chain tail promoted to upstream at reattach time must be able to
         # re-ship the range a rejoining peer missed.
-        if not self._tap_installed:
+        if self.history is None:
+            self.history = _History()
             self.cmb.tap_intake(self._on_local_write)
-            self._tap_installed = True
         if not self._reporter_running:
             self._reporter_running = True
             self._reporter_generation += 1
@@ -362,9 +405,9 @@ class TransportModule:
             raise RuntimeError("standalone devices do not mirror to peers")
         if peer_name in self._flows:
             raise ValueError(f"peer {peer_name!r} already registered")
-        if not self._tap_installed:
+        if self.history is None:
+            self.history = _History()
             self.cmb.tap_intake(self._on_local_write)
-            self._tap_installed = True
         flow = MirrorFlow(self.engine, peer_name, port or self.ntb_port,
                           rng=derive(self.seed, "mirror-backoff", peer_name),
                           name=f"{self.name}->{peer_name}")
@@ -406,18 +449,9 @@ class TransportModule:
         if flow is None:
             raise KeyError(f"no mirror flow toward {peer_name!r}")
         offered = 0
-        for offset, nbytes, payload in self.history:
-            end = offset + nbytes
-            if end <= from_offset:
-                continue
-            if offset < from_offset:
-                # Re-ship only the missing tail of a partially received
-                # chunk (the torn-write case).
-                flow.offer(from_offset, end - from_offset, payload)
-                offered += end - from_offset
-            else:
-                flow.offer(offset, nbytes, payload)
-                offered += nbytes
+        for offset, nbytes, payload in self.history.since(from_offset):
+            flow.offer(offset, nbytes, payload)
+            offered += nbytes
         return offered
 
     def halt(self):
@@ -485,7 +519,7 @@ class TransportModule:
         # Mirror whenever flows exist: a primary mirrors local writes,
         # a chain intermediate mirrors the stream it receives (its CMB
         # intake carries both cases — replication feeds the same intake).
-        self.history.append((offset, nbytes, payload))
+        self.history.append(offset, nbytes, payload)
         for flow in self._flows.values():
             flow.offer(offset, nbytes, payload)
 

@@ -61,9 +61,13 @@ def record_bytes(record):
     return RECORD_HEADER_BYTES + _footprint((record.key, record.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One WAL entry."""
+    """One WAL entry.
+
+    Slotted: destaged pages pin every record for the whole run, and a
+    slotted instance takes about two thirds of a dict-backed one's heap.
+    """
 
     lsn: int
     txn_id: int

@@ -77,8 +77,9 @@ class PcieLink:
         payload plus :data:`~repro.pcie.tlp.TLP_OVERHEAD_BYTES`, but only
         the last packet arms a timer.  ``payloads`` must not be empty.
         """
+        arrived = self.downstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
         self.tlps_down += len(payloads)
-        return self.downstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
+        return arrived
 
     def receive_train(self, payloads):
         """Transmit back-to-back TLPs carrying ``payloads`` bytes each
@@ -86,8 +87,9 @@ class PcieLink:
 
         The upstream counterpart of :meth:`send_train`.
         """
+        arrived = self.upstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
         self.tlps_up += len(payloads)
-        return self.upstream.transfer_train(payloads, TLP_OVERHEAD_BYTES)
+        return arrived
 
     def read_roundtrip(self, size):
         """Host MMIO read of ``size`` bytes: request down, completion up.

@@ -231,11 +231,12 @@ class BandwidthPipe:
         at the instant that loop's last event would, with the last size
         as its value.  Only that event is armed: a burst whose earlier
         completions nobody waits on costs one timer, not one per
-        transfer.  ``payloads`` must not be empty.
+        transfer.  ``payloads`` must not be empty, and neither a payload
+        nor ``overhead`` may be negative.
         """
         if not payloads:
             raise SimulationError("a transfer train needs at least one size")
-        if min(payloads) + overhead < 0:
+        if min(payloads) < 0 or overhead < 0:
             raise SimulationError("cannot transfer a negative size")
         now = self.engine.now
         bandwidth = self.bandwidth

@@ -3,10 +3,14 @@
 ``LogRecord.nbytes`` is a field computed when the record is built; it must
 equal ``record_bytes`` for every kind and value shape, agree with the
 plain type ladder the sizing rules were first written as, and stay out
-of equality, hashing and the repr.
+of equality, hashing and the repr.  Records are slotted (destaged pages
+pin every one for the whole run), and the size survives the copies the
+checkers and tests make of them.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -120,3 +124,22 @@ def test_replace_resizes():
                        value="short")
     longer = dataclasses.replace(record, value="a much longer value")
     assert longer.nbytes - record.nbytes == len("a much longer value") - 5
+
+
+def test_records_are_slotted_and_survive_pickle_and_deepcopy():
+    record = LogRecord(lsn=9, txn_id=4, kind=RecordKind.UPDATE, table="t",
+                       key=("w", 1, 2), value={"qty": 5, "name": "x"})
+    assert not hasattr(record, "__dict__")
+    assert record.nbytes == record_bytes(record)
+    copies = [copy.deepcopy(record), copy.copy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is LogRecord
+        assert twin == record
+        assert twin.nbytes == record.nbytes
+        assert not hasattr(twin, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.lsn = 1
+    deep = copies[0]
+    assert deep.value == record.value and deep.value is not record.value

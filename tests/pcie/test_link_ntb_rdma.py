@@ -9,7 +9,7 @@ from repro.pcie.link import PcieLink, link_bandwidth
 from repro.pcie.ntb import NtbBridge, NtbPort
 from repro.pcie.rdma import RdmaNic
 from repro.pcie.tlp import TLP_OVERHEAD_BYTES
-from repro.sim import Engine
+from repro.sim import Engine, SimulationError
 
 
 class TestLink:
@@ -38,6 +38,19 @@ class TestLink:
         engine.process(proc())
         engine.run()
         assert done == [pytest.approx(200 / 2.0 + 100.0)]
+
+    @pytest.mark.parametrize("direction", ["send_train", "receive_train"])
+    @pytest.mark.parametrize("payloads", [[-1], [64, -24], [-25]])
+    def test_negative_payload_rejected(self, direction, payloads):
+        """A negative payload is no packet, even when the per-packet
+        overhead would make its wire size non-negative."""
+        engine = Engine()
+        link = PcieLink(engine)
+        with pytest.raises(SimulationError, match="negative"):
+            getattr(link, direction)(payloads)
+        assert (link.tlps_down, link.tlps_up) == (0, 0)
+        assert link.downstream.bytes_transferred == 0
+        assert link.upstream.bytes_transferred == 0
 
     def test_directions_do_not_contend(self):
         engine = Engine()

@@ -284,6 +284,10 @@ class TestBandwidthPipe:
             pipe.transfer_train([])
         with pytest.raises(SimulationError):
             pipe.transfer_train([10, -1])
+        with pytest.raises(SimulationError):
+            pipe.transfer_train([-1], overhead=24)
+        with pytest.raises(SimulationError):
+            pipe.transfer_train([10], overhead=-1)
         assert pipe.bytes_transferred == 0
 
     def test_train_completes_with_its_last_transfer(self):
